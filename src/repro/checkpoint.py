@@ -1,8 +1,10 @@
 """Deterministic checkpoint/restore of mid-flight simulations.
 
-A checkpoint is one pickled payload dict: the engine's plant state
-(temperature field, row clocks via the trace, TEC engagement memory),
-the controller and estimator, the fault scheduler with its latched
+A checkpoint is one pickled payload dict: the engine's
+:class:`~repro.core.engine.LoopState` under ``"loop"`` (temperature
+field, actuators, clocks, TEC engagement memory, fan window and the
+interval kernel's quiescence detector), the trace recorded so far, the
+controller and estimator, the fault scheduler with its latched
 values and RNG stream, the sensor bank's noise stream, rebuild recipes
 for the solver's warm LU/Woodbury cache, and the telemetry counters.
 Pickling every piece in a single payload preserves object-identity
@@ -36,7 +38,8 @@ from repro.obs import telemetry as obs
 
 #: Version of the snapshot payload layout. Bump on any incompatible
 #: change to the keys or their meaning; loaders reject other versions.
-CHECKPOINT_SCHEMA = 1
+#: Schema 2 carries the whole loop as one ``LoopState`` under ``"loop"``.
+CHECKPOINT_SCHEMA = 2
 
 
 def atomic_write_bytes(path, blob: bytes) -> str:

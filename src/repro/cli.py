@@ -155,39 +155,55 @@ def _print_run_result(result) -> None:
     print(f"digest: {result_digest(result)}")
 
 
+def _engine_kwargs(args, prog: str):
+    """``EngineConfig`` kwargs of ``run``/``profile``; returns (kwargs, rc).
+
+    ``--faults`` selects the hardened configuration (watchdog, health
+    monitor, estimator fallback), which disarms the interval kernel.
+    """
+    if args.faults is None:
+        return ({"interval_kernel": True} if args.interval_kernel else {}), 0
+    from repro.faults import HealthConfig, WatchdogConfig
+
+    scheduler, rc = _load_fault_scheduler(args.faults, prog)
+    if scheduler is None:
+        return None, rc
+    return (
+        dict(
+            faults=scheduler,
+            watchdog=WatchdogConfig(),
+            health=HealthConfig(),
+            estimator_fallback=True,
+        ),
+        0,
+    )
+
+
 def _cmd_run(args) -> int:
     """One simulation with optional periodic checkpoints, or a resume."""
-    from repro.exceptions import CheckpointError
+    from repro.core.engine import EngineConfig, SimulationEngine
 
     if args.resume is not None:
+        from repro.checkpoint import load_checkpoint
+        from repro.exceptions import CheckpointError
+
         try:
-            if args.status_file is not None:
-                # The snapshotted config predates the flag; override it
-                # so the resumed half of the run is watchable too.
-                from repro.checkpoint import load_checkpoint
-                from repro.core.engine import SimulationEngine
-
-                ck = load_checkpoint(args.resume, kind="engine-run")
-                ck["config"].status_path = args.status_file
-                ck["config"].status_every_s = args.status_every_s
-                engine = SimulationEngine(
-                    system=ck["system"],
-                    problem=ck["problem"],
-                    config=ck["config"],
-                )
-                result = engine.resume(ck)
-            else:
-                from repro.checkpoint import resume_engine_run
-
-                result = resume_engine_run(args.resume)
+            ck = load_checkpoint(args.resume, kind="engine-run")
         except CheckpointError as exc:
             print(f"tecfan run: cannot resume {args.resume}: {exc}",
                   file=sys.stderr)
             return 2
-        _print_run_result(result)
+        if args.status_file is not None:
+            # The snapshotted config predates the flag; override it so
+            # the resumed half of the run is watchable too.
+            ck["config"].status_path = args.status_file
+            ck["config"].status_every_s = args.status_every_s
+        engine = SimulationEngine(
+            system=ck["system"], problem=ck["problem"], config=ck["config"]
+        )
+        _print_run_result(engine.resume(ck))
         return 0
 
-    from repro.core.engine import EngineConfig, SimulationEngine
     from repro.core.problem import EnergyProblem
     from repro.core.system import build_system
     from repro.perf import splash2_workload
@@ -196,24 +212,9 @@ def _cmd_run(args) -> int:
     if args.max_time_s <= 0:
         print("tecfan run: --max-time-s must be > 0", file=sys.stderr)
         return 2
-    engine_kwargs = {}
-    if args.interval_kernel:
-        engine_kwargs["interval_kernel"] = True
-    if args.exact_kernel:
-        engine_kwargs["interval_kernel"] = True
-        engine_kwargs["exact_kernel"] = True
-    if args.faults is not None:
-        from repro.faults import HealthConfig, WatchdogConfig
-
-        scheduler, rc = _load_fault_scheduler(args.faults, "tecfan run")
-        if scheduler is None:
-            return rc
-        engine_kwargs = dict(
-            faults=scheduler,
-            watchdog=WatchdogConfig(),
-            health=HealthConfig(),
-            estimator_fallback=True,
-        )
+    engine_kwargs, rc = _engine_kwargs(args, "tecfan run")
+    if engine_kwargs is None:
+        return rc
     if args.checkpoint is not None:
         engine_kwargs["checkpoint_path"] = args.checkpoint
         engine_kwargs["checkpoint_every_s"] = args.checkpoint_every_s
@@ -415,34 +416,9 @@ def _cmd_profile(args) -> int:
         print("tecfan profile: --max-time-s must be > 0", file=sys.stderr)
         return 2
 
-    engine_kwargs = {}
-    if args.interval_kernel:
-        engine_kwargs["interval_kernel"] = True
-    if args.exact_kernel:
-        engine_kwargs["interval_kernel"] = True
-        engine_kwargs["exact_kernel"] = True
-    if args.faults is not None:
-        import json
-
-        from repro.exceptions import FaultInjectionError
-        from repro.faults import FaultScheduler, HealthConfig, WatchdogConfig
-
-        try:
-            with open(args.faults) as fh:
-                spec = json.load(fh)
-            scheduler = FaultScheduler.from_spec(spec)
-        except (OSError, json.JSONDecodeError, FaultInjectionError) as exc:
-            print(
-                f"tecfan profile: bad fault script {args.faults}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        engine_kwargs = dict(
-            faults=scheduler,
-            watchdog=WatchdogConfig(),
-            health=HealthConfig(),
-            estimator_fallback=True,
-        )
+    engine_kwargs, rc = _engine_kwargs(args, "tecfan profile")
+    if engine_kwargs is None:
+        return rc
 
     tel = get_telemetry()  # installed by main() for this subcommand
     system = build_system()
@@ -652,11 +628,6 @@ def main(argv: list[str] | None = None) -> int:
         help="arm the interval-kernel fast path (see docs/PERFORMANCE.md)",
     )
     runp.add_argument(
-        "--exact-kernel",
-        action="store_true",
-        help="force the classic exact loop even with --interval-kernel",
-    )
-    runp.add_argument(
         "--faults",
         metavar="PATH",
         default=None,
@@ -845,12 +816,6 @@ def main(argv: list[str] | None = None) -> int:
         help="arm the interval-kernel fast path (propagator caches, "
         "Woodbury solver corrections, quiescent fast-forwarding; see "
         "docs/PERFORMANCE.md). Auto-disabled when --faults is given",
-    )
-    prof.add_argument(
-        "--exact-kernel",
-        action="store_true",
-        help="force the classic exact interval loop even with "
-        "--interval-kernel: the A/B switch for validating the fast path",
     )
     trace = sub.add_parser(
         "trace",

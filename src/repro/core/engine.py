@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,9 +100,6 @@ class EngineConfig:
     #: loop stays bit-exact. Automatically suppressed on hardened runs
     #: and runs with sensor noise (see :attr:`kernel_active`).
     interval_kernel: bool = False
-    #: Force the exact classic path even when ``interval_kernel`` is
-    #: set — the A/B switch for validating the fast path.
-    exact_kernel: bool = False
     #: Consecutive quiescent intervals (unchanged actuators, activity
     #: and steady state) observed before the engine fast-forwards.
     fast_forward_quiet: int = 2
@@ -168,18 +166,91 @@ class EngineConfig:
     def kernel_active(self) -> bool:
         """Is the interval-kernel fast path armed for this run?
 
-        The fast path is decision-equivalent but not bit-exact, so any
-        configuration that promises bit-identical behaviour — hardened
-        runs (the PR 3 no-fault guarantee), the forced-exact A/B switch
-        — and any run whose readings carry sensor noise (quiescence
-        cannot be detected from a noisy plant) disarm it.
+        The fast path is decision-equivalent but not bit-exact, so
+        hardened runs (which promise bit-identity with the classic loop
+        on healthy runs) and any run whose readings carry sensor noise
+        (quiescence cannot be detected from a noisy plant) disarm it.
         """
         return (
             self.interval_kernel
-            and not self.exact_kernel
             and not self.hardened
             and self.sensors is None
         )
+
+
+#: Contract counters (docs/OBSERVABILITY.md), pre-registered by every
+#: recorded run so exports always carry them, even at zero.
+_CONTRACT_COUNTERS = (
+    "engine.intervals",
+    "engine.fast_forwarded_intervals",
+    "temp.violations",
+    "tec.switch_events",
+    "fan.level_changes",
+    "controller.hot_iterations",
+    "controller.cool_iterations",
+    "thermal.propagator_hits",
+    "thermal.propagator_misses",
+    "thermal.woodbury_solves",
+    "thermal.woodbury_fallbacks",
+)
+
+
+@dataclass
+class LoopState:
+    """Everything the control loop carries from one interval to the next.
+
+    The two-level loop is a discrete-time system whose whole state is
+    this record: the plant (temperature field, TEC engagement memory),
+    the commanded actuators, the clocks, the fan level's averaging
+    window, the run-long power/TEC integrals, and the interval kernel's
+    quiescence detector. A checkpoint stores one of these, so a resumed
+    run re-enters the loop exactly where the snapshot was taken.
+    """
+
+    state: ActuatorState
+    t_nodes: np.ndarray
+    #: Effective TEC activation of the previous interval (engagement delay).
+    prev_tec: np.ndarray
+    #: Fan-period window sums of component power / TEC activation.
+    fan_accum_p: np.ndarray
+    fan_accum_tec: np.ndarray
+    #: Run-long time integrals of component power / TEC activation.
+    run_avg_p: np.ndarray
+    run_avg_tec: np.ndarray
+    time_s: float = 0.0
+    total_instructions: float = 0.0
+    intervals: int = 0
+    fan_accum_n: int = 0
+    #: Interval-kernel quiescence detector: consecutive quiet intervals
+    #: and the previous interval's activity vector and steady state.
+    quiet: int = 0
+    prev_activity: np.ndarray | None = None
+    prev_steady: np.ndarray | None = None
+
+    @classmethod
+    def start(
+        cls,
+        system: CMPSystem,
+        state: ActuatorState,
+        t_nodes: np.ndarray,
+        prev_tec: np.ndarray,
+    ) -> LoopState:
+        """Fresh clocks and accumulators over a given plant state."""
+        return cls(
+            state=state,
+            t_nodes=t_nodes,
+            prev_tec=prev_tec,
+            fan_accum_p=np.zeros(system.nodes.n_components),
+            fan_accum_tec=np.zeros(system.n_tec_devices),
+            run_avg_p=np.zeros(system.nodes.n_components),
+            run_avg_tec=np.zeros(system.n_tec_devices),
+        )
+
+    def averages(self) -> tuple[np.ndarray, np.ndarray]:
+        """Time-averaged component power and TEC activation so far."""
+        if self.time_s > 0:
+            return self.run_avg_p / self.time_s, self.run_avg_tec / self.time_s
+        return self.run_avg_p, self.run_avg_tec
 
 
 @dataclass
@@ -311,7 +382,6 @@ class SimulationEngine:
         """Simulate until the workload finishes (or ``max_time_s``)."""
         system = self.system
         cfg = self.config
-        profile = run.workload.component_profile
         dvfs = system.dvfs
 
         if initial_state is None:
@@ -331,109 +401,41 @@ class SimulationEngine:
                 system=system, ips_predictor=ips_predictor
             )
 
-        # Plant thermal state. The paper iterates HotSpot from a uniform
-        # initial guess until consecutive peaks agree; warm-starting at
-        # the initial configuration's steady state plus a short silent
-        # priming pass is the converged equivalent.
-        # Run context for the telemetry manifest (no-op when disabled;
-        # last run before export wins).
-        obs.annotate("engine_config", cfg)
-        obs.annotate("workload", run.workload.name)
-        obs.annotate("policy", controller.name)
-        # The trace analysis tools (``tecfan trace anomalies``) read the
-        # threshold back from the manifest to judge thermal excursions.
-        obs.annotate("t_threshold_c", self.problem.t_threshold_c)
-        # Pre-register the contract counters (docs/OBSERVABILITY.md) so
-        # exports always carry them, even at zero.
-        for counter in (
-            "engine.intervals",
-            "engine.fast_forwarded_intervals",
-            "temp.violations",
-            "tec.switch_events",
-            "fan.level_changes",
-            "controller.hot_iterations",
-            "controller.cool_iterations",
-            "thermal.propagator_hits",
-            "thermal.propagator_misses",
-            "thermal.woodbury_solves",
-            "thermal.woodbury_fallbacks",
-        ):
-            obs.incr(counter, 0)
-
-        # Interval-kernel runs arm the solver's Woodbury corrections for
-        # the whole run (priming included); the forced-exact A/B switch
-        # explicitly disarms them. Default runs never touch the solver.
-        solver = system.solver
-        restore_woodbury = None
-        if cfg.interval_kernel or cfg.exact_kernel:
-            restore_woodbury = solver.use_woodbury
-            solver.use_woodbury = cfg.kernel_active
-        try:
-            t_nodes = self._initial_field(run, state, profile, cfg.warm_start)
-            prev_tec = state.tec.copy()
+        def start() -> LoopState:
+            # Plant thermal state. The paper iterates HotSpot from a
+            # uniform initial guess until consecutive peaks agree;
+            # warm-starting at the initial configuration's steady state
+            # plus a short silent priming pass is the converged
+            # equivalent.
+            t_nodes = self._initial_field(
+                run, state, run.workload.component_profile, cfg.warm_start
+            )
+            loop = LoopState.start(system, state, t_nodes, state.tec.copy())
             if cfg.priming_intervals > 0:
                 # Same run type (WorkloadRun/ServerTraceRun), fresh state.
                 primer = type(run)(run.workload, run.chip, run.ref_freq_ghz)
                 with obs.span("engine.prime"):
-                    state, t_nodes, prev_tec, _, _, _, _ = self._simulate(
+                    loop = self._simulate(
                         primer,
                         controller,
-                        state,
-                        t_nodes,
-                        prev_tec,
                         estimator,
+                        loop,
                         trace=None,
                         max_intervals=cfg.priming_intervals,
                     )
+            # The recorded run keeps the primed plant and actuators but
+            # starts its clocks and accumulators from zero.
+            return LoopState.start(
+                system, loop.state, loop.t_nodes, loop.prev_tec
+            )
 
-            trace = TraceRecorder()
-            ckpt = None
-            if cfg.checkpoint_every_s is not None:
-                ckpt = _Checkpointer(
-                    cfg.checkpoint_path, cfg.checkpoint_every_s
-                )
-            status = self._build_status(run, controller, ckpt)
-            with obs.span("engine.run"):
-                (
-                    state,
-                    t_nodes,
-                    prev_tec,
-                    time_s,
-                    total_instructions,
-                    avg_p,
-                    avg_tec,
-                ) = self._simulate(
-                    run,
-                    controller,
-                    state,
-                    t_nodes,
-                    prev_tec,
-                    estimator,
-                    trace=trace,
-                    max_intervals=None,
-                    guards=self._build_guards(),
-                    checkpoint=ckpt,
-                    status=status,
-                )
-        finally:
-            if restore_woodbury is not None:
-                solver.use_woodbury = restore_woodbury
-
-        metrics = summarize(
-            trace,
-            self.problem,
-            policy=controller.name,
-            workload=run.workload.name,
-            fan_level=int(state.fan_level),
-            instructions=total_instructions,
-        )
-        return SimulationResult(
-            metrics=metrics,
-            trace=trace,
-            final_state=state,
-            estimator=estimator,
-            avg_p_components_w=avg_p,
-            avg_tec=avg_tec,
+        return self._drive(
+            run,
+            controller,
+            estimator,
+            self._build_guards(),
+            TraceRecorder(),
+            start,
         )
 
     # ------------------------------------------------------------------
@@ -445,89 +447,97 @@ class SimulationEngine:
         the payload's own system/problem/config (see
         :func:`repro.checkpoint.resume_engine_run`). No priming pass
         and no fresh guard construction happen here — the checkpoint
-        carries the mid-run controller, estimator, fault scheduler and
-        guard state machines, and the loop re-enters exactly where the
-        snapshot was taken. The completed result is bit-identical,
-        field by field, to the uninterrupted run.
+        carries the mid-run controller, estimator, fault scheduler,
+        guard state machines and :class:`LoopState`, and the loop
+        re-enters exactly where the snapshot was taken. The completed
+        result is bit-identical, field by field, to the uninterrupted
+        run.
         """
-        cfg = self.config
-        run = ck["run"]
-        controller = ck["controller"]
-        estimator = ck["estimator"]
-        guards = ck["guards"]
-        trace = ck["trace"]
 
-        obs.annotate("engine_config", cfg)
-        obs.annotate("workload", run.workload.name)
-        obs.annotate("policy", controller.name)
-        obs.annotate("t_threshold_c", self.problem.t_threshold_c)
-        for counter in (
-            "engine.intervals",
-            "engine.fast_forwarded_intervals",
-            "temp.violations",
-            "tec.switch_events",
-            "fan.level_changes",
-            "controller.hot_iterations",
-            "controller.cool_iterations",
-            "thermal.propagator_hits",
-            "thermal.propagator_misses",
-            "thermal.woodbury_solves",
-            "thermal.woodbury_fallbacks",
-        ):
-            obs.incr(counter, 0)
-        # Carry the interrupted run's counters forward so post-resume
-        # telemetry sums over the whole logical run. Cache-rebuild
-        # counters (thermal.factorizations, lu_evictions) can exceed an
-        # uninterrupted run's by the restore cost — documented in
-        # docs/ROBUSTNESS.md; results are unaffected.
-        counters = ck.get("counters")
-        if counters and obs.get_telemetry() is not None:
-            for name in sorted(counters):
-                if counters[name]:
-                    obs.incr(name, counters[name])
-
-        solver = self.system.solver
-        restore_woodbury = None
-        if cfg.interval_kernel or cfg.exact_kernel:
-            restore_woodbury = solver.use_woodbury
-            solver.use_woodbury = cfg.kernel_active
-        try:
+        def start() -> LoopState:
+            # Carry the interrupted run's counters forward so post-resume
+            # telemetry sums over the whole logical run. Cache-rebuild
+            # counters (thermal.factorizations, lu_evictions) can exceed
+            # an uninterrupted run's by the restore cost — documented in
+            # docs/ROBUSTNESS.md; results are unaffected.
+            counters = ck.get("counters")
+            if counters and obs.get_telemetry() is not None:
+                for name in sorted(counters):
+                    if counters[name]:
+                        obs.incr(name, counters[name])
             if ck.get("solver_cache") is not None:
                 # Replay the warm LU/Woodbury cache in its snapshotted
                 # LRU order: Woodbury corrections are history-dependent
                 # (nearest cached base), so the resumed solver must see
                 # the same cache the live one held.
-                solver.restore_cache(ck["solver_cache"])
+                self.system.solver.restore_cache(ck["solver_cache"])
+            return ck["loop"]
+
+        return self._drive(
+            ck["run"],
+            ck["controller"],
+            ck["estimator"],
+            ck["guards"],
+            ck["trace"],
+            start,
+        )
+
+    def _drive(
+        self,
+        run: WorkloadRun,
+        controller: Controller,
+        estimator: NextIntervalEstimator,
+        guards: _RunGuards | None,
+        trace: TraceRecorder,
+        start: Callable[[], LoopState],
+    ) -> SimulationResult:
+        """The recorded run shared by :meth:`run` and :meth:`resume`.
+
+        ``start`` builds the :class:`LoopState` the recorded loop enters
+        with (priming a fresh run, or loading a checkpoint). It runs
+        with the solver already armed, so priming and cache restores
+        see the same solver the recorded loop does.
+        """
+        cfg = self.config
+        # Run context for the telemetry manifest (no-op when disabled;
+        # last run before export wins). The trace analysis tools
+        # (``tecfan trace anomalies``) read the threshold back from the
+        # manifest to judge thermal excursions.
+        obs.annotate("engine_config", cfg)
+        obs.annotate("workload", run.workload.name)
+        obs.annotate("policy", controller.name)
+        obs.annotate("t_threshold_c", self.problem.t_threshold_c)
+        for counter in _CONTRACT_COUNTERS:
+            obs.incr(counter, 0)
+
+        # Interval-kernel runs arm the solver's Woodbury corrections for
+        # the whole run (priming included) unless the kernel is disarmed
+        # (hardened or noisy runs). Default runs never touch the solver.
+        solver = self.system.solver
+        restore_woodbury = None
+        if cfg.interval_kernel:
+            restore_woodbury = solver.use_woodbury
+            solver.use_woodbury = cfg.kernel_active
+        try:
+            loop = start()
             ckpt = None
             if cfg.checkpoint_every_s is not None:
                 ckpt = _Checkpointer(
                     cfg.checkpoint_path,
                     cfg.checkpoint_every_s,
-                    start_s=ck["loop"]["time_s"],
+                    start_s=loop.time_s,
                 )
             status = self._build_status(run, controller, ckpt)
             with obs.span("engine.run"):
-                (
-                    state,
-                    t_nodes,
-                    prev_tec,
-                    time_s,
-                    total_instructions,
-                    avg_p,
-                    avg_tec,
-                ) = self._simulate(
+                loop = self._simulate(
                     run,
                     controller,
-                    ck["state"],
-                    ck["t_nodes"],
-                    ck["prev_tec"],
                     estimator,
+                    loop,
                     trace=trace,
-                    max_intervals=None,
                     guards=guards,
                     checkpoint=ckpt,
                     status=status,
-                    resume=dict(ck["loop"]),
                 )
         finally:
             if restore_woodbury is not None:
@@ -538,13 +548,14 @@ class SimulationEngine:
             self.problem,
             policy=controller.name,
             workload=run.workload.name,
-            fan_level=int(state.fan_level),
-            instructions=total_instructions,
+            fan_level=int(loop.state.fan_level),
+            instructions=loop.total_instructions,
         )
+        avg_p, avg_tec = loop.averages()
         return SimulationResult(
             metrics=metrics,
             trace=trace,
-            final_state=state,
+            final_state=loop.state,
             estimator=estimator,
             avg_p_components_w=avg_p,
             avg_tec=avg_tec,
@@ -558,10 +569,7 @@ class SimulationEngine:
         estimator,
         guards: _RunGuards | None,
         trace: TraceRecorder,
-        state: ActuatorState,
-        t_nodes: np.ndarray,
-        prev_tec: np.ndarray,
-        loop: dict,
+        loop: LoopState,
     ) -> None:
         """Snapshot the entire loop as one pickled payload.
 
@@ -588,9 +596,6 @@ class SimulationEngine:
                 "estimator": estimator,
                 "guards": guards,
                 "trace": trace,
-                "state": state,
-                "t_nodes": t_nodes,
-                "prev_tec": prev_tec,
                 "loop": loop,
                 "solver_cache": (
                     solver.snapshot_cache() if solver.use_woodbury else None
@@ -608,30 +613,26 @@ class SimulationEngine:
         self,
         run: WorkloadRun,
         controller: Controller,
-        state: ActuatorState,
-        t_nodes: np.ndarray,
-        prev_tec: np.ndarray,
         estimator: NextIntervalEstimator,
+        loop: LoopState,
         trace: TraceRecorder | None,
-        max_intervals: int | None,
+        max_intervals: int | None = None,
         guards: _RunGuards | None = None,
         checkpoint: _Checkpointer | None = None,
         status=None,
-        resume: dict | None = None,
-    ):
-        """Advance the plant + controller loop; optionally record.
+    ) -> LoopState:
+        """Advance the plant + controller loop from ``loop``; optionally record.
 
-        ``guards`` carries the run's robustness machinery (fault
-        injection, watchdog, health monitor, sensor validation,
-        estimator fallback). When it is None — every unhardened run and
-        every priming pass — the loop takes exactly the classic code
-        path, so fault-capable engines remain bit-identical to the
-        original on healthy runs.
+        Updates ``loop`` in place and returns it. ``guards`` carries the
+        run's robustness machinery (fault injection, watchdog, health
+        monitor, sensor validation, estimator fallback). When it is None
+        — every unhardened run and every priming pass — the loop takes
+        exactly the classic code path, so fault-capable engines remain
+        bit-identical to the original on healthy runs.
 
         ``checkpoint`` snapshots the whole loop to disk each time
-        simulated time crosses its cadence; ``resume`` restores the
-        loop-local variables a snapshot captured, so a resumed run
-        re-enters the loop exactly where the checkpoint left it.
+        simulated time crosses its cadence; resuming hands the
+        snapshotted :class:`LoopState` straight back in here.
 
         ``status`` is the optional live-status reporter
         (:class:`repro.obs.live.RunStatusReporter`): polled at the loop
@@ -649,14 +650,6 @@ class SimulationEngine:
         watchdog = guards.watchdog if guards is not None else None
         health = guards.health if guards is not None else None
         validator = guards.sensor_validator if guards is not None else None
-        fan_accum_p = np.zeros(system.nodes.n_components)
-        fan_accum_tec = np.zeros(system.n_tec_devices)
-        fan_accum_n = 0
-        run_avg_p = np.zeros(system.nodes.n_components)
-        run_avg_tec = np.zeros(system.n_tec_devices)
-        time_s = 0.0
-        total_instructions = 0.0
-        intervals = 0
 
         # Interval-kernel fast path (docs/PERFORMANCE.md): armed only on
         # recorded, unhardened, noise-free runs driven by a policy that
@@ -669,67 +662,30 @@ class SimulationEngine:
             and trace is not None
             and getattr(controller, "fast_forward_safe", False)
         )
-        quiet = 0
-        prev_activity = None
-        prev_steady = None
 
-        if resume is not None:
-            fan_accum_p = resume["fan_accum_p"]
-            fan_accum_tec = resume["fan_accum_tec"]
-            fan_accum_n = resume["fan_accum_n"]
-            run_avg_p = resume["run_avg_p"]
-            run_avg_tec = resume["run_avg_tec"]
-            time_s = resume["time_s"]
-            total_instructions = resume["total_instructions"]
-            intervals = resume["intervals"]
-            quiet = resume["quiet"]
-            prev_activity = resume["prev_activity"]
-            prev_steady = resume["prev_steady"]
-
-        while not run.finished and time_s < cfg.max_time_s:
-            if max_intervals is not None and intervals >= max_intervals:
+        while not run.finished and loop.time_s < cfg.max_time_s:
+            if max_intervals is not None and loop.intervals >= max_intervals:
                 break
-            if checkpoint is not None and time_s >= checkpoint.next_due:
+            if checkpoint is not None and loop.time_s >= checkpoint.next_due:
                 self._write_checkpoint(
-                    checkpoint,
-                    run,
-                    controller,
-                    estimator,
-                    guards,
-                    trace,
-                    state,
-                    t_nodes,
-                    prev_tec,
-                    {
-                        "fan_accum_p": fan_accum_p,
-                        "fan_accum_tec": fan_accum_tec,
-                        "fan_accum_n": fan_accum_n,
-                        "run_avg_p": run_avg_p,
-                        "run_avg_tec": run_avg_tec,
-                        "time_s": time_s,
-                        "total_instructions": total_instructions,
-                        "intervals": intervals,
-                        "quiet": quiet,
-                        "prev_activity": prev_activity,
-                        "prev_steady": prev_steady,
-                    },
+                    checkpoint, run, controller, estimator, guards, trace, loop
                 )
-                checkpoint.advance(time_s)
+                checkpoint.advance(loop.time_s)
             if status is not None:
                 status.maybe_report(
-                    time_s=time_s,
-                    t_nodes=t_nodes,
+                    time_s=loop.time_s,
+                    t_nodes=loop.t_nodes,
                     trace=trace,
-                    intervals=intervals,
-                    total_instructions=total_instructions,
-                    state=state,
+                    intervals=loop.intervals,
+                    total_instructions=loop.total_instructions,
+                    state=loop.state,
                 )
-            if kernel and quiet >= cfg.fast_forward_quiet:
+            if kernel and loop.quiet >= cfg.fast_forward_quiet:
                 k_cap = min(
                     cfg.fast_forward_max,
                     # Reserve the final interval for the classic loop so
                     # the fractional-dt completion accounting is exact.
-                    int((cfg.max_time_s - time_s) / cfg.dt_lower_s + 1e-9)
+                    int((cfg.max_time_s - loop.time_s) / cfg.dt_lower_s + 1e-9)
                     - 1,
                 )
                 if cfg.dynamic_fan:
@@ -737,42 +693,16 @@ class SimulationEngine:
                         np.ceil(cfg.fan_period_s / cfg.dt_lower_s - 1e-9)
                     )
                     # The fan-boundary interval must run classic too.
-                    k_cap = min(k_cap, per_period - fan_accum_n - 1)
-                k = 0
-                if k_cap >= 1:
-                    (
-                        k,
-                        t_nodes,
-                        inst_k,
-                        p_comp_sum,
-                        end_time,
-                    ) = self._fast_forward(
-                        run,
-                        state,
-                        t_nodes,
-                        prev_steady,
-                        prev_activity,
-                        trace,
-                        time_s,
-                        k_cap,
-                    )
-                if k:
-                    total_instructions += inst_k
-                    fan_accum_p += p_comp_sum
-                    fan_accum_tec += k * state.tec
-                    run_avg_p += p_comp_sum * cfg.dt_lower_s
-                    run_avg_tec += state.tec * (k * cfg.dt_lower_s)
-                    fan_accum_n += k
-                    time_s = end_time
-                    intervals += k
-                    obs.incr("engine.fast_forwarded_intervals", k)
+                    k_cap = min(k_cap, per_period - loop.fan_accum_n - 1)
+                if k_cap >= 1 and self._fast_forward(run, loop, trace, k_cap):
                     # Re-arm after one classic interval: the controller
                     # always observes between chunks.
-                    quiet = cfg.fast_forward_quiet - 1
+                    loop.quiet = cfg.fast_forward_quiet - 1
                     continue
-                quiet = 0
-            intervals += 1
+                loop.quiet = 0
+            loop.intervals += 1
             dt = cfg.dt_lower_s
+            state = loop.state
 
             with obs.span("engine.step"):
                 # ---- faults: commanded -> effective actuation -------------
@@ -780,11 +710,11 @@ class SimulationEngine:
                 # controller keeps seeing its own commands (the health
                 # monitor reconciles the two once a divergence persists).
                 if faults is not None:
-                    eff_dvfs = faults.apply_dvfs(time_s, state.dvfs)
+                    eff_dvfs = faults.apply_dvfs(loop.time_s, state.dvfs)
                     eff_fan = faults.apply_fan(
-                        time_s, state.fan_level, system.fan.n_levels
+                        loop.time_s, state.fan_level, system.fan.n_levels
                     )
-                    eff_tec = faults.apply_tec(time_s, state.tec)
+                    eff_tec = faults.apply_tec(loop.time_s, state.tec)
                 else:
                     eff_dvfs = state.dvfs
                     eff_fan = state.fan_level
@@ -802,15 +732,15 @@ class SimulationEngine:
                 p_dyn = system.power.component_power.dynamic_power_w(
                     activity, eff_dvfs, profile
                 )
-                tec_pump = self._effective_tec(eff_tec, prev_tec, dt)
+                tec_pump = self._effective_tec(eff_tec, loop.prev_tec, dt)
 
                 # ---- plant: thermal step ----------------------------------
                 comp = system.nodes.component_slice
                 t_steady, _ = system.plant_thermal.solve(
-                    p_dyn, eff_fan, tec_pump, t_guess_k=t_nodes[comp]
+                    p_dyn, eff_fan, tec_pump, t_guess_k=loop.t_nodes[comp]
                 )
-                t_nodes = system.transient.step(
-                    t_nodes, t_steady, dt, eff_fan, tec_pump
+                loop.t_nodes = t_nodes = system.transient.step(
+                    loop.t_nodes, t_steady, dt, eff_fan, tec_pump
                 )
                 t_comp_c = system.component_temps_c(t_nodes)
                 p_leak = system.power.plant_leakage.per_component_w(
@@ -820,14 +750,14 @@ class SimulationEngine:
                 # ---- plant: performance and energy accounting -------------
                 inst = run.advance(dt, freqs)
                 ips_cores = inst / dt
-                total_instructions += float(inst.sum())
+                loop.total_instructions += float(inst.sum())
                 p_cores = float(p_dyn.sum() + p_leak.sum())
                 p_tec = system.tec_power_w(tec_pump, t_nodes)
                 p_fan = system.fan.power_w(eff_fan)
                 p_chip = p_cores + p_tec + p_fan
                 if trace is not None:
                     trace.append(
-                        time_s=time_s,
+                        time_s=loop.time_s,
                         dt_s=dt,
                         peak_temp_c=float(t_comp_c.max()),
                         p_chip_w=p_chip,
@@ -847,7 +777,7 @@ class SimulationEngine:
                     else t_comp_c
                 )
                 if faults is not None:
-                    readings = faults.apply_sensors(time_s, readings)
+                    readings = faults.apply_sensors(loop.time_s, readings)
                 if validator is not None:
                     # Plausibility reference: the observer state committed
                     # last interval, *before* this interval's readings load.
@@ -861,7 +791,7 @@ class SimulationEngine:
                     state=state,
                     dt_s=dt,
                 )
-                prev_tec = eff_tec.copy()
+                loop.prev_tec = eff_tec.copy()
                 tripped = (
                     watchdog.feed(float(readings.max()))
                     if watchdog is not None
@@ -886,16 +816,16 @@ class SimulationEngine:
                     new_state = new_state.with_fan(state.fan_level)
 
                 # ---- controller: higher level (fan) -----------------------
-                fan_accum_p += p_dyn + p_leak
-                fan_accum_tec += tec_pump
-                run_avg_p += (p_dyn + p_leak) * dt
-                run_avg_tec += tec_pump * dt
-                fan_accum_n += 1
-                time_s += dt
-                if cfg.dynamic_fan and fan_accum_n * dt >= cfg.fan_period_s:
+                loop.fan_accum_p += p_dyn + p_leak
+                loop.fan_accum_tec += tec_pump
+                loop.run_avg_p += (p_dyn + p_leak) * dt
+                loop.run_avg_tec += tec_pump * dt
+                loop.fan_accum_n += 1
+                loop.time_s += dt
+                if cfg.dynamic_fan and loop.fan_accum_n * dt >= cfg.fan_period_s:
                     if not tripped:
-                        avg_p = fan_accum_p / fan_accum_n
-                        avg_tec = fan_accum_tec / fan_accum_n
+                        avg_p = loop.fan_accum_p / loop.fan_accum_n
+                        avg_tec = loop.fan_accum_tec / loop.fan_accum_n
                         with obs.span("controller.decide_fan"):
                             try:
                                 level = controller.decide_fan(
@@ -911,9 +841,9 @@ class SimulationEngine:
                                 obs.incr("controller.fallbacks")
                                 level = new_state.fan_level
                         new_state = new_state.with_fan(level)
-                    fan_accum_p[:] = 0.0
-                    fan_accum_tec[:] = 0.0
-                    fan_accum_n = 0
+                    loop.fan_accum_p[:] = 0.0
+                    loop.fan_accum_tec[:] = 0.0
+                    loop.fan_accum_n = 0
 
                 # ---- health: divergence detection + reconciliation --------
                 if health is not None:
@@ -937,7 +867,7 @@ class SimulationEngine:
                         t_comp_c,
                         p_chip,
                         float(ips_cores.sum()),
-                        time_s - dt,
+                        loop.time_s - dt,
                         dt,
                     )
 
@@ -948,66 +878,52 @@ class SimulationEngine:
                         and not run.finished
                         and new_state.key() == state.key()
                         and np.array_equal(tec_pump, state.tec)
-                        and prev_activity is not None
-                        and np.array_equal(activity, prev_activity)
-                        and prev_steady is not None
-                        and float(np.max(np.abs(t_steady - prev_steady)))
+                        and loop.prev_activity is not None
+                        and np.array_equal(activity, loop.prev_activity)
+                        and loop.prev_steady is not None
+                        and float(np.max(np.abs(t_steady - loop.prev_steady)))
                         <= cfg.fast_forward_steady_tol_k
                     ):
-                        quiet += 1
+                        loop.quiet += 1
                     else:
-                        quiet = 0
-                    prev_activity = activity
-                    prev_steady = t_steady
-                state = new_state
+                        loop.quiet = 0
+                    loop.prev_activity = activity
+                    loop.prev_steady = t_steady
+                loop.state = new_state
 
-        if time_s > 0:
-            run_avg_p /= time_s
-            run_avg_tec /= time_s
         if status is not None:
             # Final snapshot so watchers see the completed run even if
             # the cadence never fired again near the end.
             status.maybe_report(
-                time_s=time_s,
-                t_nodes=t_nodes,
+                time_s=loop.time_s,
+                t_nodes=loop.t_nodes,
                 trace=trace,
-                intervals=intervals,
-                total_instructions=total_instructions,
-                state=state,
+                intervals=loop.intervals,
+                total_instructions=loop.total_instructions,
+                state=loop.state,
                 done=True,
                 force=True,
             )
-        return (
-            state,
-            t_nodes,
-            prev_tec,
-            time_s,
-            total_instructions,
-            run_avg_p,
-            run_avg_tec,
-        )
+        return loop
 
     # ------------------------------------------------------------------
     def _fast_forward(
         self,
         run: WorkloadRun,
-        state: ActuatorState,
-        t_nodes: np.ndarray,
-        t_steady: np.ndarray,
-        activity: np.ndarray,
+        loop: LoopState,
         trace: TraceRecorder,
-        time_s: float,
         k_cap: int,
-    ):
+    ) -> int:
         """Advance up to ``k_cap`` quiescent intervals in closed form.
 
         Preconditions hold by construction of the caller's quiescence
         detector: no faults/sensors/watchdog, actuators unchanged, TEC
-        engagement complete, the activity vector static, and the leakage
-        loop's steady state settled (so freezing ``t_steady`` across the
-        chunk is within the drift tolerance). The thermal trajectory is
-        then the paper's Eq. (4) relaxation, evaluated at every interval
-        boundary in one :meth:`PaperTransient.interpolate` call —
+        engagement complete, the activity vector static
+        (``loop.prev_activity``), and the leakage loop's steady state
+        settled (so freezing ``loop.prev_steady`` across the chunk is
+        within the drift tolerance). The thermal trajectory is then the
+        paper's Eq. (4) relaxation, evaluated at every interval boundary
+        in one :meth:`PaperTransient.interpolate` call —
         ``beta_k = exp(-k dt G_ii / C_i)`` per node.
 
         Instruction accounting still advances interval-by-interval:
@@ -1017,12 +933,14 @@ class SimulationEngine:
         early the moment the activity vector or remaining-time check
         diverges from the quiescent pattern.
 
-        Returns ``(k, t_nodes, instructions, p_component_sum)`` with
-        ``k == 0`` when not a single interval qualified.
+        Folds the chunk into ``loop`` and returns its length ``k``
+        (``0``, leaving ``loop`` untouched, when not a single interval
+        qualified).
         """
         system = self.system
-        cfg = self.config
-        dt = cfg.dt_lower_s
+        dt = self.config.dt_lower_s
+        state = loop.state
+        activity = loop.prev_activity
         profile = run.workload.component_profile
         freqs = system.dvfs.frequency_ghz(state.dvfs)
         inst_rows = []
@@ -1035,7 +953,7 @@ class SimulationEngine:
             inst_rows.append(run.advance(dt, freqs))
             k += 1
         if k == 0:
-            return 0, t_nodes, 0.0, None, time_s
+            return 0
 
         comp = system.nodes.component_slice
         p_dyn = system.power.component_power.dynamic_power_w(
@@ -1045,14 +963,15 @@ class SimulationEngine:
         # classic loop's ``time_s += dt`` — cumulative float error and
         # all — so fast-forwarded trace rows carry identical clocks.
         row_times = np.empty(k)
-        end_time = time_s
+        end_time = loop.time_s
         for j in range(k):
             row_times[j] = end_time
             end_time += dt
         times = dt * np.arange(1, k + 1)
         with obs.span("engine.fast_forward"):
             t_rows = system.transient.interpolate(
-                t_nodes, t_steady, times, state.fan_level, state.tec
+                loop.t_nodes, loop.prev_steady, times, state.fan_level,
+                state.tec,
             )
         t_comp_rows_c = units.k_to_c(t_rows[:, comp])
         p_leak_rows = system.power.plant_leakage.per_component_w(
@@ -1089,7 +1008,17 @@ class SimulationEngine:
                     dt,
                 )
         p_comp_sum = k * p_dyn + p_leak_rows.sum(axis=0)
-        return k, t_rows[-1].copy(), float(inst.sum()), p_comp_sum, end_time
+        loop.t_nodes = t_rows[-1].copy()
+        loop.total_instructions += float(inst.sum())
+        loop.fan_accum_p += p_comp_sum
+        loop.fan_accum_tec += k * state.tec
+        loop.run_avg_p += p_comp_sum * dt
+        loop.run_avg_tec += state.tec * (k * dt)
+        loop.fan_accum_n += k
+        loop.time_s = end_time
+        loop.intervals += k
+        obs.incr("engine.fast_forwarded_intervals", k)
+        return k
 
     # ------------------------------------------------------------------
     def _record_interval(

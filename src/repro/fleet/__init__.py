@@ -1,24 +1,20 @@
 """Fleet-scale server simulation (see docs/FLEET.md).
 
 Public surface: :class:`FleetConfig`/:func:`run_fleet` for the batched
-N-node tier, :func:`run_fleet_engines` for the full-engine validation
-tier, routers and steppers for composition, and the memoized trace
-sources shared with the server analysis layer.
+N-node simulation, routers and steppers for composition, and the
+memoized trace sources shared with the server analysis layer.
 """
 
 from repro.fleet.control import FleetPolicy
 from repro.fleet.router import ROUTER_POLICIES, Router, RouterView, make_router
 from repro.fleet.sim import (
     FleetConfig,
-    FleetEngineResult,
     FleetResult,
     FleetShardResult,
     FleetSim,
     latency_quantile,
     merge_shard_results,
-    node_engine_workload,
     run_fleet,
-    run_fleet_engines,
 )
 from repro.fleet.stepper import (
     BatchedStepper,
@@ -38,7 +34,6 @@ from repro.fleet.traces import (
 __all__ = [
     "BatchedStepper",
     "FleetConfig",
-    "FleetEngineResult",
     "FleetPolicy",
     "FleetResult",
     "FleetShardResult",
@@ -57,8 +52,6 @@ __all__ = [
     "make_router",
     "make_stepper",
     "merge_shard_results",
-    "node_engine_workload",
     "run_fleet",
-    "run_fleet_engines",
     "trace_cache_size",
 ]

@@ -1,24 +1,14 @@
 """Fleet-scale datacenter simulation of S8-style TECfan servers.
 
-Two execution tiers share this module:
-
-* **Batched tier** (:class:`FleetSim`, :func:`run_fleet`) — the
-  headline path. All per-node state lives in ``(n_nodes, ...)`` arrays;
-  each control interval routes the arrival stream, advances every
-  node's plant through a pluggable stepper (the class-grouped batched
-  kernel or the reference per-node loop, :mod:`repro.fleet.stepper`),
-  and applies the vectorized per-node TECfan policy
-  (:mod:`repro.fleet.control`). Node groups shard across the PR 6
-  persistent :class:`~repro.parallel.WorkerPool` using the
-  :func:`~repro.parallel.plan_shards` plan, with journal resume and
-  live-status heartbeats riding the existing ``parallel_map`` plumbing.
-* **Engine tier** (:func:`run_fleet_engines`) — full-fidelity
-  validation path: one complete :class:`~repro.core.engine.
-  SimulationEngine` run per node under a static piece-rotation routing
-  of the Wikipedia protocol. Its N=1 identity routing reproduces the
-  Sec. V-E single-server experiment *bit for bit*
-  (``checkpoint.result_digest``-equal, serial and pooled) — the anchor
-  test that the fleet layer adds no physics of its own.
+:class:`FleetSim` and :func:`run_fleet` keep all per-node state in
+``(n_nodes, ...)`` arrays; each control interval routes the arrival
+stream, advances every node's plant through a pluggable stepper (the
+class-grouped batched kernel or the reference per-node loop,
+:mod:`repro.fleet.stepper`), and applies the vectorized per-node TECfan
+policy (:mod:`repro.fleet.control`). Node groups shard across the
+persistent :class:`~repro.parallel.WorkerPool` using the
+:func:`~repro.parallel.plan_shards` plan, with journal resume and
+live-status heartbeats riding the existing ``parallel_map`` plumbing.
 
 Fleet-level quiescent fast-forward: when every node is settled (no
 actuator changes, identical routed arrivals, drained backlogs, and
@@ -38,7 +28,7 @@ count for a fixed shard count, and the merged
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -656,16 +646,14 @@ def run_fleet(
         if journal_path is not None:
             from repro.journal import TaskJournal
 
+            # Every knob shapes the shard results, so the whole config
+            # is the journal's identity: a resume under any other
+            # setting is refused instead of mixing cells.
             journal = TaskJournal(
                 journal_path,
                 header={
                     "kind": "fleet",
-                    "n_nodes": cfg.n_nodes,
-                    "trace": cfg.trace,
-                    "router": cfg.router,
-                    "stepper": cfg.stepper,
-                    "duration_s": cfg.duration_s,
-                    "seed": cfg.seed,
+                    **asdict(cfg),
                     "tasks": len(payloads),
                 },
             )
@@ -693,108 +681,3 @@ def run_fleet(
         else 0.0
     )
     return result
-
-
-# ----------------------------------------------------------------------
-# Engine tier: one full SimulationEngine per node (validation path)
-# ----------------------------------------------------------------------
-def node_engine_workload(platform, node_index: int = 0, seed: int = 2009,
-                         minutes: int = 10):
-    """Static piece-rotation routing of the Wikipedia protocol.
-
-    Node ``k`` serves the paper's four 10-minute pieces rotated by
-    ``k`` across its cores; node 0 is byte-identical to
-    :func:`repro.analysis.server_experiment.build_server_workload` (the
-    identity routing the digest test anchors on).
-    """
-    from repro.fleet.traces import cached_wikipedia_trace
-    from repro.server.trace_workload import ServerWorkload
-
-    trace = cached_wikipedia_trace(seed=seed)
-    pieces = [p[: minutes * 60] for p in trace.experiment_pieces()]
-    n_cores = platform.system.n_cores
-    rows = [pieces[(node_index + c) % len(pieces)] for c in range(n_cores)]
-    return ServerWorkload(
-        name="wikipedia",
-        demand=np.stack(rows),
-        peak_ips=platform.params.peak_ips,
-    )
-
-
-def _fleet_engine_task(common, payload):
-    """Pool task: one node's full engine run (module-level for spawn)."""
-    platform, minutes, seed, engine_kwargs = common
-    node_index = payload
-    from repro.analysis.server_experiment import _run
-    from repro.core.tecfan import TECfanController
-
-    workload = node_engine_workload(
-        platform, node_index=node_index, seed=seed, minutes=minutes
-    )
-    return _run(
-        platform, workload, TECfanController(), minutes, **engine_kwargs
-    )
-
-
-@dataclass
-class FleetEngineResult:
-    """Engine-tier outputs: one full SimulationResult per node."""
-
-    results: list
-    digests: list
-
-
-def run_fleet_engines(
-    platform=None,
-    n_nodes: int = 1,
-    minutes: int = 10,
-    seed: int = 2009,
-    jobs: int | None = None,
-    pool=None,
-    journal_path=None,
-    status_path=None,
-    **engine_kwargs,
-) -> FleetEngineResult:
-    """Full-fidelity fleet: N complete engine runs, pooled or serial.
-
-    ``engine_kwargs`` forward to :class:`~repro.core.engine.
-    EngineConfig` (e.g. ``interval_kernel=True``). Passing ``pool``
-    forces the pooled path even for one node — that is what the
-    serial-vs-pooled digest test uses to prove the cross-process
-    round-trip is bit-exact.
-    """
-    if platform is None:
-        from repro.server.platform import build_server_system
-
-        platform = build_server_system()
-    context = (platform, minutes, seed, engine_kwargs)
-    payloads = list(range(n_nodes))
-    if pool is not None:
-        results = pool.map(_fleet_engine_task, payloads, context=context)
-    else:
-        journal = None
-        if journal_path is not None:
-            from repro.journal import TaskJournal
-
-            journal = TaskJournal(
-                journal_path,
-                header={
-                    "kind": "fleet-engines",
-                    "n_nodes": n_nodes,
-                    "minutes": minutes,
-                    "seed": seed,
-                },
-            )
-        results = parallel_map(
-            _fleet_engine_task,
-            payloads,
-            jobs=jobs,
-            context=context,
-            journal=journal,
-            status_path=status_path,
-            status_meta={"workload": "fleet-engines", "policy": "TECfan"},
-        )
-    from repro.checkpoint import result_digest
-
-    digests = [result_digest(r) for r in results]
-    return FleetEngineResult(results=results, digests=digests)

@@ -1,9 +1,9 @@
 """Cached arrival-stream sources for fleet simulations.
 
 A fleet run asks for the *same* demand series from many places: every
-shard task rebuilds its slice of the stream, the engine tier rebuilds
-the Wikipedia protocol workload per node, and a pooled run repeats all
-of that once per worker process. The Wikipedia synthesizer in
+shard task rebuilds its slice of the stream, the server experiment
+rebuilds the Wikipedia protocol workload per run, and a pooled run
+repeats all of that once per worker process. The Wikipedia synthesizer in
 particular runs two sequential-Python AR(1) loops over ``days * 86400``
 samples — several seconds for the 7-day trace — so re-parsing per task
 would dominate small fleets.

@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import (
@@ -34,6 +34,7 @@ from repro.faults import FaultScheduler, HealthConfig, WatchdogConfig
 from repro.perf import splash2_workload
 from repro.perf.splash2 import REF_FREQ_GHZ
 from repro.perf.workload import WorkloadRun
+from tests.test_interval_kernel import quiescent_workload
 
 _TRACE_FIELDS = (
     "time_s",
@@ -82,19 +83,28 @@ def _fault_script() -> FaultScheduler:
 _CONFIGS = {
     "classic": lambda: {},
     "interval-kernel": lambda: {"interval_kernel": True},
-    "exact-kernel": lambda: {"interval_kernel": True, "exact_kernel": True},
     "hardened": lambda: {
         "faults": _fault_script(),
         "watchdog": WatchdogConfig(),
         "health": HealthConfig(),
         "estimator_fallback": True,
     },
+    # Hardening disarms a requested interval kernel (and the solver's
+    # Woodbury corrections): the classic loop under a kernel request.
+    "kernel-hardened": lambda: {
+        "interval_kernel": True,
+        "faults": FaultScheduler(),
+        "estimator_fallback": True,
+    },
 }
 
 
-def _run(extra: dict, max_time_s: float = 0.02):
+def _run(extra: dict, max_time_s: float = 0.02, quiescent: bool = False):
     system = build_system(rows=2, cols=2)
-    wl = splash2_workload("lu", 4, system.chip)
+    if quiescent:
+        wl = quiescent_workload(system.chip.n_tiles)
+    else:
+        wl = splash2_workload("lu", 4, system.chip)
     engine = SimulationEngine(
         system,
         EnergyProblem(t_threshold_c=70.0),
@@ -137,16 +147,32 @@ def test_resume_from_every_cadence_is_identical(tmp_path):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(every_s=st.floats(min_value=0.0015, max_value=0.018))
-def test_random_checkpoint_instant_resumes_identical(every_s):
+@given(
+    every_s=st.floats(min_value=0.0015, max_value=0.018),
+    mode=st.sampled_from(["classic", "interval-kernel"]),
+)
+# Both modes always run: the interval kernel is the only one whose
+# quiescence detector (LoopState.quiet/prev_activity/prev_steady) must
+# survive the snapshot.
+@example(every_s=0.005, mode="classic")
+@example(every_s=0.005, mode="interval-kernel")
+def test_random_checkpoint_instant_resumes_identical(every_s, mode):
+    # The kernel mode runs a quiescent workload so snapshots land on
+    # both sides of fast-forwarded chunks.
+    quiescent = mode == "interval-kernel"
+    baseline = _run(_CONFIGS[mode](), quiescent=quiescent)
     # tempfile instead of tmp_path: function-scoped fixtures trip the
     # hypothesis health check (one directory would be reused across
     # examples).
-    baseline = _run({})
     with tempfile.TemporaryDirectory() as d:
         ck = os.path.join(d, "ck.pkl")
         with_ck = _run(
-            {"checkpoint_path": ck, "checkpoint_every_s": every_s}
+            dict(
+                _CONFIGS[mode](),
+                checkpoint_path=ck,
+                checkpoint_every_s=every_s,
+            ),
+            quiescent=quiescent,
         )
         assert_identical(baseline, with_ck)
         assert_identical(baseline, resume_engine_run(ck))
@@ -182,12 +208,11 @@ def test_load_checkpoint_rejects_garbage(tmp_path):
 
 def test_load_checkpoint_rejects_wrong_schema(tmp_path):
     path = tmp_path / "old.pkl"
-    write_checkpoint(
-        path,
-        {"schema": CHECKPOINT_SCHEMA + 1, "kind": "engine-run"},
-    )
-    with pytest.raises(CheckpointError, match="schema"):
-        load_checkpoint(path)
+    # Schema 1 predates LoopState (loose state/t_nodes/prev_tec keys).
+    for schema in (1, CHECKPOINT_SCHEMA + 1):
+        write_checkpoint(path, {"schema": schema, "kind": "engine-run"})
+        with pytest.raises(CheckpointError, match="schema"):
+            load_checkpoint(path)
 
 
 def test_load_checkpoint_rejects_wrong_kind(tmp_path):

@@ -1,70 +1,21 @@
-"""Satellite: N=1 identity-router fleet == plain SimulationEngine run.
+"""Fleet run identity: a result depends on the config, nothing else.
 
-The engine tier of the fleet must be a strict generalization: with one
-node and identity routing, `run_fleet_engines` must produce a result
-whose `checkpoint.result_digest` equals a direct `_run` of the same
-workload — in classic and interval-kernel engine modes, serial and
-through the worker pool (the pooled path proves the cross-process
-round-trip is bit-exact too).
+A pinned shard count makes the worker count irrelevant (serial and
+pooled runs digest-equal), and a crash-recovery journal only resumes a
+run whose every `FleetConfig` knob matches the one that wrote it.
 """
 
 import pytest
 
-from repro.analysis.server_experiment import _run, build_server_workload
-from repro.checkpoint import result_digest
-from repro.core.tecfan import TECfanController
-from repro.fleet import FleetConfig, node_engine_workload, run_fleet, run_fleet_engines
+from repro.exceptions import CheckpointError
+from repro.fleet import FleetConfig, run_fleet
 from repro.server.platform import build_server_system
 from repro.parallel import WorkerPool
-
-MINUTES = 1
 
 
 @pytest.fixture(scope="module")
 def platform():
     return build_server_system()
-
-
-@pytest.fixture(scope="module")
-def reference_digests(platform):
-    """Digest of the plain single-server experiment, per engine mode."""
-    out = {}
-    for mode, kwargs in (("classic", {}), ("interval", {"interval_kernel": True})):
-        workload = build_server_workload(platform, minutes=MINUTES)
-        result = _run(platform, workload, TECfanController(), MINUTES, **kwargs)
-        out[mode] = result_digest(result)
-    return out
-
-
-def test_node0_workload_matches_single_server(platform):
-    import numpy as np
-
-    ours = node_engine_workload(platform, node_index=0, minutes=MINUTES)
-    theirs = build_server_workload(platform, minutes=MINUTES)
-    assert ours.name == theirs.name
-    assert np.array_equal(ours.demand, theirs.demand)
-    assert ours.peak_ips == theirs.peak_ips
-
-
-@pytest.mark.parametrize("mode", ["classic", "interval"])
-def test_single_node_fleet_digest_serial(platform, reference_digests, mode):
-    kwargs = {"interval_kernel": True} if mode == "interval" else {}
-    fleet = run_fleet_engines(
-        platform=platform, n_nodes=1, minutes=MINUTES, **kwargs
-    )
-    assert fleet.digests == [reference_digests[mode]]
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("mode", ["classic", "interval"])
-def test_single_node_fleet_digest_pooled(platform, reference_digests, mode):
-    kwargs = {"interval_kernel": True} if mode == "interval" else {}
-    with WorkerPool(2) as pool:
-        pool.prime()
-        fleet = run_fleet_engines(
-            platform=platform, n_nodes=1, minutes=MINUTES, pool=pool, **kwargs
-        )
-    assert fleet.digests == [reference_digests[mode]]
 
 
 @pytest.mark.slow
@@ -84,3 +35,16 @@ def test_fleet_shards_pooled_matches_serial(platform):
         pooled = run_fleet(cfg, platform=platform, pool=pool)
     assert serial.shard_digests == pooled.shard_digests
     assert serial.digest == pooled.digest
+
+
+def test_fleet_journal_rejects_changed_config(platform, tmp_path):
+    """Knobs outside the old hand-listed header (here `scale`) count too."""
+    journal = tmp_path / "fleet.tfj"
+    cfg = FleetConfig(n_nodes=4, duration_s=60, shards=2, scale=1.0)
+    first = run_fleet(cfg, platform=platform, jobs=1, journal_path=journal)
+    # Same config: every shard replays from the journal.
+    again = run_fleet(cfg, platform=platform, jobs=1, journal_path=journal)
+    assert again.digest == first.digest
+    scaled = FleetConfig(n_nodes=4, duration_s=60, shards=2, scale=1.3)
+    with pytest.raises(CheckpointError, match="scale"):
+        run_fleet(scaled, platform=platform, jobs=1, journal_path=journal)

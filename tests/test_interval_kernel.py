@@ -354,24 +354,6 @@ def test_fast_forward_preserves_decisions(kernel_system, controller_cls):
     assert fast.metrics.instructions == classic.metrics.instructions
 
 
-def test_forced_exact_kernel_is_bit_identical(kernel_system):
-    classic = _run(kernel_system, EngineConfig(max_time_s=0.05))
-    forced = _run(
-        kernel_system,
-        EngineConfig(
-            max_time_s=0.05, interval_kernel=True, exact_kernel=True
-        ),
-    )
-    for fld in TRACE_FIELDS:
-        assert np.array_equal(
-            getattr(forced.trace, fld), getattr(classic.trace, fld)
-        ), fld
-    assert forced.metrics == classic.metrics
-    assert np.array_equal(forced.final_state.tec, classic.final_state.tec)
-    assert np.array_equal(forced.final_state.dvfs, classic.final_state.dvfs)
-    assert forced.final_state.fan_level == classic.final_state.fan_level
-
-
 def test_faults_armed_disarms_kernel_bit_identically(kernel_system):
     classic = _run(kernel_system, EngineConfig(max_time_s=0.05))
     armed = _run(
@@ -392,9 +374,6 @@ def test_faults_armed_disarms_kernel_bit_identically(kernel_system):
 def test_kernel_active_gating():
     assert EngineConfig(interval_kernel=True).kernel_active
     assert not EngineConfig().kernel_active
-    assert not EngineConfig(
-        interval_kernel=True, exact_kernel=True
-    ).kernel_active
     assert not EngineConfig(
         interval_kernel=True, faults=FaultScheduler()
     ).kernel_active
@@ -449,10 +428,14 @@ def test_engine_restores_solver_woodbury_flag(kernel_system):
     assert not solver.use_woodbury  # restored after the run
     solver.use_woodbury = True
     try:
+        # Hardening disarms the kernel, Woodbury included, for the run.
         _run(
             kernel_system,
             EngineConfig(
-                max_time_s=0.02, interval_kernel=True, exact_kernel=True
+                max_time_s=0.02,
+                interval_kernel=True,
+                faults=FaultScheduler(),
+                estimator_fallback=True,
             ),
         )
         assert solver.use_woodbury  # restored to the caller's setting

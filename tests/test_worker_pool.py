@@ -14,6 +14,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from repro.analysis.faultmatrix import run_fault_matrix
 from repro.core.baselines import FanTECController
@@ -53,13 +54,13 @@ def assert_results_identical(a, b) -> None:
     assert a.final_state.fan_level == b.final_state.fan_level
 
 
-def _small_setup():
+def _small_setup(**engine_kwargs):
     system = build_system(rows=2, cols=2)
     wl = splash2_workload("lu", 4, system.chip)
     engine = SimulationEngine(
         system,
         EnergyProblem(t_threshold_c=70.0),
-        EngineConfig(max_time_s=0.02),
+        EngineConfig(max_time_s=0.02, **engine_kwargs),
     )
     return system, wl, engine
 
@@ -67,8 +68,11 @@ def _small_setup():
 # ----------------------------------------------------------------------
 # serial-vs-pool bit-identity (the drop-in-replacement contract)
 # ----------------------------------------------------------------------
-def test_fan_sweep_pool_bit_identical_to_serial():
-    system, wl, engine = _small_setup()
+@pytest.mark.parametrize(
+    "interval_kernel", [False, True], ids=["classic", "interval-kernel"]
+)
+def test_fan_sweep_pool_bit_identical_to_serial(interval_kernel):
+    system, wl, engine = _small_setup(interval_kernel=interval_kernel)
 
     def make_run():
         return WorkloadRun(wl, system.chip, REF_FREQ_GHZ)
