@@ -16,6 +16,7 @@ from repro.analysis.experiments import (
     make_policies,
     run_base_scenario,
     run_policy_suite,
+    run_policy_suites,
 )
 from repro.analysis.figures import (
     SplashComparison,
@@ -54,6 +55,7 @@ __all__ = [
     "make_policies",
     "run_base_scenario",
     "run_policy_suite",
+    "run_policy_suites",
     "SplashComparison",
     "figure4",
     "figure4_timeseries",

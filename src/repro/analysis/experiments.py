@@ -10,8 +10,9 @@ The paper's SPLASH-2 methodology (Secs. IV-C, V-B..V-D):
    the slowest level that keeps the violation rate within tolerance is
    selected (:func:`repro.core.engine.run_fan_sweep`).
 
-:func:`run_base_scenario` and :func:`run_policy_suite` encode those two
-steps so every figure regenerates from the same flow.
+:func:`run_base_scenario` and :func:`run_policy_suites` (one worker pool
+for every case's policy runs) encode those two steps, so every figure
+regenerates from the same flow.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.core.problem import EnergyProblem
 from repro.core.state import ActuatorState
 from repro.core.system import CMPSystem, build_system
 from repro.core.tecfan import TECfanController
+from repro.exceptions import ConfigurationError
 from repro.perf.splash2 import REF_FREQ_GHZ, splash2_workload
 from repro.perf.workload import WorkloadRun
 
@@ -123,27 +125,81 @@ class PolicyOutcome:
     sweep: list = field(default_factory=list)
 
 
-def _policy_suite_task(common: tuple, payload: tuple) -> tuple:
-    """One policy's simulation of a suite (module-level: spawn-picklable).
+def _policy_suite_task(system: CMPSystem, payload: tuple) -> tuple:
+    """One policy's simulation of one case (module-level: spawn-picklable).
 
-    ``common`` is ``(engine, wl, problem)`` — the pool's shared context,
-    unpickled once per worker so the engine's thermal caches stay warm
-    across the policies a worker runs. ``payload`` is
-    ``(policy, violation_tolerance)``. The ``make_run`` closure a fan
-    sweep needs is rebuilt here, inside the worker, because closures do
-    not pickle.
+    ``system`` is the pool's shared context: it ships once per worker and
+    its LU/propagator caches stay warm across every case and policy that
+    worker runs. ``payload`` is ``(workload, threads, t_threshold_c,
+    dt_s, policy, violation_tolerance)``; the cache-free problem, engine,
+    workload and ``make_run`` closure are rebuilt here.
     """
-    engine, wl, problem = common
-    policy, violation_tolerance = payload
+    workload, threads, t_threshold_c, dt_s, policy, tolerance = payload
+    problem = EnergyProblem(t_threshold_c=t_threshold_c)
+    engine = SimulationEngine(
+        system, problem, EngineConfig(dt_lower_s=dt_s, max_time_s=MAX_SIM_TIME_S)
+    )
+    wl = splash2_workload(workload, threads, system.chip)
     if isinstance(policy, TECfanController):
         return run_tecfan_with_own_fan_rule(engine, wl, policy, problem)
-    system = engine.system
     return run_fan_sweep(
         engine,
         lambda: WorkloadRun(wl, system.chip, REF_FREQ_GHZ),
         policy,
-        violation_tolerance=violation_tolerance,
+        violation_tolerance=tolerance,
     )
+
+
+def run_policy_suites(
+    system: CMPSystem,
+    cases,
+    policies: list[Controller] | None = None,
+    dt_s: float = DT_LOWER_S,
+    violation_tolerance: float = 0.10,
+    jobs: int | None = None,
+    bases: dict | None = None,
+) -> dict[tuple, tuple[BaseScenario, dict[str, PolicyOutcome]]]:
+    """Base scenarios + fan-swept policy runs for several workload cases.
+
+    Returns ``{(workload, threads): (base, {policy name: outcome})}`` in
+    ``cases`` order. The cheap base scenarios (``bases`` may supply
+    some) run first, in-process, since each fixes its case's ``T_th``.
+    Every (case x policy) run then goes through *one*
+    :func:`repro.parallel.parallel_map` in case-major, plotting order:
+    one pool for the whole suite, ``system`` its warm shared context,
+    outcomes identical for any ``jobs``. Fan-only *is* the base scenario
+    (Sec. V-A: any slower fan already violates), so it is not re-run.
+    Duplicate policy names raise :class:`ConfigurationError`.
+    """
+    from repro.parallel import parallel_map
+
+    fresh = make_policies if policies is None else (lambda: list(policies))
+    names = [p.name for p in fresh()]
+    dup = sorted({n for n in names if names.count(n) > 1})
+    if dup:
+        raise ConfigurationError(f"duplicate policy names {dup}")
+    suites = {}
+    for case in map(tuple, cases):
+        base = (bases or {}).get(case) or run_base_scenario(system, *case, dt_s)
+        suites[case] = (base, fresh())
+    payloads = [
+        (*case, base.t_threshold_c, dt_s, policy, violation_tolerance)
+        for case, (base, policy_list) in suites.items()
+        for policy in policy_list
+        if not isinstance(policy, FanOnlyController)
+    ]
+    pairs = iter(parallel_map(_policy_suite_task, payloads, jobs, context=system))
+    out = {}
+    for case, (base, policy_list) in suites.items():
+        outcomes: dict[str, PolicyOutcome] = {}
+        for policy in policy_list:
+            if isinstance(policy, FanOnlyController):
+                chosen, sweep = base.result, [base.result.metrics]
+            else:
+                chosen, sweep = next(pairs)
+            outcomes[policy.name] = PolicyOutcome(policy.name, chosen, sweep)
+        out[case] = (base, outcomes)
+    return out
 
 
 def run_policy_suite(
@@ -156,46 +212,14 @@ def run_policy_suite(
     base: BaseScenario | None = None,
     jobs: int | None = None,
 ) -> tuple[BaseScenario, dict[str, PolicyOutcome]]:
-    """Base scenario + fan-swept policy runs for one workload case.
-
-    ``jobs`` fans the per-policy simulations out across worker processes
-    (see :func:`repro.parallel.parallel_map`); each policy's runs are
-    independent, so the outcomes match serial execution exactly.
-    """
-    from repro.parallel import parallel_map
-
-    if base is None:
-        base = run_base_scenario(system, workload, threads, dt_s)
-    problem = EnergyProblem(t_threshold_c=base.t_threshold_c)
-    engine = SimulationEngine(
-        system, problem, EngineConfig(dt_lower_s=dt_s, max_time_s=MAX_SIM_TIME_S)
-    )
-    wl = splash2_workload(workload, threads, system.chip)
-    policy_list = list(policies if policies is not None else make_policies())
-    # Fan-only *is* the base scenario (Sec. V-A): the fastest fan,
-    # because any slower level already violates without knobs.
-    simulated = [
-        p for p in policy_list if not isinstance(p, FanOnlyController)
-    ]
-    payloads = [(policy, violation_tolerance) for policy in simulated]
-    pairs = parallel_map(
-        _policy_suite_task, payloads, jobs, context=(engine, wl, problem)
-    )
-    by_name = {p.name: pair for p, pair in zip(simulated, pairs)}
-    outcomes: dict[str, PolicyOutcome] = {}
-    for policy in policy_list:
-        if isinstance(policy, FanOnlyController):
-            outcomes[policy.name] = PolicyOutcome(
-                policy=policy.name,
-                chosen=base.result,
-                sweep=[base.result.metrics],
-            )
-        else:
-            chosen, sweep = by_name[policy.name]
-            outcomes[policy.name] = PolicyOutcome(
-                policy=policy.name, chosen=chosen, sweep=sweep
-            )
-    return base, outcomes
+    """Base scenario + fan-swept policy runs for one workload case: the
+    one-case call of :func:`run_policy_suites` (``base`` skips the base
+    run; ``jobs`` fans the per-policy simulations out)."""
+    case = (workload, threads)
+    return run_policy_suites(
+        system, [case], policies, dt_s, violation_tolerance, jobs,
+        bases=None if base is None else {case: base},
+    )[case]
 
 
 def run_tecfan_with_own_fan_rule(

@@ -11,14 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.experiments import (
-    BaseScenario,
-    PolicyOutcome,
-    run_base_scenario,
-    run_policy_suite,
-)
+from repro.analysis.experiments import run_base_scenario, run_policy_suites
 from repro.analysis.report import render_normalized, render_table
-from repro.core.baselines import FanTECController
+from repro.core.baselines import FanOnlyController, FanTECController
 from repro.core.engine import EngineConfig, SimulationEngine
 from repro.core.problem import EnergyProblem
 from repro.core.state import ActuatorState
@@ -51,36 +46,32 @@ class Figure4Row:
     tec_power_w: float  # average TEC power of the Fan+TEC run
 
 
+def _figure4_runs(system: CMPSystem, workload: str, threads: int) -> tuple:
+    """Fig. 4's three runs: the base (Fan-only at the fastest fan, which
+    fixes T_th), Fan-only at the 2nd level and Fan+TEC at the 2nd level."""
+    base = run_base_scenario(system, workload, threads)
+    problem = EnergyProblem(t_threshold_c=base.t_threshold_c)
+    engine = SimulationEngine(system, problem, EngineConfig(max_time_s=2.0))
+    wl = splash2_workload(workload, threads, system.chip)
+
+    def run_at_l2(controller):
+        state = ActuatorState.initial(
+            system.n_tec_devices, system.n_cores, system.dvfs.max_level, fan_level=2
+        )
+        return engine.run(
+            WorkloadRun(wl, system.chip, REF_FREQ_GHZ), controller, initial_state=state
+        )
+
+    return base, run_at_l2(FanOnlyController()), run_at_l2(FanTECController())
+
+
 def figure4(
     system: CMPSystem, cases: tuple = TABLE1_CASES
 ) -> list[Figure4Row]:
     """Regenerate Fig. 4: Fan-only L1 vs L2 vs Fan+TEC at L2."""
     rows: list[Figure4Row] = []
     for workload, threads in cases:
-        base: BaseScenario = run_base_scenario(system, workload, threads)
-        problem = EnergyProblem(t_threshold_c=base.t_threshold_c)
-        engine = SimulationEngine(
-            system, problem, EngineConfig(max_time_s=2.0)
-        )
-        wl = splash2_workload(workload, threads, system.chip)
-
-        def run_at(level: int, controller):
-            state = ActuatorState.initial(
-                system.n_tec_devices,
-                system.n_cores,
-                system.dvfs.max_level,
-                fan_level=level,
-            )
-            return engine.run(
-                WorkloadRun(wl, system.chip, REF_FREQ_GHZ),
-                controller,
-                initial_state=state,
-            )
-
-        from repro.core.baselines import FanOnlyController
-
-        fan2 = run_at(2, FanOnlyController())
-        fantec2 = run_at(2, FanTECController())
+        base, fan2, fantec2 = _figure4_runs(system, workload, threads)
         tr = fantec2.trace
         dur = float(tr.dt_s.sum())
         rows.append(
@@ -143,28 +134,7 @@ def figure4_timeseries(
     system: CMPSystem, workload: str = "cholesky", threads: int = 16
 ) -> Figure4Series:
     """The temperature-vs-time traces Fig. 4(a)/(b) actually plot."""
-    from repro.core.baselines import FanOnlyController
-
-    base = run_base_scenario(system, workload, threads)
-    problem = EnergyProblem(t_threshold_c=base.t_threshold_c)
-    engine = SimulationEngine(system, problem, EngineConfig(max_time_s=2.0))
-    wl = splash2_workload(workload, threads, system.chip)
-
-    def run_at(level, controller):
-        state = ActuatorState.initial(
-            system.n_tec_devices,
-            system.n_cores,
-            system.dvfs.max_level,
-            fan_level=level,
-        )
-        return engine.run(
-            WorkloadRun(wl, system.chip, REF_FREQ_GHZ),
-            controller,
-            initial_state=state,
-        )
-
-    fan2 = run_at(2, FanOnlyController())
-    fantec2 = run_at(2, FanTECController())
+    base, fan2, fantec2 = _figure4_runs(system, workload, threads)
     n = min(
         len(base.result.trace),
         len(fan2.trace),
@@ -229,16 +199,15 @@ def splash_comparison(
 ) -> SplashComparison:
     """Run the full policy suite on the Figs. 5-6 benchmark set.
 
-    ``jobs`` parallelizes each case's per-policy simulations (see
-    :func:`repro.analysis.experiments.run_policy_suite`).
+    Every case's policy runs share one fan-out (see
+    :func:`repro.analysis.experiments.run_policy_suites`): ``jobs``
+    workers, spawned once for the whole comparison, keep ``system``'s
+    thermal caches warm across cases.
     """
     comp = SplashComparison(cases=cases)
-    for workload, threads in cases:
-        base, outcomes = run_policy_suite(
-            system, workload, threads, jobs=jobs
-        )
-        comp.bases[(workload, threads)] = base
-        comp.outcomes[(workload, threads)] = outcomes
+    for case, (base, outcomes) in run_policy_suites(system, cases, jobs=jobs).items():
+        comp.bases[case] = base
+        comp.outcomes[case] = outcomes
     return comp
 
 

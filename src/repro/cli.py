@@ -737,9 +737,9 @@ def main(argv: list[str] | None = None) -> int:
     fleetp.add_argument(
         "--shards",
         type=int,
-        default=None,
-        help="shard count for the worker pool (default: one per "
-        "worker); pin it to compare runs across --jobs values",
+        default=1,
+        help="shard count (default 1); part of the experiment config — "
+        "results depend on it, never on --jobs",
     )
     fleetp.add_argument(
         "--no-fast-forward",

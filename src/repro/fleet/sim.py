@@ -75,9 +75,9 @@ class FleetConfig:
     #: Accounting unit: a core at peak frequency serves this many
     #: requests per second (defines instructions-per-request).
     requests_per_core_s: float = 1000.0
-    #: Shard count for the pool; ``None`` = one shard per worker. Pin it
-    #: to compare runs across different ``--jobs`` values.
-    shards: int | None = None
+    #: Shard count: part of the experiment (a router balances only
+    #: within its shard), so results never depend on the worker count.
+    shards: int = 1
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -88,6 +88,8 @@ class FleetConfig:
             raise ConfigurationError("need dt > 0 and fan period >= dt")
         if self.requests_per_core_s <= 0:
             raise ConfigurationError("requests_per_core_s must be > 0")
+        if self.shards < 1:
+            raise ConfigurationError("fleet needs at least one shard")
 
 
 @dataclass
@@ -609,19 +611,18 @@ def run_fleet(
 ) -> FleetResult:
     """Run a fleet simulation, optionally sharded across the pool.
 
-    The shard plan is :func:`plan_shards(cfg.n_nodes, shards)
-    <repro.parallel.plan_shards>` with ``shards`` from the config (or
-    the resolved worker count). A single-shard serial run writes
-    ``fleet``-kind live status directly; multi-shard runs report pool
-    heartbeats through ``parallel_map``.
+    The shard plan is :func:`plan_shards(cfg.n_nodes, cfg.shards)
+    <repro.parallel.plan_shards>`; the worker count never changes it,
+    so ``jobs`` only sets how many shards run at once. A single-shard
+    serial run writes ``fleet``-kind live status directly; multi-shard
+    runs report pool heartbeats through ``parallel_map``.
     """
     if platform is None:
         from repro.server.platform import build_server_system
 
         platform = build_server_system()
     n_jobs = resolve_jobs(jobs)
-    n_shards = cfg.shards if cfg.shards is not None else n_jobs
-    plan = plan_shards(cfg.n_nodes, max(1, n_shards))
+    plan = plan_shards(cfg.n_nodes, cfg.shards)
     payloads = [(idx, a, b) for idx, (a, b) in enumerate(plan)]
 
     if len(payloads) == 1 and pool is None and n_jobs <= 1:

@@ -109,6 +109,11 @@ RETRIES_ENV_VAR = "TECFAN_JOB_RETRIES"
 #: through a shared-memory block instead of the result pipe.
 SHM_MIN_BYTES = 1 << 16
 
+#: The pool scheduler's clock: every deadline and backoff read in
+#: :meth:`WorkerPool.map` goes through it, so tests can substitute a
+#: fake clock instead of waiting on real deadlines.
+_clock = time.monotonic
+
 
 @dataclass(frozen=True)
 class TaskFailure:
@@ -638,7 +643,7 @@ class WorkerPool:
                 obs.incr("parallel.retries")
                 if status is not None:
                     status.note_retry()
-                not_before = time.monotonic() + backoff_s * (2.0**attempt)
+                not_before = _clock() + backoff_s * (2.0**attempt)
                 queue.append((index, attempt + 1, not_before))
                 return
             pending -= 1
@@ -675,7 +680,7 @@ class WorkerPool:
                 task_id,
                 index,
                 attempt,
-                time.monotonic() + timeout_s if timeout_s is not None else None,
+                _clock() + timeout_s if timeout_s is not None else None,
             )
             self._busy.append(worker)
             if status is not None:
@@ -685,7 +690,7 @@ class WorkerPool:
         try:
             while pending > 0:
                 self._ensure_workers(len(queue) + len(self._busy))
-                now = time.monotonic()
+                now = _clock()
                 held = []
                 while queue and self._idle:
                     index, attempt, not_before = queue.popleft()
@@ -705,20 +710,20 @@ class WorkerPool:
                         break
                     # Everything pending is in a backoff hold.
                     next_up = min(nb for _, _, nb in queue)
-                    time.sleep(max(0.0, next_up - time.monotonic()))
+                    time.sleep(max(0.0, next_up - _clock()))
                     continue
 
                 deadlines = [
                     w.task[3] for w in self._busy if w.task[3] is not None
                 ]
                 holds = [
-                    nb for _, _, nb in queue if nb > time.monotonic()
+                    nb for _, _, nb in queue if nb > _clock()
                 ]
                 wake = (
                     min(deadlines + holds) if (deadlines or holds) else None
                 )
                 wait_s = (
-                    max(0.0, wake - time.monotonic())
+                    max(0.0, wake - _clock())
                     if wake is not None
                     else None
                 )
@@ -734,7 +739,7 @@ class WorkerPool:
                     [w.conn for w in self._busy], timeout=wait_s
                 )
 
-                now = time.monotonic()
+                now = _clock()
                 for worker in list(self._busy):
                     task_id, index, attempt, deadline = worker.task
                     if worker.conn in ready:

@@ -4,9 +4,11 @@ The solver caches sparse LU factorizations keyed by actuator setting:
 controllers evaluate many candidate DVFS levels against the *same* G (a
 DVFS change only moves the power vector), so the common case is a cached
 triangular solve rather than a refactorization. TEC activations are
-quantized to 1/256 for the cache key (see :mod:`repro.thermal.keys`) —
-exact for on/off states and more than fine enough for the fan
-controller's fractional "average state".
+quantized to 1/256 for the cache key (see :mod:`repro.thermal.keys`),
+but a hit must also match the exact activation the entry was built
+for: two fractional "average states" that share a key are different
+matrices, and serving one for the other would make a result depend on
+the cache's history (and so on which pool worker ran a task).
 
 Candidate screening goes one step further: :meth:`SteadyStateSolver.solve_many`
 pushes a whole batch of power vectors through one multi-RHS triangular
@@ -242,7 +244,8 @@ class SteadyStateSolver:
     def _factorization(self, fan_level: int, tec_activation: np.ndarray):
         key = self._cache_key(fan_level, tec_activation)
         entry = self._lu_cache.get(key)
-        if entry is not None:
+        recipe = self._recipe_cache.get(key)
+        if entry is not None and np.array_equal(recipe[2], tec_activation):
             self._lu_cache.move_to_end(key)
             return entry
         if self.use_woodbury:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -54,3 +56,41 @@ def base_state2(system2):
 def full_activity(system) -> np.ndarray:
     """Activity vector with every core busy."""
     return np.ones(system.n_cores)
+
+
+class FakePoolClock:
+    """Stand-in for the worker pool's scheduler clock.
+
+    It reads the real monotonic clock plus an offset that a test jumps
+    on cue, so a deadline test passes the deadline at once instead of
+    sleeping through it (and falls back to the real deadline if the cue
+    never comes).
+    """
+
+    def __init__(self) -> None:
+        self.offset = 0.0
+
+    def __call__(self) -> float:
+        return time.monotonic() + self.offset
+
+    def advance_after(self, n_results: int, seconds: float):
+        """An ``on_result`` hook advancing the clock by ``seconds`` once
+        ``n_results`` tasks have succeeded (only a hung task is left)."""
+        seen = []
+
+        def hook(index, value) -> None:
+            seen.append(index)
+            if len(seen) == n_results:
+                self.offset += seconds
+
+        return hook
+
+
+@pytest.fixture()
+def pool_clock(monkeypatch):
+    """Install a :class:`FakePoolClock` as the worker pool's clock."""
+    import repro.parallel
+
+    clock = FakePoolClock()
+    monkeypatch.setattr(repro.parallel, "_clock", clock)
+    return clock

@@ -8,13 +8,27 @@ from repro.analysis.experiments import (
     make_policies,
     run_base_scenario,
     run_policy_suite,
+    run_policy_suites,
 )
+from repro.core.baselines import FanTECController
+from repro.core.system import build_system
 from repro.core.tecfan import TECfanController
+from repro.exceptions import ConfigurationError
 
 
 def test_make_policies_order_and_names():
     names = [p.name for p in make_policies()]
     assert names == ["Fan-only", "Fan+TEC", "Fan+DVFS", "DVFS+TEC", "TECfan"]
+
+
+def test_policy_suites_reject_duplicate_policy_names():
+    # Outcomes are keyed by name: a duplicate would silently drop runs.
+    with pytest.raises(ConfigurationError, match=r"Fan\+TEC"):
+        run_policy_suites(
+            build_system(rows=2, cols=2),
+            [("lu", 4)],
+            policies=[FanTECController(), FanTECController()],
+        )
 
 
 @pytest.mark.slow

@@ -7,7 +7,7 @@ run whose every `FleetConfig` knob matches the one that wrote it.
 
 import pytest
 
-from repro.exceptions import CheckpointError
+from repro.exceptions import CheckpointError, ConfigurationError
 from repro.fleet import FleetConfig, run_fleet
 from repro.server.platform import build_server_system
 from repro.parallel import WorkerPool
@@ -35,6 +35,20 @@ def test_fleet_shards_pooled_matches_serial(platform):
         pooled = run_fleet(cfg, platform=platform, pool=pool)
     assert serial.shard_digests == pooled.shard_digests
     assert serial.digest == pooled.digest
+
+
+def test_fleet_default_shards_ignore_jobs(platform):
+    """Unset ``shards`` means one shard, whatever the worker count."""
+    cfg = FleetConfig(n_nodes=4, duration_s=60)
+    serial = run_fleet(cfg, platform=platform, jobs=1)
+    pooled = run_fleet(cfg, platform=platform, jobs=2)
+    assert serial.shards == pooled.shards == 1
+    assert serial.digest == pooled.digest
+
+
+def test_fleet_rejects_zero_shards():
+    with pytest.raises(ConfigurationError, match="shard"):
+        FleetConfig(n_nodes=4, duration_s=60, shards=0)
 
 
 def test_fleet_journal_rejects_changed_config(platform, tmp_path):

@@ -13,15 +13,16 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import run_policy_suite
+from repro.analysis.experiments import run_policy_suite, run_policy_suites
 from repro.core.baselines import FanOnlyController, FanTECController
 from repro.core.engine import EngineConfig, SimulationEngine, run_fan_sweep
 from repro.core.problem import EnergyProblem
 from repro.core.state import ActuatorState
 from repro.core.system import build_system
+from repro.core.tecfan import TECfanController
 from repro.exceptions import ParallelExecutionError
 from repro.obs import telemetry as obs
-from repro.parallel import TaskFailure, parallel_map, resolve_jobs
+from repro.parallel import TaskFailure, WorkerPool, parallel_map, resolve_jobs
 from repro.perf import splash2_workload
 from repro.perf.splash2 import REF_FREQ_GHZ
 from repro.perf.workload import WorkloadRun
@@ -130,7 +131,7 @@ def _flaky(payload):
     return x * x
 
 
-def test_hung_worker_killed_at_deadline_collect():
+def test_hung_worker_killed_at_deadline_collect(pool_clock):
     from repro.obs import Telemetry, telemetry_session
 
     payloads = [(0, 0.0), (1, 600.0), (2, 0.0)]
@@ -142,6 +143,7 @@ def test_hung_worker_killed_at_deadline_collect():
             jobs=2,
             timeout_s=10.0,
             on_error="collect",
+            on_result=pool_clock.advance_after(2, 60.0),
         )
     assert out[0] == 0 and out[2] == 4
     failure = out[1]
@@ -153,13 +155,14 @@ def test_hung_worker_killed_at_deadline_collect():
     assert counters["parallel.timeouts"] == 1
 
 
-def test_hung_worker_raises_by_default():
+def test_hung_worker_raises_by_default(pool_clock):
     with pytest.raises(ParallelExecutionError) as err:
         parallel_map(
             _hang_or_square,
             [(0, 0.0), (1, 600.0)],
             jobs=2,
             timeout_s=10.0,
+            on_result=pool_clock.advance_after(1, 60.0),
         )
     failed = [index for index, _ in err.value.failures]
     assert failed == [1]
@@ -263,6 +266,39 @@ def test_policy_suite_parallel_matches_serial():
     for name in out_s:
         assert out_p[name].chosen.metrics == out_s[name].chosen.metrics
         assert out_p[name].sweep == out_s[name].sweep
+
+
+def test_policy_suites_pooled_matches_serial_in_one_pool(monkeypatch):
+    """All cases' policy runs share one pool and match the serial runs."""
+    from repro.checkpoint import result_digest
+
+    inits = []
+    real_init = WorkerPool.__init__
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(WorkerPool, "__init__", counting_init)
+    cases = [("lu", 4), ("water", 4)]
+    # One policy per task kind: base reuse, fan sweep, TECfan's fan rule.
+    policies = [FanOnlyController(), FanTECController(), TECfanController()]
+    serial = run_policy_suites(
+        build_system(rows=2, cols=2), cases, policies, jobs=None
+    )
+    assert inits == []
+    pooled = run_policy_suites(
+        build_system(rows=2, cols=2), cases, policies, jobs=2
+    )
+    assert len(inits) == 1
+    assert list(pooled) == list(serial) == cases
+    for case, (base_s, out_s) in serial.items():
+        base_p, out_p = pooled[case]
+        assert result_digest(base_p.result) == result_digest(base_s.result)
+        assert list(out_p) == list(out_s)
+        for name, oc in out_s.items():
+            assert result_digest(out_p[name].chosen) == result_digest(oc.chosen)
+            assert out_p[name].sweep == oc.sweep
 
 
 def test_solver_pickles_without_lu_cache():

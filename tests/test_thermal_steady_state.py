@@ -108,3 +108,16 @@ def test_fractional_activation_between_on_and_off(system2, solver):
     t_on = solver.solve(p, 2, np.ones(system2.n_tec_devices))
     peak = lambda t: t[nd.component_slice].max()
     assert peak(t_on) <= peak(t_half) <= peak(t_off)
+
+
+def test_colliding_quantized_keys_never_share_a_factorization(system2, solver):
+    # 0.499 and 0.5 round to the same 1/256 cache key but are different
+    # conductance matrices: the second solve must not reuse the first LU.
+    p = np.ones(system2.nodes.n_components)
+    near, tec = zeros_tec(system2), zeros_tec(system2)
+    near[0], tec[0] = 0.499, 0.5
+    assert solver._cache_key(2, near) == solver._cache_key(2, tec)
+    solver.solve(p, 2, near)
+    warm = solver.solve(p, 2, tec)
+    cold = SteadyStateSolver(system2.cond).solve(p, 2, tec)
+    assert np.array_equal(warm, cold)

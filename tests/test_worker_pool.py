@@ -132,7 +132,7 @@ def _hang_or_square(payload):
     return payload * payload
 
 
-def test_timeout_kills_task_and_replaces_worker():
+def test_timeout_kills_task_and_replaces_worker(pool_clock):
     tel = Telemetry()
     with telemetry_session(tel):
         out = parallel_map(
@@ -141,6 +141,7 @@ def test_timeout_kills_task_and_replaces_worker():
             jobs=2,
             timeout_s=10.0,
             on_error="collect",
+            on_result=pool_clock.advance_after(5, 60.0),
         )
     # The hung task settles as a timeout failure at its own index...
     failure = out[1]
