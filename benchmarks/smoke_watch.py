@@ -11,6 +11,9 @@ Drives the CLI in subprocesses, exactly like a user's terminal pair:
    completion and require ``tecfan top --once`` to exit 0 against its
    sidecar; re-run the same sweep (journal resume, every cell replayed)
    and require ``top`` to show the replayed cells.
+3. **Fleet + top** — run a small ``tecfan fleet --status-file`` and
+   require ``tecfan top --once`` to show the finished run (done, 100%)
+   with its hottest-node table.
 
 Exit status is the gate: 0 when every view renders, 1 otherwise.
 Accepts ``--smoke`` (the CI flag other benchmarks use) as a no-op —
@@ -35,6 +38,10 @@ RUN_ARGS = [
 ]
 SWEEP_ARGS = [
     "sweep", "--max-time-s", "0.02", "--jobs", "2",
+    "--status-every-s", "0.02",
+]
+FLEET_ARGS = [
+    "fleet", "--nodes", "4", "--seconds", "60",
     "--status-every-s", "0.02",
 ]
 
@@ -146,6 +153,18 @@ def phase_sweep_top(tmp: str) -> None:
     print("top after journal resume: OK (all cells replayed)")
 
 
+def phase_fleet_top(tmp: str) -> None:
+    status_path = os.path.join(tmp, "fleet-status.json")
+    fleet = _cli(FLEET_ARGS + ["--status-file", status_path])
+    _check(fleet.returncode == 0, f"tecfan fleet exited {fleet.returncode}")
+    top = _cli(["top", status_path, "--once"])
+    _check(top.returncode == 0, f"top --once exited {top.returncode}")
+    _check("[done]" in top.stdout, "final fleet snapshot not marked done")
+    _check("100.0%" in top.stdout, "final fleet snapshot not at 100%")
+    _check("peak degC" in top.stdout, "fleet top shows no node table")
+    print("top after fleet run: OK (done, 100%, node table)")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -156,6 +175,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         phase_run_watch(tmp)
         phase_sweep_top(tmp)
+        phase_fleet_top(tmp)
     print("live-observability smoke: OK")
     return 0
 

@@ -348,9 +348,9 @@ def _cmd_fleet(args) -> int:
 def _cmd_watch(args, prog: str) -> int:
     """Shared body of ``tecfan watch`` and ``tecfan top``.
 
-    Both read the same status sidecar; the renderer dispatches on the
-    snapshot's ``kind``, so either command works against either kind —
-    the two names exist for discoverability. ``--once`` prints a single
+    Both read the same status sidecar through one renderer, so either
+    command works against any kind (``engine-run``, ``pool``, ``fleet``)
+    — the two names exist for discoverability. ``--once`` prints a single
     plain-text view (exit 2 when the file is missing/invalid — the CI
     smoke mode); the default loop refreshes every ``--interval``
     seconds, tolerates a not-yet-written file, and exits 0 when the
@@ -563,8 +563,8 @@ def main(argv: list[str] | None = None) -> int:
         help="retry a failed or timed-out worker task up to K times "
         "(sets TECFAN_JOB_RETRIES for every fan-out in this command)",
     )
-    # Live-status sidecar (repro.obs.live): run and sweep write it, the
-    # watch/top consumers read it.
+    # Live-status sidecar (repro.obs.live): run, sweep and fleet write
+    # it, the watch/top consumers read it.
     status_parent = argparse.ArgumentParser(add_help=False)
     status_parent.add_argument(
         "--status-file",

@@ -358,16 +358,16 @@ class SimulationEngine:
         cfg = self.config
         if cfg.status_path is None:
             return None
-        from repro.obs.live import RunStatusReporter
+        from repro.obs.live import StatusReporter
 
-        return RunStatusReporter(
+        return StatusReporter(
             cfg.status_path,
+            "engine-run",
             every_s=cfg.status_every_s,
-            max_time_s=cfg.max_time_s,
+            label=f"{run.workload.name} / {controller.name}",
+            total=cfg.max_time_s,
             t_threshold_c=self.problem.t_threshold_c,
             system=self.system,
-            workload=run.workload.name,
-            policy=controller.name,
             checkpoint=ckpt,
         )
 
@@ -634,11 +634,11 @@ class SimulationEngine:
         simulated time crosses its cadence; resuming hands the
         snapshotted :class:`LoopState` straight back in here.
 
-        ``status`` is the optional live-status reporter
-        (:class:`repro.obs.live.RunStatusReporter`): polled at the loop
-        top — which every iteration passes through, including the one
+        ``status`` is the optional ``engine-run``
+        :class:`repro.obs.live.StatusReporter`: polled at the loop top —
+        which every iteration passes through, including the one
         following a fast-forwarded chunk, so snapshots also land on
-        fast-forward boundaries — and forced once more (``done=True``)
+        fast-forward boundaries — and reported once more (``done=True``)
         after the loop exits. Reporting only reads loop state, so it
         cannot perturb the run.
         """
@@ -671,15 +671,8 @@ class SimulationEngine:
                     checkpoint, run, controller, estimator, guards, trace, loop
                 )
                 checkpoint.advance(loop.time_s)
-            if status is not None:
-                status.maybe_report(
-                    time_s=loop.time_s,
-                    t_nodes=loop.t_nodes,
-                    trace=trace,
-                    intervals=loop.intervals,
-                    total_instructions=loop.total_instructions,
-                    state=loop.state,
-                )
+            if status is not None and status.due():
+                status.report(loop=loop, trace=trace)
             if kernel and loop.quiet >= cfg.fast_forward_quiet:
                 k_cap = min(
                     cfg.fast_forward_max,
@@ -894,16 +887,7 @@ class SimulationEngine:
         if status is not None:
             # Final snapshot so watchers see the completed run even if
             # the cadence never fired again near the end.
-            status.maybe_report(
-                time_s=loop.time_s,
-                t_nodes=loop.t_nodes,
-                trace=trace,
-                intervals=loop.intervals,
-                total_instructions=loop.total_instructions,
-                state=loop.state,
-                done=True,
-                force=True,
-            )
+            status.report(loop=loop, trace=trace, done=True)
         return loop
 
     # ------------------------------------------------------------------

@@ -254,16 +254,15 @@ class FleetSim:
         )
         self._status = None
         if status_path is not None:
-            from repro.obs.live import FleetStatusReporter
+            from repro.obs.live import StatusReporter
 
-            self._status = FleetStatusReporter(
+            self._status = StatusReporter(
                 status_path,
+                "fleet",
                 every_s=status_every_s,
-                n_nodes=self.n_nodes,
-                max_time_s=cfg.duration_s * cfg.drain_factor,
+                label=f"fleet x{self.n_nodes} {cfg.router}/{cfg.stepper}",
+                total=cfg.duration_s * cfg.drain_factor,
                 t_threshold_c=platform.t_threshold_c,
-                router=cfg.router,
-                stepper=cfg.stepper,
             )
 
     # ------------------------------------------------------------------
@@ -329,6 +328,26 @@ class FleetSim:
         quiet = 0
         i = 0
         cap_per_level = self.policy._cap_table
+        status = self._status
+
+        def status_fields() -> dict:
+            """Live-status fields: run totals so far, and the state of
+            the last executed interval (fast-forward holds it)."""
+            return dict(
+                time_s=i * dt,
+                energy_j=energy_j,
+                power_w=p_total,
+                run_peak_c=peak_run_c,
+                node_peak_c=node_peak,
+                fan_levels=fan_arr,
+                tec_rows=tec_rows,
+                backlog_inst=float(backlog.sum()),
+                p99_s=latency_quantile(counts, 0.99),
+                utilization=u,
+                intervals=intervals,
+                ff_intervals=ff_intervals,
+                class_groups=getattr(self.stepper, "class_groups", 0),
+            )
 
         while True:
             time_s = i * dt
@@ -434,23 +453,8 @@ class FleetSim:
             intervals += 1
             i += 1
 
-            if self._status is not None:
-                self._status.maybe_report(
-                    time_s=i * dt,
-                    energy_j=energy_j,
-                    power_w=p_total,
-                    peak_temp_c=peak_run_c,
-                    last_peak_c=float(node_peak.max()),
-                    backlog_inst=float(backlog.sum()),
-                    p99_s=latency_quantile(counts, 0.99),
-                    intervals=intervals,
-                    ff_intervals=ff_intervals,
-                    class_groups=getattr(self.stepper, "class_groups", 0),
-                    node_peak_c=node_peak,
-                    fan_levels=fan_arr,
-                    tec_on=tec_rows.sum(axis=1),
-                    utilization=u,
-                )
+            if status is not None and status.due():
+                status.report(**status_fields())
 
             # ---- quiescent fast-forward --------------------------------
             if not (
@@ -488,19 +492,8 @@ class FleetSim:
                 int(round((offered_inst / self.inst_per_request) * k)),
             )
 
-        if self._status is not None:
-            self._status.final(
-                time_s=i * dt,
-                energy_j=energy_j,
-                power_w=energy_j / (i * dt) if i > 0 else 0.0,
-                peak_temp_c=peak_run_c,
-                last_peak_c=peak_run_c,
-                backlog_inst=float(backlog.sum()),
-                p99_s=latency_quantile(counts, 0.99),
-                intervals=intervals,
-                ff_intervals=ff_intervals,
-                class_groups=getattr(self.stepper, "class_groups", 0),
-            )
+        if status is not None and intervals:  # no interval: no state yet
+            status.report(done=True, **status_fields())
         return FleetShardResult(
             shard=self.shard,
             n_nodes=n,
@@ -668,8 +661,10 @@ def run_fleet(
             status_path=status_path,
             status_every_s=status_every_s,
             status_meta={
-                "workload": f"fleet:{cfg.trace}",
-                "policy": f"{cfg.router}/{cfg.stepper}",
+                "label": (
+                    f"fleet:{cfg.trace} x{cfg.n_nodes} "
+                    f"{cfg.router}/{cfg.stepper}"
+                ),
             },
         )
     result = merge_shard_results(cfg, shard_results)

@@ -55,13 +55,10 @@ from repro.obs.merge import (
 from repro.obs.live import (
     STATUS_SCHEMA,
     MetricsServer,
-    PoolStatusReporter,
-    RunStatusReporter,
+    StatusReporter,
     prometheus_text,
     read_status,
     render_status,
-    render_top,
-    render_watch,
     status_anomalies,
     write_status,
 )
@@ -103,13 +100,10 @@ __all__ = [
     "capture_worker_telemetry",
     "STATUS_SCHEMA",
     "MetricsServer",
-    "PoolStatusReporter",
-    "RunStatusReporter",
+    "StatusReporter",
     "prometheus_text",
     "read_status",
     "render_status",
-    "render_top",
-    "render_watch",
     "status_anomalies",
     "write_status",
     "StreamingExporter",

@@ -4,24 +4,25 @@ Until now every run was a black box until it exited — telemetry is
 post-hoc (an in-memory session or a streamed JSONL file read after the
 fact). This module is the *in-flight* plane, in three layers:
 
-1. **Status snapshots.** The engine (:class:`RunStatusReporter`) and the
-   worker pool (:class:`PoolStatusReporter`) periodically serialize a
-   compact, versioned status record — sim-time progress, wall-clock ETA
-   from recent throughput, per-core temperatures and headroom vs
-   ``t_threshold_c``, the EPI running average, cache hit rates,
-   checkpoint age, per-worker dispatch state — to a single sidecar file.
+1. **Status snapshots.** One :class:`StatusReporter` serves every kind
+   of live run — an engine run (``engine-run``), a pool/sweep fan-out
+   (``pool``) and a serial fleet shard (``fleet``). It periodically
+   serializes a compact, versioned record to a single sidecar file: a
+   common envelope (progress, wall-clock ETA from recent throughput,
+   peak temperature and headroom vs ``t_threshold_c``, a history ring,
+   telemetry counters) plus one section contributed by the kind.
    Writes reuse ``checkpoint.py``'s tmp+fsync+rename dance
    (:func:`write_status`), so a polling reader always sees either the
    previous or the next *complete* snapshot, never a torn one.
    Snapshots are pure reads of loop state: a run with a status file is
-   bit-identical (same ``result_digest``) to the same run without one.
+   bit-identical (same digest) to the same run without one.
 
-2. **Consumers.** :func:`render_watch` / :func:`render_top` turn a
-   snapshot into the ``tecfan watch`` / ``tecfan top`` terminal views
-   (progress bar, ETA, headroom sparkline over the snapshot history,
-   anomaly flags reusing the ``tracetools`` thresholds; one row per
-   worker for pools, replayed-vs-live cell counts for journal-resumed
-   sweeps). Both degrade to ``--once`` plain text for CI and piping.
+2. **Consumers.** :func:`render_status` turns a snapshot of any kind
+   into the ``tecfan watch`` / ``tecfan top`` terminal view: the shared
+   header, progress bar, ETA, headroom sparkline over the snapshot
+   history and anomaly flags reusing the ``tracetools`` thresholds, then
+   one short block per kind (EPI and caches, per-worker rows and
+   replayed cells, fleet totals and the hottest nodes).
 
 3. **Exposition.** :class:`MetricsServer` serves the active
    :class:`~repro.obs.metrics.MetricsRegistry` plus live status gauges
@@ -29,11 +30,12 @@ fact). This module is the *in-flight* plane, in three layers:
    (``tecfan ... --metrics-port N``), so a long simulation can be
    scraped like any production service.
 
-Cadence is wall-clock (``every_s``): the per-interval cost when due is
-one ``time.monotonic()`` call and a compare, and the measured overhead
-of snapshotting at the default cadence is gated at <= 3% by
-``benchmarks/bench_overhead.py``. Counters: ``live.snapshots_written``,
-``live.snapshot_bytes``, and ``parallel.heartbeats`` (pool snapshots).
+Cadence is wall-clock (``every_s``): the per-interval cost when no
+snapshot is due is one ``time.monotonic()`` call and a compare, and the
+measured overhead of snapshotting at the default cadence is gated at
+<= 3% by ``benchmarks/bench_overhead.py``. Counters:
+``live.snapshots_written``, ``live.snapshot_bytes``, and
+``parallel.heartbeats`` (pool snapshots).
 """
 
 from __future__ import annotations
@@ -41,30 +43,25 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import deque
+from collections import Counter, deque
 
 from repro.exceptions import ObservabilityError
 from repro.obs import telemetry as obs
 
 __all__ = [
     "STATUS_SCHEMA",
-    "FleetStatusReporter",
     "MetricsServer",
-    "PoolStatusReporter",
-    "RunStatusReporter",
+    "StatusReporter",
     "prometheus_text",
     "read_status",
-    "render_fleet",
     "render_status",
-    "render_top",
-    "render_watch",
     "status_anomalies",
     "write_status",
 ]
 
 #: Version of the status-record layout. Bump on any incompatible change
 #: to the keys or their meaning; :func:`read_status` rejects others.
-STATUS_SCHEMA = 1
+STATUS_SCHEMA = 2
 
 #: Snapshots retained in the in-file history ring (the watch sparkline
 #: and anomaly scan read these, so consumers stay stateless).
@@ -133,11 +130,15 @@ def read_status(path) -> dict:
             f"status file {path} has schema {schema!r}; this build "
             f"supports {STATUS_SCHEMA}"
         )
+    if status.get("kind") not in _SECTIONS:
+        raise ObservabilityError(
+            f"status file {path} has unknown kind {status.get('kind')!r}"
+        )
     return status
 
 
 class _Cadence:
-    """Wall-clock due-time bookkeeping shared by both reporters.
+    """Wall-clock due-time bookkeeping of a :class:`StatusReporter`.
 
     The first call is always due (so watchers latch on immediately);
     afterwards snapshots fire at most once per ``every_s`` seconds of
@@ -162,507 +163,289 @@ class _Cadence:
 
 
 # ----------------------------------------------------------------------
-# Engine-side reporter
+# The reporter: one envelope, one section per kind
 # ----------------------------------------------------------------------
-class RunStatusReporter:
-    """Periodic status snapshots of one live engine run.
+class StatusReporter:
+    """Periodic status snapshots of one live run, of any kind.
 
-    Built by :meth:`SimulationEngine.run`/``resume`` when
-    ``EngineConfig.status_path`` is set, and called from the simulate
-    loop top — which every iteration (including the one right after a
-    fast-forwarded chunk) passes through, so snapshots also land on
-    fast-forward boundaries. Reporting is side-effect-free: it reads
-    loop state, trace rows and (when a session is active) telemetry
-    counters, and never touches the plant, the RNGs, or the trace — the
-    run's ``result_digest`` is identical with or without it.
+    The reporter owns everything the kinds share — the cadence, ``seq``,
+    the throughput/ETA window, the history ring, the envelope and the
+    atomic write — and asks the kind's section builder only for its own
+    part:
+
+    * ``engine-run`` (built by ``SimulationEngine`` when
+      ``EngineConfig.status_path`` is set; reported from the simulate
+      loop top, so snapshots also land on fast-forward boundaries): the
+      energy/EPI fold over the trace rows grown since the last snapshot,
+      checkpoint age, per-core temperatures;
+    * ``pool`` (``parallel_map``): task tallies, one row per worker and
+      the journal-replayed cells, all maintained from the dispatch and
+      reply messages the scheduler already observes — workers never
+      send unsolicited traffic;
+    * ``fleet`` (a serial single-shard ``FleetSim``): fleet totals and
+      the eight hottest nodes.
+
+    Callers poll :meth:`due` and call :meth:`report` when it is, plus
+    once with ``done=True`` after the run. Reporting only reads the
+    caller's state and never touches the plant, the RNGs or the trace,
+    so a run's digest is identical with or without a status file.
     """
 
     def __init__(
         self,
         path,
+        kind: str,
         *,
         every_s: float = 1.0,
-        max_time_s: float = 0.0,
+        label: str = "",
+        total: float = 0.0,
         t_threshold_c: float | None = None,
-        system=None,
-        workload: str = "?",
-        policy: str = "?",
-        checkpoint=None,
+        **context,
     ):
+        if kind not in _SECTIONS:
+            raise ObservabilityError(f"unknown status kind {kind!r}")
         self.path = os.fspath(path)
+        self.kind = kind
         self.cadence = _Cadence(every_s)
-        self.max_time_s = float(max_time_s)
+        self.label = label
+        #: Progress units at completion: sim-seconds, or cells for pools.
+        self.total = float(total)
         self.t_threshold_c = t_threshold_c
-        self.system = system
-        self.workload = workload
-        self.policy = policy
-        #: The run's ``_Checkpointer`` (or None); its ``last_write_unix``
-        #: stamp feeds the checkpoint-age field.
-        self.checkpoint = checkpoint
+        #: Fixed inputs of the kind's section (engine: ``system`` and
+        #: ``checkpoint``; pool: ``journal``, ``cells`` — the caller's
+        #: cell number of each dispatched index — and ``replayed``).
+        self.context = context
         self.seq = 0
-        # Incremental trace accumulation: O(new rows) per snapshot.
-        self._row_pos = 0
+        self._rate: deque = deque(maxlen=RATE_WINDOW)
+        self._history: deque = deque(maxlen=HISTORY_LEN)
+        # engine-run: the trace fold, O(new rows) per snapshot.
+        self._rows = 0
         self._energy_j = 0.0
         self._run_peak_c = float("-inf")
-        self._last_row = None
-        self._history: deque = deque(maxlen=HISTORY_LEN)
-        self._rate: deque = deque(maxlen=RATE_WINDOW)
+        # pool: tallies and worker rows fed by the scheduler hooks.
+        self.tasks: Counter = Counter()
+        self._workers: dict = {}
 
-    # -- throughput ----------------------------------------------------
-    def _eta(self, now: float, time_s: float) -> tuple[float | None, float | None]:
-        """(sim-seconds per wall-second, seconds to ``max_time_s``)."""
-        self._rate.append((now, time_s))
-        if len(self._rate) < 2:
-            return None, None
-        (w0, s0), (w1, s1) = self._rate[0], self._rate[-1]
-        if w1 <= w0 or s1 <= s0:
-            return None, None
-        rate = (s1 - s0) / (w1 - w0)
-        remaining = max(0.0, self.max_time_s - time_s)
-        return rate, remaining / rate
+    def due(self) -> bool:
+        """Whether a snapshot is due; the first call always is."""
+        return self.cadence.due(time.monotonic())
 
-    # -- the hook ------------------------------------------------------
-    def maybe_report(
-        self,
-        *,
-        time_s: float,
-        t_nodes,
-        trace,
-        intervals: int,
-        total_instructions: float,
-        state,
-        done: bool = False,
-        force: bool = False,
-    ) -> bool:
-        """Write a snapshot if one is due; returns whether it was."""
+    def report(self, *, done: bool = False, **fields) -> None:
+        """Write one snapshot now: the envelope plus the kind's section."""
         now = time.monotonic()
-        if not force and not self.cadence.due(now):
-            return False
         self.cadence.advance(now)
-        write_status(self.path, self._build(now, time_s, t_nodes, trace,
-                                            intervals, total_instructions,
-                                            state, done))
-        self.seq += 1
-        return True
-
-    def _build(
-        self, now, time_s, t_nodes, trace, intervals,
-        total_instructions, state, done,
-    ) -> dict:
-        # Fold the trace rows grown since the last snapshot.
-        if trace is not None:
-            rows = trace.rows_since(self._row_pos)
-            for r in rows:
-                # columns: time_s, dt_s, peak_temp_c, p_chip_w, ...
-                self._energy_j += r[3] * r[1]
-                if r[2] > self._run_peak_c:
-                    self._run_peak_c = r[2]
-            self._row_pos += len(rows)
-            if rows:
-                self._last_row = rows[-1]
-
-        thermal = None
-        if self.system is not None and t_nodes is not None:
-            t_comp = self.system.component_temps_c(t_nodes)
-            current_peak = float(t_comp.max())
+        build, unit = _SECTIONS[self.kind]
+        units, section, thermal, sample = build(self, **fields)
+        rate, eta_s = self._eta(now, units)
+        thr = self.t_threshold_c
+        if thermal is not None:
+            peak, run_peak = thermal
             thermal = {
-                "core_temps_c": [round(float(t), 4) for t in t_comp],
-                "peak_temp_c": current_peak,
-                "run_peak_c": (
-                    self._run_peak_c
-                    if self._run_peak_c > float("-inf")
-                    else current_peak
-                ),
-                "t_threshold_c": self.t_threshold_c,
-                "headroom_c": (
-                    self.t_threshold_c - current_peak
-                    if self.t_threshold_c is not None
-                    else None
-                ),
+                "peak_temp_c": peak,
+                "run_peak_c": run_peak,
+                "headroom_c": None if thr is None else thr - peak,
             }
-
-        rate, eta_s = self._eta(now, time_s)
-        fraction = (
-            min(1.0, time_s / self.max_time_s) if self.max_time_s > 0 else 0.0
-        )
-        if done:
-            fraction = 1.0
-            eta_s = 0.0
-
-        counters = {}
+        if sample is not None:
+            self._history.append(dict(
+                sample,
+                headroom_c=None if thr is None else thr - sample["peak_temp_c"],
+            ))
         tel = obs.get_telemetry()
-        if tel is not None:
-            counters = {
-                n: c.value for n, c in sorted(tel.metrics._counters.items())
-            }
-        cache = None
-        hits = counters.get("thermal.propagator_hits")
-        misses = counters.get("thermal.propagator_misses")
-        if hits is not None and misses is not None and hits + misses > 0:
-            cache = {
-                "propagator_hits": hits,
-                "propagator_misses": misses,
-                "propagator_hit_rate": hits / (hits + misses),
-            }
-        ff = counters.get("engine.fast_forwarded_intervals")
-        if ff is not None and intervals > 0:
-            cache = dict(cache or {})
-            cache["fast_forwarded_intervals"] = ff
-            cache["fast_forward_fraction"] = ff / intervals
-
-        checkpoint = None
-        if self.checkpoint is not None:
-            last = getattr(self.checkpoint, "last_write_unix", None)
-            checkpoint = {
-                "path": self.checkpoint.path,
-                "age_s": (time.time() - last) if last is not None else None,
-            }
-
-        if self._last_row is not None:
-            r = self._last_row
-            self._history.append({
-                "time_s": r[0],
-                "peak_temp_c": r[2],
-                "p_chip_w": r[3],
-                "ips_chip": r[7],
-                "tec_on": r[8],
-                "fan_level": r[9],
-                "headroom_c": (
-                    self.t_threshold_c - r[2]
-                    if self.t_threshold_c is not None
-                    else None
-                ),
-            })
-
-        return {
+        write_status(self.path, {
             "schema": STATUS_SCHEMA,
-            "kind": "engine-run",
+            "kind": self.kind,
             "seq": self.seq,
             "pid": os.getpid(),
             "written_unix": time.time(),
             "done": bool(done),
-            "workload": self.workload,
-            "policy": self.policy,
-            "t_threshold_c": self.t_threshold_c,
+            "label": self.label,
+            "t_threshold_c": thr,
             "progress": {
-                "sim_time_s": time_s,
-                "max_time_s": self.max_time_s,
-                "fraction": fraction,
-                "intervals": intervals,
-                "instructions": total_instructions,
-                "rate_sim_per_wall": rate,
-                "eta_s": eta_s,
+                "done": units,
+                "total": self.total,
+                "unit": unit,
+                "fraction": (
+                    1.0 if done
+                    else min(1.0, units / self.total) if self.total > 0
+                    else 0.0
+                ),
+                "rate": rate,
+                "eta_s": 0.0 if done else eta_s,
             },
             "thermal": thermal,
-            "energy": {
-                "energy_j": self._energy_j,
-                "instructions": total_instructions,
-                "epi_j": (
-                    self._energy_j / total_instructions
-                    if total_instructions > 0
-                    else None
-                ),
-                "avg_power_w": self._energy_j / time_s if time_s > 0 else None,
-            },
-            "cache": cache,
-            "counters": counters,
-            "checkpoint": checkpoint,
-            "fan_level": int(state.fan_level) if state is not None else None,
             "history": list(self._history),
-        }
+            "counters": {} if tel is None else {
+                n: c.value for n, c in sorted(tel.metrics._counters.items())
+            },
+            self.kind: section,
+        })
+        if self.kind == "pool":
+            obs.incr("parallel.heartbeats")
+        self.seq += 1
 
+    def _eta(self, now: float, units: float) -> tuple[float | None, float | None]:
+        """(progress units per wall-second, seconds to ``total``)."""
+        self._rate.append((now, units))
+        (w0, u0), (w1, u1) = self._rate[0], self._rate[-1]
+        if w1 <= w0 or u1 <= u0:
+            return None, None
+        rate = (u1 - u0) / (w1 - w0)
+        return rate, max(0.0, self.total - units) / rate
 
-# ----------------------------------------------------------------------
-# Pool-side reporter (heartbeats)
-# ----------------------------------------------------------------------
-class PoolStatusReporter:
-    """Periodic status snapshots of one pool/sweep fan-out.
-
-    The heartbeats piggyback the existing duplex pipes: the parent-side
-    scheduler already observes every dispatch and every reply, so the
-    per-worker rows (state, current cell, tasks done, last-reply age)
-    are maintained from those messages alone — workers never send
-    unsolicited traffic. Journal-resumed fan-outs report replayed cells
-    separately from live ones (``tasks.replayed`` and
-    ``replayed_indices``), so ``tecfan top`` can show what was skipped.
-    Each snapshot increments ``parallel.heartbeats``.
-    """
-
-    def __init__(self, path, *, every_s: float = 1.0, total: int = 0,
-                 meta: dict | None = None):
-        self.path = os.fspath(path)
-        self.cadence = _Cadence(every_s)
-        self.total = int(total)
-        self.meta = dict(meta or {})
-        #: Outer payload indices for journal-resumed sub-batches: the
-        #: recursed ``parallel_map`` dispatches sub-indices, this maps
-        #: them back to the caller's cell numbering for display.
-        self.index_map: list | None = None
-        self.replayed: list = []
-        self.done = 0
-        self.failed = 0
-        self.retries = 0
-        self.timeouts = 0
-        self.shm_bytes = 0
-        self.seq = 0
-        self._workers: dict = {}
-        self._rate: deque = deque(maxlen=RATE_WINDOW)
-        self._history: deque = deque(maxlen=HISTORY_LEN)
-
-    # -- bookkeeping fed by the scheduler ------------------------------
-    def _display_index(self, index: int) -> int:
-        if self.index_map is not None and 0 <= index < len(self.index_map):
-            return self.index_map[index]
-        return index
-
-    def note_replayed(self, indices) -> None:
-        self.replayed = sorted(int(i) for i in indices)
-
+    # -- pool scheduler hooks ------------------------------------------
     def worker_dispatch(self, pid: int, index: int) -> None:
-        entry = self._workers.setdefault(
-            pid, {"pid": pid, "tasks_done": 0, "last_reply_unix": None}
+        cells = self.context.get("cells")
+        row = self._workers.setdefault(
+            pid,
+            {"pid": pid, "tasks_done": 0, "last_reply_unix": None},
         )
-        entry["state"] = "busy"
-        entry["index"] = self._display_index(index)
+        row["state"] = "busy"
+        row["index"] = cells[index] if cells is not None else index
 
     def worker_reply(self, pid: int) -> None:
-        entry = self._workers.get(pid)
-        if entry is not None:
-            entry["state"] = "idle"
-            entry["index"] = None
-            entry["tasks_done"] += 1
-            entry["last_reply_unix"] = time.time()
+        row = self._workers.get(pid)
+        if row is not None:
+            row.update(
+                state="idle",
+                index=None,
+                tasks_done=row["tasks_done"] + 1,
+                last_reply_unix=time.time(),
+            )
 
     def worker_retired(self, pid: int) -> None:
         self._workers.pop(pid, None)
 
-    def note_success(self) -> None:
-        self.done += 1
 
-    def note_failure(self, kind: str) -> None:
-        self.failed += 1
-
-    def note_retry(self) -> None:
-        self.retries += 1
-
-    def note_timeout(self) -> None:
-        self.timeouts += 1
-
-    def add_shm(self, nbytes: int) -> None:
-        self.shm_bytes += int(nbytes)
-
-    # -- reporting -----------------------------------------------------
-    def maybe_report(self, *, in_flight: int = 0, queued: int = 0,
-                     done: bool = False, force: bool = False) -> bool:
-        """Write a heartbeat snapshot if one is due."""
-        now = time.monotonic()
-        if not force and not self.cadence.due(now):
-            return False
-        self.cadence.advance(now)
-        write_status(self.path, self._build(now, in_flight, queued, done))
-        obs.incr("parallel.heartbeats")
-        self.seq += 1
-        return True
-
-    def finish(self) -> None:
-        """Force the final (``done``) snapshot after the fan-out."""
-        self.maybe_report(in_flight=0, queued=0, done=True, force=True)
-
-    def _build(self, now, in_flight, queued, done) -> dict:
-        settled = self.done + self.failed + len(self.replayed)
-        self._rate.append((now, self.done))
-        rate = eta_s = None
-        if len(self._rate) >= 2:
-            (w0, d0), (w1, d1) = self._rate[0], self._rate[-1]
-            if w1 > w0 and d1 > d0:
-                rate = (d1 - d0) / (w1 - w0)
-                eta_s = max(0, self.total - settled) / rate
-        now_unix = time.time()
-        workers = []
-        for pid in sorted(self._workers):
-            w = self._workers[pid]
-            last = w.get("last_reply_unix")
-            workers.append({
-                "pid": pid,
-                "state": w.get("state", "idle"),
-                "index": w.get("index"),
-                "tasks_done": w["tasks_done"],
-                "last_reply_age_s": (
-                    now_unix - last if last is not None else None
-                ),
-            })
-        self._history.append({"done": settled})
-        return {
-            "schema": STATUS_SCHEMA,
-            "kind": "pool",
-            "seq": self.seq,
-            "pid": os.getpid(),
-            "written_unix": now_unix,
-            "done": bool(done),
-            "meta": self.meta,
-            "tasks": {
-                "total": self.total,
-                "replayed": len(self.replayed),
-                "done": self.done,
-                "failed": self.failed,
-                "retries": self.retries,
-                "timeouts": self.timeouts,
-                "in_flight": int(in_flight),
-                "queued": int(queued),
-            },
-            "progress": {
-                "fraction": (
-                    1.0 if done
-                    else min(1.0, settled / self.total) if self.total else 0.0
-                ),
-                "rate_per_s": rate,
-                "eta_s": 0.0 if done else eta_s,
-            },
-            "shm_bytes": self.shm_bytes,
-            "workers": workers,
-            "replayed_indices": self.replayed[:HISTORY_LEN],
-            "history": list(self._history),
+def _engine_section(rep: StatusReporter, *, loop, trace):
+    """``engine-run``: fold the trace rows grown since the last snapshot."""
+    rows = trace.rows_since(rep._rows)
+    for r in rows:
+        # columns: time_s, dt_s, peak_temp_c, p_chip_w, ...
+        rep._energy_j += r[3] * r[1]
+        rep._run_peak_c = max(rep._run_peak_c, r[2])
+    rep._rows += len(rows)
+    t_comp = rep.context["system"].component_temps_c(loop.t_nodes)
+    peak = float(t_comp.max())
+    inst = loop.total_instructions
+    ckpt = rep.context.get("checkpoint")
+    last = getattr(ckpt, "last_write_unix", None)
+    section = {
+        "intervals": loop.intervals,
+        "instructions": inst,
+        "energy_j": rep._energy_j,
+        "epi_j": rep._energy_j / inst if inst > 0 else None,
+        "avg_power_w": (
+            rep._energy_j / loop.time_s if loop.time_s > 0 else None
+        ),
+        "fan_level": int(loop.state.fan_level),
+        "core_temps_c": [round(float(t), 4) for t in t_comp],
+        "checkpoint": None if ckpt is None else {
+            "path": ckpt.path,
+            "age_s": None if last is None else time.time() - last,
+        },
+    }
+    sample = None
+    if rows:
+        r = rows[-1]
+        sample = {
+            "time_s": r[0],
+            "peak_temp_c": r[2],
+            "p_chip_w": r[3],
+            "ips_chip": r[7],
+            "tec_on": r[8],
+            "fan_level": r[9],
         }
+    run_peak = rep._run_peak_c if rep._rows else peak
+    return loop.time_s, section, (peak, run_peak), sample
 
 
-class FleetStatusReporter:
-    """Periodic ``fleet``-kind snapshots of one live fleet shard.
+def _pool_section(rep: StatusReporter, *, in_flight: int = 0, queued: int = 0):
+    """``pool``: task tallies, worker rows and journal-replayed cells."""
+    replayed = rep.context.get("replayed") or []
+    tasks = rep.tasks
+    section = {
+        "total": int(rep.total),
+        "replayed": len(replayed),
+        "done": tasks["done"],
+        "failed": tasks["failed"],
+        "retries": tasks["retries"],
+        "timeouts": tasks["timeouts"],
+        "in_flight": int(in_flight),
+        "queued": int(queued),
+        "shm_bytes": tasks["shm_bytes"],
+        "workers": [dict(rep._workers[pid]) for pid in sorted(rep._workers)],
+        "replayed_indices": replayed[:HISTORY_LEN],
+        "journal": rep.context.get("journal"),
+    }
+    settled = tasks["done"] + tasks["failed"] + len(replayed)
+    return settled, section, None, None
 
-    Written from the :class:`repro.fleet.sim.FleetSim` loop top (serial
-    single-shard runs; pooled shard fan-outs report ``pool``-kind
-    heartbeats through ``parallel_map`` instead). Same contract as the
-    engine reporter: side-effect-free reads of loop state, so a run's
-    digest is identical with or without a status file attached.
-    """
 
-    def __init__(
-        self,
-        path,
-        *,
-        every_s: float = 1.0,
-        n_nodes: int = 0,
-        max_time_s: float = 0.0,
-        t_threshold_c: float | None = None,
-        router: str = "?",
-        stepper: str = "?",
-    ):
-        self.path = os.fspath(path)
-        self.cadence = _Cadence(every_s)
-        self.n_nodes = int(n_nodes)
-        self.max_time_s = float(max_time_s)
-        self.t_threshold_c = t_threshold_c
-        self.router = router
-        self.stepper = stepper
-        self.seq = 0
-        self._history: deque = deque(maxlen=HISTORY_LEN)
-        self._rate: deque = deque(maxlen=RATE_WINDOW)
-
-    def _eta(self, now: float, time_s: float):
-        self._rate.append((now, time_s))
-        if len(self._rate) < 2:
-            return None, None
-        (w0, s0), (w1, s1) = self._rate[0], self._rate[-1]
-        if w1 <= w0 or s1 <= s0:
-            return None, None
-        rate = (s1 - s0) / (w1 - w0)
-        return rate, max(0.0, self.max_time_s - time_s) / rate
-
-    def maybe_report(self, *, force: bool = False, done: bool = False,
-                     **fields) -> bool:
-        """Write a snapshot if one is due; returns whether it was."""
-        now = time.monotonic()
-        if not force and not self.cadence.due(now):
-            return False
-        self.cadence.advance(now)
-        write_status(self.path, self._build(now, done, fields))
-        self.seq += 1
-        return True
-
-    def final(self, **fields) -> None:
-        """Force the terminal (``done``) snapshot."""
-        self.maybe_report(force=True, done=True, **fields)
-
-    def _build(self, now, done, f) -> dict:
-        time_s = float(f.get("time_s", 0.0))
-        rate, eta_s = self._eta(now, time_s)
-        fraction = (
-            min(1.0, time_s / self.max_time_s) if self.max_time_s > 0 else 0.0
-        )
-        if done:
-            fraction, eta_s = 1.0, 0.0
-        peaks = f.get("node_peak_c")
-        nodes = []
-        if peaks is not None:
-            fans = f.get("fan_levels")
-            tec_on = f.get("tec_on")
-            order = sorted(
-                range(len(peaks)), key=lambda i: -float(peaks[i])
-            )[:8]
-            for i in order:
-                nodes.append({
-                    "node": i,
-                    "peak_temp_c": round(float(peaks[i]), 3),
-                    "fan_level": int(fans[i]) if fans is not None else None,
-                    "tec_on": float(tec_on[i]) if tec_on is not None else None,
-                })
-        last_peak = f.get("last_peak_c")
-        self._history.append({
-            "time_s": time_s,
-            "peak_temp_c": last_peak,
-            "power_w": f.get("power_w"),
-            "p99_s": f.get("p99_s"),
-            "headroom_c": (
-                self.t_threshold_c - last_peak
-                if self.t_threshold_c is not None and last_peak is not None
-                else None
-            ),
-        })
-        counters = {}
-        tel = obs.get_telemetry()
-        if tel is not None:
-            counters = {
-                n: c.value
-                for n, c in sorted(tel.metrics._counters.items())
-                if n.startswith(("fleet.", "server."))
+def _fleet_section(
+    rep: StatusReporter,
+    *,
+    time_s: float,
+    energy_j: float,
+    power_w: float,
+    run_peak_c: float,
+    node_peak_c,
+    fan_levels,
+    tec_rows,
+    backlog_inst: float,
+    p99_s: float,
+    utilization: float,
+    intervals: int,
+    ff_intervals: int,
+    class_groups: int,
+):
+    """``fleet``: fleet totals and the eight hottest nodes."""
+    tec_on = tec_rows.sum(axis=1)
+    hottest = (-node_peak_c).argsort(kind="stable")[:8]
+    peak = float(node_peak_c.max())
+    section = {
+        "n_nodes": len(node_peak_c),
+        "power_w": power_w,
+        "avg_power_w": energy_j / time_s if time_s > 0 else None,
+        "energy_j": energy_j,
+        "backlog_inst": backlog_inst,
+        "p99_latency_s": p99_s,
+        "utilization": utilization,
+        "class_groups": class_groups,
+        "intervals": intervals,
+        "ff_intervals": ff_intervals,
+        "nodes": [
+            {
+                "node": int(i),
+                "peak_temp_c": round(float(node_peak_c[i]), 3),
+                "fan_level": int(fan_levels[i]),
+                "tec_on": float(tec_on[i]),
             }
-        return {
-            "schema": STATUS_SCHEMA,
-            "kind": "fleet",
-            "seq": self.seq,
-            "pid": os.getpid(),
-            "written_unix": time.time(),
-            "done": bool(done),
-            "router": self.router,
-            "stepper": self.stepper,
-            "t_threshold_c": self.t_threshold_c,
-            "fleet": {
-                "n_nodes": self.n_nodes,
-                "peak_temp_c": f.get("peak_temp_c"),
-                "last_peak_c": last_peak,
-                "power_w": f.get("power_w"),
-                "energy_j": f.get("energy_j"),
-                "backlog_inst": f.get("backlog_inst"),
-                "p99_latency_s": f.get("p99_s"),
-                "utilization": f.get("utilization"),
-                "class_groups": f.get("class_groups"),
-            },
-            "progress": {
-                "sim_time_s": time_s,
-                "max_time_s": self.max_time_s,
-                "fraction": fraction,
-                "intervals": f.get("intervals"),
-                "ff_intervals": f.get("ff_intervals"),
-                "rate_sim_per_wall": rate,
-                "eta_s": eta_s,
-            },
-            "counters": counters,
-            "nodes": nodes,
-            "history": list(self._history),
-        }
+            for i in hottest
+        ],
+    }
+    # Interval-shaped, so the anomaly scan reads fleet-wide actuation:
+    # the mean fan level and the total TEC on-count.
+    sample = {
+        "time_s": time_s,
+        "peak_temp_c": peak,
+        "power_w": power_w,
+        "p99_s": p99_s,
+        "fan_level": float(fan_levels.mean()),
+        "tec_on": float(tec_on.sum()),
+    }
+    return time_s, section, (peak, run_peak_c), sample
+
+
+#: Status kinds: section builder and the unit progress is counted in.
+_SECTIONS = {
+    "engine-run": (_engine_section, "sim-s"),
+    "pool": (_pool_section, "cells"),
+    "fleet": (_fleet_section, "sim-s"),
+}
 
 
 # ----------------------------------------------------------------------
-# Renderers (tecfan watch / tecfan top)
+# The renderer (tecfan watch / tecfan top)
 # ----------------------------------------------------------------------
 def _bar(fraction: float, width: int = 30) -> str:
     fraction = min(1.0, max(0.0, fraction))
@@ -714,179 +497,87 @@ def status_anomalies(status: dict) -> list:
     )
 
 
-def render_watch(status: dict) -> str:
-    """Single-run plain-text view of one ``engine-run`` snapshot."""
-    lines = []
-    state = "done" if status.get("done") else "running"
-    lines.append(
-        f"tecfan watch — {status.get('workload', '?')} / "
-        f"{status.get('policy', '?')} (pid {status.get('pid', '?')}) "
-        f"[{state}] seq={status.get('seq', 0)}"
-    )
-    prog = status.get("progress") or {}
-    fraction = prog.get("fraction") or 0.0
-    lines.append(
-        f"progress {_bar(fraction)} {fraction * 100:5.1f}%  "
-        f"sim {_fmt(prog.get('sim_time_s'), '{:.3f}')}"
-        f"/{_fmt(prog.get('max_time_s'), '{:.3f}')} s  "
-        f"intervals {prog.get('intervals', 0)}"
-    )
-    lines.append(
-        f"rate {_fmt(prog.get('rate_sim_per_wall'), '{:.3g}')} sim-s/s  "
-        f"eta {_fmt(prog.get('eta_s'), '{:.1f}')} s"
-    )
-    thermal = status.get("thermal")
-    if thermal:
-        headroom = thermal.get("headroom_c")
-        flag = "  !! OVER THRESHOLD" if (
-            headroom is not None and headroom < 0
-        ) else ""
-        lines.append(
-            f"peak {_fmt(thermal.get('peak_temp_c'))} degC  "
-            f"(run max {_fmt(thermal.get('run_peak_c'))})  "
-            f"threshold {_fmt(thermal.get('t_threshold_c'))}  "
-            f"headroom {_fmt(headroom, '{:+.2f}')} degC{flag}"
+def _engine_lines(section: dict, status: dict) -> list:
+    counters = status.get("counters") or {}
+    lines = [
+        f"EPI {_fmt(section.get('epi_j'), '{:.3e}')} J/inst  "
+        f"power {_fmt(section.get('avg_power_w'), '{:.1f}')} W  "
+        f"energy {_fmt(section.get('energy_j'), '{:.1f}')} J  "
+        f"intervals {section.get('intervals', 0)}  "
+        f"fan {_fmt(section.get('fan_level'), '{:d}')}"
+    ]
+    parts = []
+    hits = counters.get("thermal.propagator_hits", 0)
+    lookups = hits + counters.get("thermal.propagator_misses", 0)
+    if lookups:
+        parts.append(f"propagator {hits / lookups * 100:.1f}% hit")
+    ff = counters.get("engine.fast_forwarded_intervals")
+    if ff is not None and section.get("intervals"):
+        parts.append(
+            f"fast-forwarded {ff / section['intervals'] * 100:.1f}% "
+            "of intervals"
         )
-    history = status.get("history") or []
-    spark = _sparkline([h.get("headroom_c") for h in history])
-    if spark:
-        lines.append(f"headroom  {spark}  (last {len(history)} snapshots)")
-    energy = status.get("energy") or {}
-    lines.append(
-        f"EPI {_fmt(energy.get('epi_j'), '{:.3e}')} J/inst  "
-        f"power {_fmt(energy.get('avg_power_w'), '{:.1f}')} W  "
-        f"energy {_fmt(energy.get('energy_j'), '{:.1f}')} J"
-    )
-    cache = status.get("cache")
-    if cache:
-        parts = []
-        hr = cache.get("propagator_hit_rate")
-        if hr is not None:
-            parts.append(f"propagator {hr * 100:.1f}% hit")
-        ff = cache.get("fast_forward_fraction")
-        if ff is not None:
-            parts.append(f"fast-forwarded {ff * 100:.1f}% of intervals")
-        if parts:
-            lines.append("cache: " + "  ".join(parts))
-    ckpt = status.get("checkpoint")
+    if parts:
+        lines.append("cache: " + "  ".join(parts))
+    ckpt = section.get("checkpoint")
     if ckpt:
         lines.append(
             f"checkpoint: {ckpt.get('path')} "
             f"(age {_fmt(ckpt.get('age_s'), '{:.1f}')} s)"
         )
-    anomalies = status_anomalies(status)
-    if anomalies:
-        lines.append(f"anomalies: !! {len(anomalies)} finding(s)")
-        for a in anomalies[:4]:
-            lines.append(f"  - {a.kind}: {a.detail}")
-    else:
-        lines.append("anomalies: none detected")
-    return "\n".join(lines)
+    return lines
 
 
-def render_top(status: dict) -> str:
-    """Pool/sweep plain-text view of one ``pool`` snapshot."""
-    lines = []
-    state = "done" if status.get("done") else "running"
-    meta = status.get("meta") or {}
-    label = meta.get("label", "pool")
-    lines.append(
-        f"tecfan top — {label} (pid {status.get('pid', '?')}) "
-        f"[{state}] seq={status.get('seq', 0)}"
-    )
-    tasks = status.get("tasks") or {}
-    total = tasks.get("total", 0)
-    settled = (
-        tasks.get("done", 0) + tasks.get("failed", 0)
-        + tasks.get("replayed", 0)
-    )
-    lines.append(
-        f"cells {settled}/{total} settled "
-        f"({tasks.get('replayed', 0)} replayed, "
-        f"{tasks.get('done', 0)} live, {tasks.get('failed', 0)} failed)  "
-        f"in-flight {tasks.get('in_flight', 0)}  "
-        f"queued {tasks.get('queued', 0)}  "
-        f"retries {tasks.get('retries', 0)}  "
-        f"timeouts {tasks.get('timeouts', 0)}"
-    )
-    prog = status.get("progress") or {}
-    fraction = prog.get("fraction") or 0.0
-    lines.append(
-        f"progress {_bar(fraction)} {fraction * 100:5.1f}%  "
-        f"rate {_fmt(prog.get('rate_per_s'), '{:.3g}')} cells/s  "
-        f"eta {_fmt(prog.get('eta_s'), '{:.1f}')} s  "
-        f"shm {status.get('shm_bytes', 0) / 2**20:.2f} MiB"
-    )
-    workers = status.get("workers") or []
+def _pool_lines(section: dict, status: dict) -> list:
+    done, failed = section.get("done", 0), section.get("failed", 0)
+    replayed = section.get("replayed", 0)
+    lines = [
+        f"cells {done + failed + replayed}/{section.get('total', 0)} settled "
+        f"({replayed} replayed, {done} live, {failed} failed)  "
+        f"in-flight {section.get('in_flight', 0)}  "
+        f"queued {section.get('queued', 0)}  "
+        f"retries {section.get('retries', 0)}  "
+        f"timeouts {section.get('timeouts', 0)}  "
+        f"shm {section.get('shm_bytes', 0) / 2**20:.2f} MiB"
+    ]
+    workers = section.get("workers") or []
     if workers:
         lines.append(f"{'worker':>8}  {'state':<5} {'cell':>5} "
                      f"{'done':>5}  last-reply")
+        written = status.get("written_unix")
         for w in workers:
             cell = w.get("index")
+            last = w.get("last_reply_unix")
+            age = written - last if None not in (written, last) else None
             lines.append(
                 f"{w.get('pid', '?'):>8}  {w.get('state', '?'):<5} "
                 f"{'-' if cell is None else cell:>5} "
                 f"{w.get('tasks_done', 0):>5}  "
-                f"{_fmt(w.get('last_reply_age_s'), '{:.1f}', '-')} s"
+                f"{_fmt(age, '{:.1f}', '-')} s"
             )
-    replayed = status.get("replayed_indices") or []
-    if replayed:
-        shown = ", ".join(str(i) for i in replayed[:16])
-        more = f", … ({len(replayed)} total)" if len(replayed) > 16 else ""
+    indices = section.get("replayed_indices") or []
+    if indices:
+        shown = ", ".join(str(i) for i in indices[:16])
+        more = f", … ({len(indices)} total)" if len(indices) > 16 else ""
         lines.append(f"replayed cells: {shown}{more}")
-    journal = meta.get("journal")
-    if journal:
-        lines.append(f"journal: {journal}")
-    return "\n".join(lines)
+    if section.get("journal"):
+        lines.append(f"journal: {section['journal']}")
+    return lines
 
 
-def render_fleet(status: dict) -> str:
-    """Fleet plain-text view of one ``fleet`` snapshot."""
-    lines = []
-    state = "done" if status.get("done") else "running"
-    fleet = status.get("fleet") or {}
-    lines.append(
-        f"tecfan top — fleet x{fleet.get('n_nodes', '?')} "
-        f"({status.get('router', '?')}/{status.get('stepper', '?')}, "
-        f"pid {status.get('pid', '?')}) [{state}] seq={status.get('seq', 0)}"
-    )
-    prog = status.get("progress") or {}
-    fraction = prog.get("fraction") or 0.0
-    lines.append(
-        f"progress {_bar(fraction)} {fraction * 100:5.1f}%  "
-        f"sim {_fmt(prog.get('sim_time_s'), '{:.0f}')}"
-        f"/{_fmt(prog.get('max_time_s'), '{:.0f}')} s  "
-        f"intervals {prog.get('intervals', 0)} "
-        f"(+{prog.get('ff_intervals', 0)} fast-forwarded)  "
-        f"rate {_fmt(prog.get('rate_sim_per_wall'), '{:.3g}')} sim-s/s  "
-        f"eta {_fmt(prog.get('eta_s'), '{:.1f}')} s"
-    )
-    thr = status.get("t_threshold_c")
-    last_peak = fleet.get("last_peak_c")
-    headroom = (
-        thr - last_peak if thr is not None and last_peak is not None else None
-    )
-    flag = "  !! OVER THRESHOLD" if (
-        headroom is not None and headroom < 0
-    ) else ""
-    lines.append(
-        f"peak {_fmt(last_peak)} degC (run max "
-        f"{_fmt(fleet.get('peak_temp_c'))})  threshold {_fmt(thr)}  "
-        f"headroom {_fmt(headroom, '{:+.2f}')} degC{flag}"
-    )
-    lines.append(
-        f"power {_fmt(fleet.get('power_w'), '{:.0f}')} W  "
-        f"energy {_fmt(fleet.get('energy_j'), '{:.3g}')} J  "
-        f"p99 {_fmt(fleet.get('p99_latency_s'), '{:.3g}')} s  "
-        f"backlog {_fmt(fleet.get('backlog_inst'), '{:.3g}')} inst  "
-        f"util {_fmt(fleet.get('utilization'), '{:.2f}')}  "
-        f"classes {fleet.get('class_groups', '?')}"
-    )
-    history = status.get("history") or []
-    spark = _sparkline([h.get("headroom_c") for h in history])
-    if spark:
-        lines.append(f"headroom  {spark}  (last {len(history)} snapshots)")
-    nodes = status.get("nodes") or []
+def _fleet_lines(section: dict, status: dict) -> list:
+    lines = [
+        f"power {_fmt(section.get('power_w'), '{:.0f}')} W "
+        f"(run avg {_fmt(section.get('avg_power_w'), '{:.0f}')} W)  "
+        f"energy {_fmt(section.get('energy_j'), '{:.3g}')} J  "
+        f"p99 {_fmt(section.get('p99_latency_s'), '{:.3g}')} s  "
+        f"backlog {_fmt(section.get('backlog_inst'), '{:.3g}')} inst  "
+        f"util {_fmt(section.get('utilization'), '{:.2f}')}  "
+        f"classes {section.get('class_groups', '?')}  "
+        f"intervals {section.get('intervals', 0)} "
+        f"(+{section.get('ff_intervals', 0)} fast-forwarded)"
+    ]
+    nodes = section.get("nodes") or []
     if nodes:
         lines.append(f"{'node':>6}  {'peak degC':>9}  {'fan':>3}  {'tec-on':>6}")
         for nd in nodes:
@@ -896,20 +587,57 @@ def render_fleet(status: dict) -> str:
                 f"{_fmt(nd.get('fan_level'), '{:.0f}'):>3}  "
                 f"{_fmt(nd.get('tec_on'), '{:.0f}'):>6}"
             )
-    counters = status.get("counters") or {}
-    if counters:
-        parts = [f"{k}={int(v)}" for k, v in sorted(counters.items())]
-        lines.append("counters: " + "  ".join(parts))
-    return "\n".join(lines)
+    return lines
+
+
+_KIND_LINES = {
+    "engine-run": _engine_lines,
+    "pool": _pool_lines,
+    "fleet": _fleet_lines,
+}
 
 
 def render_status(status: dict) -> str:
-    """Dispatch to the kind-appropriate renderer."""
-    if status.get("kind") == "pool":
-        return render_top(status)
-    if status.get("kind") == "fleet":
-        return render_fleet(status)
-    return render_watch(status)
+    """Plain-text ``tecfan watch``/``top`` view of a snapshot of any kind."""
+    kind = status.get("kind")
+    state = "done" if status.get("done") else "running"
+    prog = status.get("progress") or {}
+    fraction = prog.get("fraction") or 0.0
+    unit = prog.get("unit", "")
+    lines = [
+        f"tecfan {kind} — {status.get('label') or '?'} "
+        f"(pid {status.get('pid', '?')}) [{state}] seq={status.get('seq', 0)}",
+        f"progress {_bar(fraction)} {fraction * 100:5.1f}%  "
+        f"{_fmt(prog.get('done'), '{:g}')}/{_fmt(prog.get('total'), '{:g}')} "
+        f"{unit}  rate {_fmt(prog.get('rate'), '{:.3g}')} {unit}/s  "
+        f"eta {_fmt(prog.get('eta_s'), '{:.1f}')} s",
+    ]
+    thermal = status.get("thermal")
+    if thermal:
+        headroom = thermal.get("headroom_c")
+        flag = "  !! OVER THRESHOLD" if (
+            headroom is not None and headroom < 0
+        ) else ""
+        lines.append(
+            f"peak {_fmt(thermal.get('peak_temp_c'))} degC  "
+            f"(run max {_fmt(thermal.get('run_peak_c'))})  "
+            f"threshold {_fmt(status.get('t_threshold_c'))}  "
+            f"headroom {_fmt(headroom, '{:+.2f}')} degC{flag}"
+        )
+    history = status.get("history") or []
+    spark = _sparkline([h.get("headroom_c") for h in history])
+    if spark:
+        lines.append(f"headroom  {spark}  (last {len(history)} snapshots)")
+    if kind in _KIND_LINES:
+        lines.extend(_KIND_LINES[kind](status.get(kind) or {}, status))
+    anomalies = status_anomalies(status)
+    if anomalies:
+        lines.append(f"anomalies: !! {len(anomalies)} finding(s)")
+        for a in anomalies[:4]:
+            lines.append(f"  - {a.kind}: {a.detail}")
+    else:
+        lines.append("anomalies: none detected")
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -932,6 +660,28 @@ def _prom_number(value) -> str:
     return repr(v) if v != int(v) else str(int(v))
 
 
+#: Per-kind status gauges: Prometheus name -> key of the kind's section
+#: (a list-valued key exports its length).
+_KIND_GAUGES = {
+    "engine-run": {"live_epi_joules": "epi_j"},
+    "fleet": {
+        "fleet_nodes": "n_nodes",
+        "fleet_power_watts": "power_w",
+        "fleet_p99_latency_seconds": "p99_latency_s",
+        "fleet_backlog_instructions": "backlog_inst",
+    },
+    "pool": {
+        **{
+            f"pool_tasks_{key}": key
+            for key in ("total", "done", "failed", "replayed", "in_flight",
+                        "queued")
+        },
+        "pool_workers": "workers",
+        "pool_shm_bytes": "shm_bytes",
+    },
+}
+
+
 def prometheus_text(snapshot: dict | None, status: dict | None = None) -> str:
     """Render a metrics snapshot (+ live status gauges) in Prometheus
     text exposition format (version 0.0.4).
@@ -939,7 +689,8 @@ def prometheus_text(snapshot: dict | None, status: dict | None = None) -> str:
     Counters get the conventional ``_total`` suffix; histograms emit
     cumulative ``_bucket{le=...}`` series plus ``_sum``/``_count``.
     Dots and dashes in instrument names become underscores, and
-    everything is prefixed ``tecfan_``.
+    everything is prefixed ``tecfan_``. A status snapshot adds the
+    ``live_*`` gauges from its envelope plus its kind's gauge table.
     """
     lines: list[str] = []
     snapshot = snapshot or {}
@@ -964,38 +715,26 @@ def prometheus_text(snapshot: dict | None, status: dict | None = None) -> str:
         lines.append(f"{pname}_sum {_prom_number(hist['total'])}")
         lines.append(f"{pname}_count {hist['count']}")
     if status is not None:
-        live: list[tuple[str, object]] = [("live_up", 1)]
-        live.append(("live_done", 1 if status.get("done") else 0))
-        live.append(("live_snapshot_seq", status.get("seq", 0)))
+        kind = status.get("kind")
         prog = status.get("progress") or {}
-        live.append(("live_progress_fraction", prog.get("fraction")))
-        live.append(("live_eta_seconds", prog.get("eta_s")))
-        if status.get("kind") == "engine-run":
-            live.append(("live_sim_time_seconds", prog.get("sim_time_s")))
-            thermal = status.get("thermal") or {}
-            live.append(("live_peak_temp_celsius",
-                         thermal.get("peak_temp_c")))
-            live.append(("live_headroom_celsius", thermal.get("headroom_c")))
-            energy = status.get("energy") or {}
-            live.append(("live_epi_joules", energy.get("epi_j")))
-        elif status.get("kind") == "fleet":
-            fleet = status.get("fleet") or {}
-            live.append(("live_sim_time_seconds", prog.get("sim_time_s")))
-            live.append(("fleet_nodes", fleet.get("n_nodes")))
-            live.append(("fleet_peak_temp_celsius", fleet.get("last_peak_c")))
-            live.append(("fleet_power_watts", fleet.get("power_w")))
-            live.append(("fleet_p99_latency_seconds",
-                         fleet.get("p99_latency_s")))
-            live.append(("fleet_backlog_instructions",
-                         fleet.get("backlog_inst")))
-        else:
-            tasks = status.get("tasks") or {}
-            for key in ("total", "done", "failed", "replayed", "in_flight",
-                        "queued"):
-                live.append((f"pool_tasks_{key}", tasks.get(key)))
-            live.append(("pool_workers", len(status.get("workers") or [])))
-            live.append(("pool_shm_bytes", status.get("shm_bytes")))
-        for name, value in live:
+        thermal = status.get("thermal") or {}
+        live = {
+            "live_up": 1,
+            "live_done": 1 if status.get("done") else 0,
+            "live_snapshot_seq": status.get("seq", 0),
+            "live_progress_fraction": prog.get("fraction"),
+            "live_eta_seconds": prog.get("eta_s"),
+            "live_sim_time_seconds": (
+                prog.get("done") if prog.get("unit") == "sim-s" else None
+            ),
+            "live_peak_temp_celsius": thermal.get("peak_temp_c"),
+            "live_headroom_celsius": thermal.get("headroom_c"),
+        }
+        section = status.get(kind) or {}
+        for name, key in _KIND_GAUGES.get(kind, {}).items():
+            value = section.get(key)
+            live[name] = len(value) if isinstance(value, list) else value
+        for name, value in live.items():
             if value is None:
                 continue
             pname = "tecfan_" + name

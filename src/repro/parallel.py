@@ -601,8 +601,8 @@ class WorkerPool:
         is decoded — in *completion* order, not payload order — so a
         journal can persist progress before the batch finishes.
 
-        ``status`` is an optional
-        :class:`repro.obs.live.PoolStatusReporter`; its heartbeats
+        ``status`` is an optional ``pool``
+        :class:`repro.obs.live.StatusReporter`; its heartbeats
         piggyback the pipes the scheduler already watches (every
         dispatch and every reply feeds the per-worker rows — no extra
         protocol messages), and the scheduler's wait is capped at the
@@ -642,14 +642,14 @@ class WorkerPool:
             if attempt < retries:
                 obs.incr("parallel.retries")
                 if status is not None:
-                    status.note_retry()
+                    status.tasks["retries"] += 1
                 not_before = _clock() + backoff_s * (2.0**attempt)
                 queue.append((index, attempt + 1, not_before))
                 return
             pending -= 1
             obs.incr("parallel.pool_tasks")
             if status is not None:
-                status.note_failure(kind)
+                status.tasks["failed"] += 1
             if on_error == "collect":
                 results[index] = TaskFailure(
                     index=index,
@@ -700,10 +700,8 @@ class WorkerPool:
                     dispatch(self._idle.pop(), index, attempt)
                 queue.extend(held)
 
-                if status is not None:
-                    status.maybe_report(
-                        in_flight=len(self._busy), queued=len(queue)
-                    )
+                if status is not None and status.due():
+                    status.report(in_flight=len(self._busy), queued=len(queue))
 
                 if not self._busy:
                     if not queue:  # pragma: no cover - settled via retire
@@ -773,9 +771,8 @@ class WorkerPool:
                             pending -= 1
                             obs.incr("parallel.pool_tasks")
                             if status is not None:
-                                status.note_success()
-                                if shm_bytes:
-                                    status.add_shm(shm_bytes)
+                                status.tasks["done"] += 1
+                                status.tasks["shm_bytes"] += shm_bytes or 0
                             if warm:
                                 obs.incr("parallel.worker_cache_warm_hits")
                             if shm_bytes:
@@ -787,7 +784,7 @@ class WorkerPool:
                     elif deadline is not None and now >= deadline:
                         obs.incr("parallel.timeouts")
                         if status is not None:
-                            status.note_timeout()
+                            status.tasks["timeouts"] += 1
                             status.worker_retired(worker.proc.pid)
                         self._retire(worker, kill=True)
                         settle(
@@ -830,7 +827,6 @@ def parallel_map(
     status_path=None,
     status_every_s: float = 1.0,
     status_meta: dict | None = None,
-    _status=None,
 ) -> list:
     """``[fn(p) for p in payloads]`` across persistent worker processes.
 
@@ -893,10 +889,8 @@ def parallel_map(
         there every ``status_every_s`` wall-seconds — per-worker rows,
         settled/in-flight/queued counts, shm bytes, and (with a
         journal) which cells were replayed rather than re-run.
-        ``status_meta`` annotates the snapshot (e.g. a display label
-        and the journal path). ``_status`` is internal: the recursed
-        journal-resume call passes the outer reporter down so replayed
-        cells and the sub-batch's live dispatches land in one file.
+        ``status_meta`` annotates the snapshot: its ``label`` is the
+        display name and its ``journal`` the journal path shown.
 
     Returns
     -------
@@ -912,86 +906,78 @@ def parallel_map(
             [(-1, f"invalid on_error value {on_error!r}")]
         )
     payloads = list(payloads)
-    own_status = False
-    if _status is None and status_path is not None:
-        from repro.obs.live import PoolStatusReporter
-
-        _status = PoolStatusReporter(
-            status_path,
-            every_s=status_every_s,
-            total=len(payloads),
-            meta=status_meta,
-        )
-        own_status = True
+    todo = range(len(payloads))
+    done: dict = {}
     if journal is not None:
         done = {
             k: v
             for k, v in journal.tasks.items()
             if isinstance(k, int) and 0 <= k < len(payloads)
         }
-        todo = [i for i in range(len(payloads)) if i not in done]
-        obs.incr("journal.tasks_skipped", len(payloads) - len(todo))
-        if _status is not None:
-            # The recursed call dispatches sub-batch indices; map them
-            # back to the caller's cell numbering for display, and
-            # surface the journal-replayed cells separately from live.
-            _status.note_replayed(done.keys())
-            _status.index_map = todo
+        todo = [i for i in todo if i not in done]
+        obs.incr("journal.tasks_skipped", len(done))
+        caller_on_result = on_result
 
-        def _record(sub_index: int, value, _todo=todo) -> None:
-            index = _todo[sub_index]
+        def on_result(sub_index: int, value) -> None:
+            index = todo[sub_index]
             journal.record_task(index, value)
-            if on_result is not None:
-                on_result(index, value)
+            if caller_on_result is not None:
+                caller_on_result(index, value)
 
-        sub = parallel_map(
-            fn,
-            [payloads[i] for i in todo],
-            jobs,
-            context=context,
-            timeout_s=timeout_s,
-            retries=retries,
-            backoff_s=backoff_s,
-            on_error=on_error,
-            pool=pool,
-            on_result=_record,
-            _status=_status,
+    status = None
+    if status_path is not None:
+        from repro.obs.live import StatusReporter
+
+        meta = status_meta or {}
+        # Only the ``todo`` cells are dispatched; ``cells`` maps each
+        # dispatched index back to the caller's cell numbering.
+        status = StatusReporter(
+            status_path,
+            "pool",
+            every_s=status_every_s,
+            label=meta.get("label", "pool"),
+            total=len(payloads),
+            journal=meta.get("journal"),
+            cells=todo,
+            replayed=sorted(done),
         )
-        results = [None] * len(payloads)
-        for index, value in done.items():
-            results[index] = value
-        for j, index in enumerate(todo):
-            results[index] = sub[j]
-        if own_status:
-            _status.finish()
-        return results
-
+    batch = [payloads[i] for i in todo]
     n = pool.jobs if pool is not None else resolve_jobs(jobs)
     timeout_s = _resolve_timeout(timeout_s)
     retries = _resolve_retries(retries)
 
     try:
-        if n <= 1 or len(payloads) <= 1:
-            return _serial_map(
-                fn, payloads, retries, backoff_s, on_error, context,
-                on_result, _status,
+        if n <= 1 or len(batch) <= 1:
+            ran = _serial_map(
+                fn, batch, retries, backoff_s, on_error, context,
+                on_result, status,
             )
-        kwargs = dict(
-            context=context,
-            timeout_s=timeout_s,
-            retries=retries,
-            backoff_s=backoff_s,
-            on_error=on_error,
-            on_result=on_result,
-            status=_status,
-        )
-        if pool is not None:
-            return pool.map(fn, payloads, **kwargs)
-        with WorkerPool(n) as private:
-            return private.map(fn, payloads, **kwargs)
+        else:
+            kwargs = dict(
+                context=context,
+                timeout_s=timeout_s,
+                retries=retries,
+                backoff_s=backoff_s,
+                on_error=on_error,
+                on_result=on_result,
+                status=status,
+            )
+            if pool is not None:
+                ran = pool.map(fn, batch, **kwargs)
+            else:
+                with WorkerPool(n) as private:
+                    ran = private.map(fn, batch, **kwargs)
     finally:
-        if own_status:
-            _status.finish()
+        if status is not None:
+            status.report(done=True)
+    if journal is None:
+        return ran
+    results = [None] * len(payloads)
+    for index, value in done.items():
+        results[index] = value
+    for index, value in zip(todo, ran):
+        results[index] = value
+    return results
 
 
 def _serial_map(
@@ -1016,9 +1002,8 @@ def _serial_map(
     for i, p in enumerate(payloads):
         if status is not None:
             status.worker_dispatch(pid, i)
-            status.maybe_report(
-                in_flight=1, queued=len(payloads) - i - 1
-            )
+            if status.due():
+                status.report(in_flight=1, queued=len(payloads) - i - 1)
         for attempt in range(retries + 1):
             try:
                 results.append(
@@ -1026,7 +1011,7 @@ def _serial_map(
                 )
                 if status is not None:
                     status.worker_reply(pid)
-                    status.note_success()
+                    status.tasks["done"] += 1
                 if on_result is not None:
                     on_result(i, results[-1])
                 break
@@ -1034,12 +1019,12 @@ def _serial_map(
                 if attempt < retries:
                     obs.incr("parallel.retries")
                     if status is not None:
-                        status.note_retry()
+                        status.tasks["retries"] += 1
                     time.sleep(backoff_s * (2.0**attempt))
                     continue
                 if status is not None:
                     status.worker_reply(pid)
-                    status.note_failure("error")
+                    status.tasks["failed"] += 1
                 if on_error == "raise" and retries == 0:
                     raise  # classic serial contract: original exception
                 detail = traceback.format_exc()
