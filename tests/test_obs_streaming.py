@@ -16,7 +16,6 @@ from repro.obs import (
     telemetry_session,
 )
 from repro.obs import telemetry as obs
-from repro.obs.telemetry import MAX_EVENTS
 
 
 def _stream_events(tel: Telemetry, n: int) -> None:
@@ -44,14 +43,17 @@ def test_events_flush_incrementally(tmp_path):
     assert parsed["manifest"]["events_streamed"] == 10
 
 
-def test_streaming_bypasses_event_cap(tmp_path):
+def test_streaming_bypasses_event_cap(tmp_path, monkeypatch):
+    # A small cap keeps the test fast; the stream is sized from it.
+    monkeypatch.setattr("repro.obs.telemetry.MAX_EVENTS", 1000)
+    n = obs.MAX_EVENTS + 50
     path = tmp_path / "run.jsonl"
     exp = StreamingExporter(path, flush_every=1024)
     tel = exp.attach(Telemetry())
-    _stream_events(tel, MAX_EVENTS + 50)
+    _stream_events(tel, n)
     exp.close(tel)
     parsed = read_jsonl(path)
-    assert len(parsed["events"]) == MAX_EVENTS + 50
+    assert len(parsed["events"]) == n
     assert parsed["manifest"]["events_dropped"] == 0
 
 

@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.analysis import server_experiment
 from repro.analysis.server_experiment import (
     _run,
     build_server_workload,
+    run_server_comparison,
 )
+from repro.checkpoint import result_digest
 from repro.core.oracle import make_oftec, make_oracle
 from repro.core.tecfan import TECfanController
 from repro.server.platform import build_server_system
+from tests.test_core_oracle import ReferenceSearcher
 
 
 @pytest.fixture(scope="module")
@@ -61,3 +65,29 @@ def test_oracle_p_floor_from_reference_trace(platform, workload):
         ref.metrics.execution_time_s + 1.5
     )
     assert res.metrics.violation_rate <= 0.05
+
+
+@pytest.mark.slow
+def test_comparison_matches_brute_force_reference(monkeypatch):
+    """Fig. 7 with the objective-first search is bit-identical to Fig. 7
+    with the brute-force per-variant loop, policy by policy."""
+    fast = run_server_comparison(minutes=1).results
+    monkeypatch.setattr(
+        server_experiment,
+        "make_oracle",
+        lambda perf_floor=None: ReferenceSearcher(
+            name="Oracle-P" if perf_floor is not None else "Oracle",
+            perf_floor=perf_floor,
+        ),
+    )
+    monkeypatch.setattr(
+        server_experiment,
+        "make_oftec",
+        lambda: ReferenceSearcher(
+            name="OFTEC", objective="cooling", dvfs_exhaustive=False
+        ),
+    )
+    brute = run_server_comparison(minutes=1).results
+    assert list(fast) == list(brute)
+    for name in fast:
+        assert result_digest(fast[name]) == result_digest(brute[name]), name
