@@ -2,11 +2,12 @@
 
 A checkpoint is one pickled payload dict: the engine's
 :class:`~repro.core.engine.LoopState` under ``"loop"`` (temperature
-field, actuators, clocks, TEC engagement memory, fan window and the
-interval kernel's quiescence detector), the trace recorded so far, the
-controller and estimator, the fault scheduler with its latched
-values and RNG stream, the sensor bank's noise stream, rebuild recipes
-for the solver's warm LU/Woodbury cache, and the telemetry counters.
+field, actuators, clocks, TEC engagement memory, fan window and
+run-long integrals), the trace recorded so far, the controller and
+estimator, the fault scheduler with its latched values and RNG stream,
+the sensor bank's noise stream, and the telemetry counters. The
+solver's LU cache is not saved: it is exact memoization, so the resumed
+run refactorizes on demand and gets the same bits.
 Pickling every piece in a single payload preserves object-identity
 sharing (``config.faults`` is the same object the guards hold, the
 estimator references the same ``CMPSystem``), so a restored run wires
@@ -15,7 +16,7 @@ up exactly like the live one.
 Determinism contract: resuming from a checkpoint written at any
 interval boundary produces a :class:`~repro.core.engine.SimulationResult`
 bit-identical, field by field, to the uninterrupted run — on the
-classic, interval-kernel, and hardened engines. Taking checkpoints is
+classic and hardened engines. Taking checkpoints is
 side-effect-free (RNG states are copied, never advanced), so the
 checkpoint cadence itself cannot perturb a run.
 
@@ -38,8 +39,9 @@ from repro.obs import telemetry as obs
 
 #: Version of the snapshot payload layout. Bump on any incompatible
 #: change to the keys or their meaning; loaders reject other versions.
-#: Schema 2 carries the whole loop as one ``LoopState`` under ``"loop"``.
-CHECKPOINT_SCHEMA = 2
+#: Schema 3 carries the whole loop as one ``LoopState`` under ``"loop"``
+#: and no solver state.
+CHECKPOINT_SCHEMA = 3
 
 
 def atomic_write_bytes(path, blob: bytes) -> str:

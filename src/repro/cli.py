@@ -159,10 +159,10 @@ def _engine_kwargs(args, prog: str):
     """``EngineConfig`` kwargs of ``run``/``profile``; returns (kwargs, rc).
 
     ``--faults`` selects the hardened configuration (watchdog, health
-    monitor, estimator fallback), which disarms the interval kernel.
+    monitor, estimator fallback).
     """
     if args.faults is None:
-        return ({"interval_kernel": True} if args.interval_kernel else {}), 0
+        return {}, 0
     from repro.faults import HealthConfig, WatchdogConfig
 
     scheduler, rc = _load_fault_scheduler(args.faults, prog)
@@ -623,11 +623,6 @@ def main(argv: list[str] | None = None) -> int:
         help="simulated-time cap for the run [s]",
     )
     runp.add_argument(
-        "--interval-kernel",
-        action="store_true",
-        help="arm the interval-kernel fast path (see docs/PERFORMANCE.md)",
-    )
-    runp.add_argument(
         "--faults",
         metavar="PATH",
         default=None,
@@ -809,13 +804,6 @@ def main(argv: list[str] | None = None) -> int:
         help="JSON fault script (list of {kind, ...} dicts, see "
         "docs/ROBUSTNESS.md) injected into the profiled run; enables "
         "the thermal watchdog, health monitor and estimator fallback",
-    )
-    prof.add_argument(
-        "--interval-kernel",
-        action="store_true",
-        help="arm the interval-kernel fast path (propagator caches, "
-        "Woodbury solver corrections, quiescent fast-forwarding; see "
-        "docs/PERFORMANCE.md). Auto-disabled when --faults is given",
     )
     trace = sub.add_parser(
         "trace",

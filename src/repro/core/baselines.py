@@ -37,8 +37,6 @@ class FanOnlyController(Controller):
     """No TEC/DVFS actuation; cooling comes from the (swept) fan alone."""
 
     name: str = "Fan-only"
-    #: Stateless and readings-pure: quiescence-safe to fast-forward.
-    fast_forward_safe = True
 
     def decide(
         self,
@@ -110,7 +108,6 @@ class FanTECController(Controller):
     """Fan (swept) + reactive per-device TEC control."""
 
     name: str = "Fan+TEC"
-    fast_forward_safe = True
 
     def decide(
         self,
@@ -128,7 +125,6 @@ class FanDVFSController(Controller):
     """Fan (swept) + classic reactive DVFS thermal management."""
 
     name: str = "Fan+DVFS"
-    fast_forward_safe = True
 
     def decide(
         self,
@@ -148,7 +144,6 @@ class DVFSTECController(Controller):
     """All three knobs, each managed independently (uncoordinated)."""
 
     name: str = "DVFS+TEC"
-    fast_forward_safe = True
 
     def decide(
         self,

@@ -36,15 +36,6 @@ class Controller(abc.ABC):
     #: Sec. III-E one-core-at-a-time hardware datapath).
     estimator_kind: str = "full"
 
-    #: May the engine's interval-kernel fast path skip this policy's
-    #: per-interval ``decide`` calls during detected quiescence (see
-    #: docs/PERFORMANCE.md)? Safe for policies whose decision is a pure
-    #: function of the current readings and actuator state — under
-    #: quiescence the inputs are static, so the skipped calls would have
-    #: returned the unchanged state anyway. Policies carrying internal
-    #: per-interval counters or integrators must leave this False.
-    fast_forward_safe: bool = False
-
     @abc.abstractmethod
     def decide(
         self,

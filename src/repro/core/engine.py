@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import units
 from repro.core.controller import Controller
 from repro.core.estimator import NextIntervalEstimator
 from repro.core.local_estimator import LocalBandedEstimator
@@ -94,21 +93,6 @@ class EngineConfig:
     #: Catch estimator/solver failures inside ``controller.decide`` and
     #: hold the last safe action instead of crashing the run.
     estimator_fallback: bool = False
-    #: Opt-in interval-kernel fast path (docs/PERFORMANCE.md): arms the
-    #: solver's Woodbury low-rank corrections and fast-forwards detected
-    #: quiescent stretches analytically. Off by default — the classic
-    #: loop stays bit-exact. Automatically suppressed on hardened runs
-    #: and runs with sensor noise (see :attr:`kernel_active`).
-    interval_kernel: bool = False
-    #: Consecutive quiescent intervals (unchanged actuators, activity
-    #: and steady state) observed before the engine fast-forwards.
-    fast_forward_quiet: int = 2
-    #: Longest analytic chunk, in lower-level intervals.
-    fast_forward_max: int = 256
-    #: Quiescence gate on steady-state drift [K]: the leakage loop's
-    #: fixed point must have settled this tightly before its value is
-    #: frozen across a fast-forwarded chunk.
-    fast_forward_steady_tol_k: float = 1e-6
     #: Periodic checkpointing (repro.checkpoint): snapshot the recorded
     #: run to ``checkpoint_path`` every ``checkpoint_every_s`` simulated
     #: seconds. Snapshots are side-effect-free, so any cadence leaves
@@ -131,18 +115,6 @@ class EngineConfig:
             raise ConfigurationError(
                 "fan period must be at least one lower-level interval"
             )
-        if self.fast_forward_quiet < 1:
-            raise ConfigurationError(
-                "fast_forward_quiet must be at least one interval"
-            )
-        if self.fast_forward_max < 2:
-            raise ConfigurationError(
-                "fast_forward_max below 2 cannot amortize the chunk setup"
-            )
-        if self.fast_forward_steady_tol_k < 0:
-            raise ConfigurationError(
-                "fast_forward_steady_tol_k must be non-negative"
-            )
         if (self.checkpoint_every_s is None) != (self.checkpoint_path is None):
             raise ConfigurationError(
                 "checkpoint_every_s and checkpoint_path must be set together"
@@ -162,27 +134,10 @@ class EngineConfig:
             or self.estimator_fallback
         )
 
-    @property
-    def kernel_active(self) -> bool:
-        """Is the interval-kernel fast path armed for this run?
-
-        The fast path is decision-equivalent but not bit-exact, so
-        hardened runs (which promise bit-identity with the classic loop
-        on healthy runs) and any run whose readings carry sensor noise
-        (quiescence cannot be detected from a noisy plant) disarm it.
-        """
-        return (
-            self.interval_kernel
-            and not self.hardened
-            and self.sensors is None
-        )
-
-
 #: Contract counters (docs/OBSERVABILITY.md), pre-registered by every
 #: recorded run so exports always carry them, even at zero.
 _CONTRACT_COUNTERS = (
     "engine.intervals",
-    "engine.fast_forwarded_intervals",
     "temp.violations",
     "tec.switch_events",
     "fan.level_changes",
@@ -190,8 +145,6 @@ _CONTRACT_COUNTERS = (
     "controller.cool_iterations",
     "thermal.propagator_hits",
     "thermal.propagator_misses",
-    "thermal.woodbury_solves",
-    "thermal.woodbury_fallbacks",
 )
 
 
@@ -202,9 +155,9 @@ class LoopState:
     The two-level loop is a discrete-time system whose whole state is
     this record: the plant (temperature field, TEC engagement memory),
     the commanded actuators, the clocks, the fan level's averaging
-    window, the run-long power/TEC integrals, and the interval kernel's
-    quiescence detector. A checkpoint stores one of these, so a resumed
-    run re-enters the loop exactly where the snapshot was taken.
+    window and the run-long power/TEC integrals. A checkpoint stores one
+    of these, so a resumed run re-enters the loop exactly where the
+    snapshot was taken.
     """
 
     state: ActuatorState
@@ -221,11 +174,6 @@ class LoopState:
     total_instructions: float = 0.0
     intervals: int = 0
     fan_accum_n: int = 0
-    #: Interval-kernel quiescence detector: consecutive quiet intervals
-    #: and the previous interval's activity vector and steady state.
-    quiet: int = 0
-    prev_activity: np.ndarray | None = None
-    prev_steady: np.ndarray | None = None
 
     @classmethod
     def start(
@@ -303,7 +251,7 @@ class _Checkpointer:
         self.last_write_unix: float | None = None
 
     def advance(self, time_s: float) -> None:
-        """Move the due point past ``time_s`` (fast-forward aware)."""
+        """Move the due point past ``time_s``."""
         while self.next_due <= time_s:
             self.next_due += self.every_s
 
@@ -456,21 +404,16 @@ class SimulationEngine:
 
         def start() -> LoopState:
             # Carry the interrupted run's counters forward so post-resume
-            # telemetry sums over the whole logical run. Cache-rebuild
-            # counters (thermal.factorizations, lu_evictions) can exceed
-            # an uninterrupted run's by the restore cost — documented in
-            # docs/ROBUSTNESS.md; results are unaffected.
+            # telemetry sums over the whole logical run. The resumed
+            # solver starts with an empty LU cache, so cache counters
+            # (thermal.factorizations, lu_evictions) can exceed an
+            # uninterrupted run's — documented in docs/ROBUSTNESS.md;
+            # results are unaffected.
             counters = ck.get("counters")
             if counters and obs.get_telemetry() is not None:
                 for name in sorted(counters):
                     if counters[name]:
                         obs.incr(name, counters[name])
-            if ck.get("solver_cache") is not None:
-                # Replay the warm LU/Woodbury cache in its snapshotted
-                # LRU order: Woodbury corrections are history-dependent
-                # (nearest cached base), so the resumed solver must see
-                # the same cache the live one held.
-                self.system.solver.restore_cache(ck["solver_cache"])
             return ck["loop"]
 
         return self._drive(
@@ -494,9 +437,7 @@ class SimulationEngine:
         """The recorded run shared by :meth:`run` and :meth:`resume`.
 
         ``start`` builds the :class:`LoopState` the recorded loop enters
-        with (priming a fresh run, or loading a checkpoint). It runs
-        with the solver already armed, so priming and cache restores
-        see the same solver the recorded loop does.
+        with (priming a fresh run, or loading a checkpoint).
         """
         cfg = self.config
         # Run context for the telemetry manifest (no-op when disabled;
@@ -510,38 +451,26 @@ class SimulationEngine:
         for counter in _CONTRACT_COUNTERS:
             obs.incr(counter, 0)
 
-        # Interval-kernel runs arm the solver's Woodbury corrections for
-        # the whole run (priming included) unless the kernel is disarmed
-        # (hardened or noisy runs). Default runs never touch the solver.
-        solver = self.system.solver
-        restore_woodbury = None
-        if cfg.interval_kernel:
-            restore_woodbury = solver.use_woodbury
-            solver.use_woodbury = cfg.kernel_active
-        try:
-            loop = start()
-            ckpt = None
-            if cfg.checkpoint_every_s is not None:
-                ckpt = _Checkpointer(
-                    cfg.checkpoint_path,
-                    cfg.checkpoint_every_s,
-                    start_s=loop.time_s,
-                )
-            status = self._build_status(run, controller, ckpt)
-            with obs.span("engine.run"):
-                loop = self._simulate(
-                    run,
-                    controller,
-                    estimator,
-                    loop,
-                    trace=trace,
-                    guards=guards,
-                    checkpoint=ckpt,
-                    status=status,
-                )
-        finally:
-            if restore_woodbury is not None:
-                solver.use_woodbury = restore_woodbury
+        loop = start()
+        ckpt = None
+        if cfg.checkpoint_every_s is not None:
+            ckpt = _Checkpointer(
+                cfg.checkpoint_path,
+                cfg.checkpoint_every_s,
+                start_s=loop.time_s,
+            )
+        status = self._build_status(run, controller, ckpt)
+        with obs.span("engine.run"):
+            loop = self._simulate(
+                run,
+                controller,
+                estimator,
+                loop,
+                trace=trace,
+                guards=guards,
+                checkpoint=ckpt,
+                status=status,
+            )
 
         metrics = summarize(
             trace,
@@ -582,7 +511,6 @@ class SimulationEngine:
         """
         from repro.checkpoint import write_checkpoint
 
-        solver = self.system.solver
         tel = obs.get_telemetry()
         write_checkpoint(
             ckpt.path,
@@ -597,9 +525,6 @@ class SimulationEngine:
                 "guards": guards,
                 "trace": trace,
                 "loop": loop,
-                "solver_cache": (
-                    solver.snapshot_cache() if solver.use_woodbury else None
-                ),
                 "counters": (
                     dict(tel.metrics.snapshot()["counters"])
                     if tel is not None
@@ -635,12 +560,10 @@ class SimulationEngine:
         snapshotted :class:`LoopState` straight back in here.
 
         ``status`` is the optional ``engine-run``
-        :class:`repro.obs.live.StatusReporter`: polled at the loop top —
-        which every iteration passes through, including the one
-        following a fast-forwarded chunk, so snapshots also land on
-        fast-forward boundaries — and reported once more (``done=True``)
-        after the loop exits. Reporting only reads loop state, so it
-        cannot perturb the run.
+        :class:`repro.obs.live.StatusReporter`: polled at the top of
+        every interval and reported once more (``done=True``) after the
+        loop exits. Reporting only reads loop state, so it cannot perturb
+        the run.
         """
         system = self.system
         cfg = self.config
@@ -650,18 +573,6 @@ class SimulationEngine:
         watchdog = guards.watchdog if guards is not None else None
         health = guards.health if guards is not None else None
         validator = guards.sensor_validator if guards is not None else None
-
-        # Interval-kernel fast path (docs/PERFORMANCE.md): armed only on
-        # recorded, unhardened, noise-free runs driven by a policy that
-        # declares itself safe to skip during quiescence. The priming
-        # pass (max_intervals set) always runs classic.
-        kernel = (
-            cfg.kernel_active
-            and guards is None
-            and max_intervals is None
-            and trace is not None
-            and getattr(controller, "fast_forward_safe", False)
-        )
 
         while not run.finished and loop.time_s < cfg.max_time_s:
             if max_intervals is not None and loop.intervals >= max_intervals:
@@ -673,26 +584,6 @@ class SimulationEngine:
                 checkpoint.advance(loop.time_s)
             if status is not None and status.due():
                 status.report(loop=loop, trace=trace)
-            if kernel and loop.quiet >= cfg.fast_forward_quiet:
-                k_cap = min(
-                    cfg.fast_forward_max,
-                    # Reserve the final interval for the classic loop so
-                    # the fractional-dt completion accounting is exact.
-                    int((cfg.max_time_s - loop.time_s) / cfg.dt_lower_s + 1e-9)
-                    - 1,
-                )
-                if cfg.dynamic_fan:
-                    per_period = int(
-                        np.ceil(cfg.fan_period_s / cfg.dt_lower_s - 1e-9)
-                    )
-                    # The fan-boundary interval must run classic too.
-                    k_cap = min(k_cap, per_period - loop.fan_accum_n - 1)
-                if k_cap >= 1 and self._fast_forward(run, loop, trace, k_cap):
-                    # Re-arm after one classic interval: the controller
-                    # always observes between chunks.
-                    loop.quiet = cfg.fast_forward_quiet - 1
-                    continue
-                loop.quiet = 0
             loop.intervals += 1
             dt = cfg.dt_lower_s
             state = loop.state
@@ -864,24 +755,6 @@ class SimulationEngine:
                         dt,
                     )
 
-                # ---- interval-kernel quiescence detection ----------------
-                if kernel:
-                    if (
-                        dt == cfg.dt_lower_s
-                        and not run.finished
-                        and new_state.key() == state.key()
-                        and np.array_equal(tec_pump, state.tec)
-                        and loop.prev_activity is not None
-                        and np.array_equal(activity, loop.prev_activity)
-                        and loop.prev_steady is not None
-                        and float(np.max(np.abs(t_steady - loop.prev_steady)))
-                        <= cfg.fast_forward_steady_tol_k
-                    ):
-                        loop.quiet += 1
-                    else:
-                        loop.quiet = 0
-                    loop.prev_activity = activity
-                    loop.prev_steady = t_steady
                 loop.state = new_state
 
         if status is not None:
@@ -889,120 +762,6 @@ class SimulationEngine:
             # the cadence never fired again near the end.
             status.report(loop=loop, trace=trace, done=True)
         return loop
-
-    # ------------------------------------------------------------------
-    def _fast_forward(
-        self,
-        run: WorkloadRun,
-        loop: LoopState,
-        trace: TraceRecorder,
-        k_cap: int,
-    ) -> int:
-        """Advance up to ``k_cap`` quiescent intervals in closed form.
-
-        Preconditions hold by construction of the caller's quiescence
-        detector: no faults/sensors/watchdog, actuators unchanged, TEC
-        engagement complete, the activity vector static
-        (``loop.prev_activity``), and the leakage loop's steady state
-        settled (so freezing ``loop.prev_steady`` across the chunk is
-        within the drift tolerance). The thermal trajectory is then the
-        paper's Eq. (4) relaxation, evaluated at every interval boundary
-        in one :meth:`PaperTransient.interpolate` call —
-        ``beta_k = exp(-k dt G_ii / C_i)`` per node.
-
-        Instruction accounting still advances interval-by-interval:
-        ``run.advance`` is called once per fast-forwarded interval, so
-        workload bookkeeping (including any activity-noise RNG draws) is
-        consumed exactly as the classic loop would, and the chunk ends
-        early the moment the activity vector or remaining-time check
-        diverges from the quiescent pattern.
-
-        Folds the chunk into ``loop`` and returns its length ``k``
-        (``0``, leaving ``loop`` untouched, when not a single interval
-        qualified).
-        """
-        system = self.system
-        dt = self.config.dt_lower_s
-        state = loop.state
-        activity = loop.prev_activity
-        profile = run.workload.component_profile
-        freqs = system.dvfs.frequency_ghz(state.dvfs)
-        inst_rows = []
-        k = 0
-        while k < k_cap:
-            if not np.array_equal(run.activity_vector(), activity):
-                break
-            if run.time_to_completion_s(freqs) < dt:
-                break
-            inst_rows.append(run.advance(dt, freqs))
-            k += 1
-        if k == 0:
-            return 0
-
-        comp = system.nodes.component_slice
-        p_dyn = system.power.component_power.dynamic_power_w(
-            activity, state.dvfs, profile
-        )
-        # Row timestamps accumulate sequentially, exactly like the
-        # classic loop's ``time_s += dt`` — cumulative float error and
-        # all — so fast-forwarded trace rows carry identical clocks.
-        row_times = np.empty(k)
-        end_time = loop.time_s
-        for j in range(k):
-            row_times[j] = end_time
-            end_time += dt
-        times = dt * np.arange(1, k + 1)
-        with obs.span("engine.fast_forward"):
-            t_rows = system.transient.interpolate(
-                loop.t_nodes, loop.prev_steady, times, state.fan_level,
-                state.tec,
-            )
-        t_comp_rows_c = units.k_to_c(t_rows[:, comp])
-        p_leak_rows = system.power.plant_leakage.per_component_w(
-            t_rows[:, comp]
-        )
-        p_tec_rows = system.tec_power_many(state.tec, t_rows)
-        p_fan = system.fan.power_w(state.fan_level)
-        inst = np.vstack(inst_rows)
-        ips_rows = inst.sum(axis=1) / dt
-        p_cores_rows = float(p_dyn.sum()) + p_leak_rows.sum(axis=1)
-        p_chip_rows = p_cores_rows + p_tec_rows + p_fan
-        trace.extend(
-            time_s=row_times,
-            dt_s=dt,
-            peak_temp_c=t_comp_rows_c.max(axis=1),
-            p_chip_w=p_chip_rows,
-            p_cores_w=p_cores_rows,
-            p_tec_w=p_tec_rows,
-            p_fan_w=p_fan,
-            ips_chip=ips_rows,
-            tec_on=int(np.count_nonzero(state.tec > 0.5)),
-            fan_level=state.fan_level,
-            mean_dvfs_level=float(np.mean(state.dvfs)),
-        )
-        if obs.get_telemetry() is not None:
-            for j in range(k):
-                self._record_interval(
-                    state,
-                    state,
-                    t_comp_rows_c[j],
-                    float(p_chip_rows[j]),
-                    float(ips_rows[j]),
-                    row_times[j],
-                    dt,
-                )
-        p_comp_sum = k * p_dyn + p_leak_rows.sum(axis=0)
-        loop.t_nodes = t_rows[-1].copy()
-        loop.total_instructions += float(inst.sum())
-        loop.fan_accum_p += p_comp_sum
-        loop.fan_accum_tec += k * state.tec
-        loop.run_avg_p += p_comp_sum * dt
-        loop.run_avg_tec += state.tec * (k * dt)
-        loop.fan_accum_n += k
-        loop.time_s = end_time
-        loop.intervals += k
-        obs.incr("engine.fast_forwarded_intervals", k)
-        return k
 
     # ------------------------------------------------------------------
     def _record_interval(

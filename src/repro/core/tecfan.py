@@ -73,11 +73,6 @@ class TECfanController(Controller):
     #: TECfan's lower level runs on the banded systolic-array estimator
     #: of Sec. III-E; pass "full" for the idealized-model ablation.
     estimator_kind: str = "banded"
-    #: The hot/cool iteration is a pure function of the current readings
-    #: and actuator state (the estimator observer is re-primed from
-    #: sensors every classic interval), so skipping ``decide`` while the
-    #: plant is quiescent reproduces the same decisions.
-    fast_forward_safe = True
     max_iterations: int = 2000
     ips_gain_rel: float = 1e-6
     ips_loss_rel: float = 1e-6

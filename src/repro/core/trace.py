@@ -74,9 +74,8 @@ class TraceRecorder:
         """Record a block of consecutive intervals in one call.
 
         Array arguments supply one value per interval; scalars broadcast
-        across the block (the engine's fast-forward path holds actuators
-        constant, so most columns are scalar there). Row ``j`` is
-        exactly what ``append`` would have stored for the same values.
+        across the block. Row ``j`` is exactly what ``append`` would have
+        stored for the same values.
         """
         n = len(np.asarray(time_s, dtype=float).reshape(-1))
         cols = [

@@ -175,7 +175,7 @@ class StatusReporter:
 
     * ``engine-run`` (built by ``SimulationEngine`` when
       ``EngineConfig.status_path`` is set; reported from the simulate
-      loop top, so snapshots also land on fast-forward boundaries): the
+      loop top): the
       energy/EPI fold over the trace rows grown since the last snapshot,
       checkpoint age, per-core temperatures;
     * ``pool`` (``parallel_map``): task tallies, one row per worker and
@@ -506,19 +506,10 @@ def _engine_lines(section: dict, status: dict) -> list:
         f"intervals {section.get('intervals', 0)}  "
         f"fan {_fmt(section.get('fan_level'), '{:d}')}"
     ]
-    parts = []
     hits = counters.get("thermal.propagator_hits", 0)
     lookups = hits + counters.get("thermal.propagator_misses", 0)
     if lookups:
-        parts.append(f"propagator {hits / lookups * 100:.1f}% hit")
-    ff = counters.get("engine.fast_forwarded_intervals")
-    if ff is not None and section.get("intervals"):
-        parts.append(
-            f"fast-forwarded {ff / section['intervals'] * 100:.1f}% "
-            "of intervals"
-        )
-    if parts:
-        lines.append("cache: " + "  ".join(parts))
+        lines.append(f"cache: propagator {hits / lookups * 100:.1f}% hit")
     ckpt = section.get("checkpoint")
     if ckpt:
         lines.append(

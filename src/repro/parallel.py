@@ -5,8 +5,8 @@ simulations — one per fan level, one per policy, one per scenario. Each
 is CPU-bound in LAPACK/SuperLU calls, so processes (not threads) are the
 right isolation. Historically every ``parallel_map`` call paid the full
 cold-start bill: spawned interpreters re-imported numpy/scipy, every
-task received its own pickled engine whose ``PropagatorCache``/LU/
-Woodbury structures arrive empty (SuperLU objects cannot pickle), and
+task received its own pickled engine whose ``PropagatorCache`` and LU
+caches arrive empty (SuperLU objects cannot pickle), and
 full temperature/power traces were pickled back through a pipe. For
 sub-second tasks that made ``--jobs`` a *slowdown* (the recorded 0.086x
 fan-sweep baseline).
@@ -24,7 +24,7 @@ with a different lifecycle and cache-reuse contract:
   whose thermal caches key on the quantized actuator keys of
   :mod:`repro.thermal.keys`) ships to each worker **once** and is
   reused, object-identical, by every subsequent task on that worker —
-  so propagator/LU/Woodbury caches stay warm between tasks exactly as
+  so propagator and LU caches stay warm between tasks exactly as
   they do across a serial loop. Context mutations must therefore be
   result-invariant (memoization only); that is the same contract the
   serial path already imposes, which shares one context object across

@@ -237,22 +237,6 @@ class ConductanceModel:
         g.data[self._diag_pos] += delta
         return g
 
-    def apply(
-        self, x: np.ndarray, fan_level: int, tec_activation: np.ndarray
-    ) -> np.ndarray:
-        """Matrix-vector product ``G(fan, tec) @ x`` without assembly.
-
-        Exploits ``G = G0 + diag(delta)``: one sparse product against
-        the fixed base plus an O(n) diagonal scale. Accepts a vector or
-        a ``(n_nodes, batch)`` column block; used for the cheap residual
-        check that validates Woodbury-corrected solves.
-        """
-        x = np.asarray(x, dtype=float)
-        delta = self.diag_delta(fan_level, tec_activation)
-        if x.ndim == 1:
-            return self._g0 @ x + delta * x
-        return self._g0 @ x + delta[:, None] * x
-
     def rhs(
         self,
         p_components_w: np.ndarray,

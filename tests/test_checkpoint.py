@@ -4,8 +4,8 @@ The contract under test (docs/ROBUSTNESS.md): a run that writes
 periodic checkpoints produces exactly the result of one that doesn't,
 and resuming the last mid-run checkpoint completes to a result that is
 bit-identical, field by field, to the uninterrupted run — on the
-classic engine, the interval-kernel fast path, and the hardened
-(faults + watchdog + health + fallback) configuration.
+classic engine and the hardened (faults + watchdog + health +
+fallback) configuration.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.faults import FaultScheduler, HealthConfig, WatchdogConfig
 from repro.perf import splash2_workload
 from repro.perf.splash2 import REF_FREQ_GHZ
 from repro.perf.workload import WorkloadRun
-from tests.test_interval_kernel import quiescent_workload
 
 _TRACE_FIELDS = (
     "time_s",
@@ -82,29 +81,18 @@ def _fault_script() -> FaultScheduler:
 
 _CONFIGS = {
     "classic": lambda: {},
-    "interval-kernel": lambda: {"interval_kernel": True},
     "hardened": lambda: {
         "faults": _fault_script(),
         "watchdog": WatchdogConfig(),
         "health": HealthConfig(),
         "estimator_fallback": True,
     },
-    # Hardening disarms a requested interval kernel (and the solver's
-    # Woodbury corrections): the classic loop under a kernel request.
-    "kernel-hardened": lambda: {
-        "interval_kernel": True,
-        "faults": FaultScheduler(),
-        "estimator_fallback": True,
-    },
 }
 
 
-def _run(extra: dict, max_time_s: float = 0.02, quiescent: bool = False):
+def _run(extra: dict, max_time_s: float = 0.02):
     system = build_system(rows=2, cols=2)
-    if quiescent:
-        wl = quiescent_workload(system.chip.n_tiles)
-    else:
-        wl = splash2_workload("lu", 4, system.chip)
+    wl = splash2_workload("lu", 4, system.chip)
     engine = SimulationEngine(
         system,
         EnergyProblem(t_threshold_c=70.0),
@@ -149,18 +137,15 @@ def test_resume_from_every_cadence_is_identical(tmp_path):
 )
 @given(
     every_s=st.floats(min_value=0.0015, max_value=0.018),
-    mode=st.sampled_from(["classic", "interval-kernel"]),
+    mode=st.sampled_from(["classic", "hardened"]),
 )
-# Both modes always run: the interval kernel is the only one whose
-# quiescence detector (LoopState.quiet/prev_activity/prev_steady) must
-# survive the snapshot.
+# Both modes always run: the hardened engine is the one whose fault
+# scheduler, RNG streams and guard state machines must survive the
+# snapshot.
 @example(every_s=0.005, mode="classic")
-@example(every_s=0.005, mode="interval-kernel")
+@example(every_s=0.005, mode="hardened")
 def test_random_checkpoint_instant_resumes_identical(every_s, mode):
-    # The kernel mode runs a quiescent workload so snapshots land on
-    # both sides of fast-forwarded chunks.
-    quiescent = mode == "interval-kernel"
-    baseline = _run(_CONFIGS[mode](), quiescent=quiescent)
+    baseline = _run(_CONFIGS[mode]())
     # tempfile instead of tmp_path: function-scoped fixtures trip the
     # hypothesis health check (one directory would be reused across
     # examples).
@@ -172,7 +157,6 @@ def test_random_checkpoint_instant_resumes_identical(every_s, mode):
                 checkpoint_path=ck,
                 checkpoint_every_s=every_s,
             ),
-            quiescent=quiescent,
         )
         assert_identical(baseline, with_ck)
         assert_identical(baseline, resume_engine_run(ck))
@@ -208,8 +192,10 @@ def test_load_checkpoint_rejects_garbage(tmp_path):
 
 def test_load_checkpoint_rejects_wrong_schema(tmp_path):
     path = tmp_path / "old.pkl"
-    # Schema 1 predates LoopState (loose state/t_nodes/prev_tec keys).
-    for schema in (1, CHECKPOINT_SCHEMA + 1):
+    # Schema 1 predates LoopState (loose state/t_nodes/prev_tec keys);
+    # schema 2 still carried the solver-cache recipes and the loop's
+    # quiescence-detector fields.
+    for schema in (1, 2, CHECKPOINT_SCHEMA + 1):
         write_checkpoint(path, {"schema": schema, "kind": "engine-run"})
         with pytest.raises(CheckpointError, match="schema"):
             load_checkpoint(path)

@@ -429,12 +429,10 @@ def test_render_status_engine_block(tmp_path):
     with telemetry_session() as tel:
         tel.metrics.counter("thermal.propagator_hits").inc(9)
         tel.metrics.counter("thermal.propagator_misses").inc(1)
-        tel.metrics.counter("engine.fast_forwarded_intervals").inc(1)
         text = render_status(_snapshot("engine-run", tmp_path, reporter=rep))
     assert "lu / TECfan" in text
     assert "EPI 2.100e-07 J/inst" in text
     assert "propagator 90.0% hit" in text
-    assert "fast-forwarded 50.0%" in text
     assert "checkpoint: ck.pkl" in text
 
 

@@ -116,3 +116,11 @@ def test_global_energy_balance_tecs_on(system2):
     )
     p_tec = system2.tec_power_w(tec, t)
     assert out == pytest.approx(float(p_comp.sum()) + p_tec, rel=1e-6)
+
+
+def test_conductance_diag_matches_matrix_diagonal(system2):
+    tec = np.linspace(0.0, 1.0, system2.n_tec_devices)
+    d = system2.cond.diag(3, tec)
+    assert np.allclose(
+        d, system2.cond.matrix(3, tec).toarray().diagonal(), atol=0
+    )

@@ -116,7 +116,7 @@ def test_colliding_quantized_keys_never_share_a_factorization(system2, solver):
     p = np.ones(system2.nodes.n_components)
     near, tec = zeros_tec(system2), zeros_tec(system2)
     near[0], tec[0] = 0.499, 0.5
-    assert solver._cache_key(2, near) == solver._cache_key(2, tec)
+    assert solver._keyer.key(2, near) == solver._keyer.key(2, tec)
     solver.solve(p, 2, near)
     warm = solver.solve(p, 2, tec)
     cold = SteadyStateSolver(system2.cond).solve(p, 2, tec)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ThermalModelError
-from repro.thermal.transient import ExactTransient
+from repro.thermal.transient import ExactTransient, PaperTransient
 
 
 def zeros_tec(system):
@@ -119,3 +119,32 @@ def test_eq4_rejects_negative_times(system2):
         system2.transient.interpolate(
             ts, ts, np.array([-1.0]), 1, zeros_tec(system2)
         )
+
+
+def test_cached_betas_bit_identical_and_counted(system2):
+    fresh = PaperTransient(system2.cond)
+    tec = np.zeros(system2.n_tec_devices)
+    first = fresh.betas(2e-3, 2, tec)
+    again = fresh.betas(2e-3, 2, tec)
+    assert again is first  # served from cache
+    reference = np.exp(
+        -2e-3 * system2.cond.diag(2, tec) / system2.cond.nodes.capacities
+    )
+    assert np.array_equal(first, reference)
+    assert fresh._beta_cache.n_hits >= 1
+
+
+def test_exact_transient_caches_dense_propagator(system2):
+    exact = ExactTransient(system2.cond)
+    tec = np.zeros(system2.n_tec_devices)
+    n = system2.cond.n_nodes
+    t0 = np.full(n, 330.0)
+    ts = np.full(n, 350.0)
+    a = exact.step(t0, ts, 2e-3, 2, tec)
+    assert exact._phi_cache.n_misses == 1
+    b = exact.step(t0, ts, 2e-3, 2, tec)
+    assert exact._phi_cache.n_hits == 1
+    assert np.array_equal(a, b)
+    # time_constants_s shares the dense-G cache instead of re-densifying
+    exact.time_constants_s(2, tec)
+    assert exact._dense_cache.n_hits >= 1

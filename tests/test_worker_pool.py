@@ -14,7 +14,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from repro.analysis.faultmatrix import run_fault_matrix
 from repro.core.baselines import FanTECController
@@ -54,13 +53,13 @@ def assert_results_identical(a, b) -> None:
     assert a.final_state.fan_level == b.final_state.fan_level
 
 
-def _small_setup(**engine_kwargs):
+def _small_setup():
     system = build_system(rows=2, cols=2)
     wl = splash2_workload("lu", 4, system.chip)
     engine = SimulationEngine(
         system,
         EnergyProblem(t_threshold_c=70.0),
-        EngineConfig(max_time_s=0.02, **engine_kwargs),
+        EngineConfig(max_time_s=0.02),
     )
     return system, wl, engine
 
@@ -68,11 +67,8 @@ def _small_setup(**engine_kwargs):
 # ----------------------------------------------------------------------
 # serial-vs-pool bit-identity (the drop-in-replacement contract)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "interval_kernel", [False, True], ids=["classic", "interval-kernel"]
-)
-def test_fan_sweep_pool_bit_identical_to_serial(interval_kernel):
-    system, wl, engine = _small_setup(interval_kernel=interval_kernel)
+def test_fan_sweep_pool_bit_identical_to_serial():
+    system, wl, engine = _small_setup()
 
     def make_run():
         return WorkloadRun(wl, system.chip, REF_FREQ_GHZ)
