@@ -127,6 +127,21 @@ class TECArray:
         """Global device indices on ``tile``."""
         return np.flatnonzero(self.device_tile == tile)
 
+    def device_starts(self) -> np.ndarray:
+        """Start of each device's run in the ``coo_*`` arrays.
+
+        The builder emits the triplets grouped per device, so these are
+        the segment offsets for per-device ``ufunc.reduceat`` reductions.
+        """
+        starts = getattr(self, "_device_starts", None)
+        if starts is None:
+            d = self.coo_device
+            if np.any(np.diff(d) < 0):
+                raise ConfigurationError("coo_device is not device-sorted")
+            starts = np.searchsorted(d, np.arange(self.n_devices))
+            object.__setattr__(self, "_device_starts", starts)
+        return starts
+
     def devices_over_component(self, comp_idx: int) -> np.ndarray:
         """Global indices of devices whose footprint covers ``comp_idx``."""
         mask = self.coo_component == comp_idx
@@ -154,7 +169,7 @@ class TECArray:
             raise ConfigurationError(
                 f"state has shape {state.shape}, expected ({self.n_devices},)"
             )
-        if np.any(state < 0.0) or np.any(state > 1.0):
+        if not np.all((state >= 0.0) & (state <= 1.0)):
             raise ConfigurationError("TEC activations must lie in [0, 1]")
         d_theta = np.asarray(t_hot_k) - np.asarray(t_cold_k)
         return (
@@ -188,7 +203,7 @@ class TECArray:
                 segs = ()
             else:
                 counts = np.bincount(d, minlength=self.n_devices)
-                starts = np.searchsorted(d, np.arange(self.n_devices))
+                starts = self.device_starts()
                 segs = []
                 for e in range(int(counts.max()) if counts.size else 0):
                     mask = counts > e
@@ -238,7 +253,7 @@ class TECArray:
             raise ConfigurationError(
                 f"state has shape {state.shape}, expected ({self.n_devices},)"
             )
-        if np.any(state < 0.0) or np.any(state > 1.0):
+        if not np.all((state >= 0.0) & (state <= 1.0)):
             raise ConfigurationError("TEC activations must lie in [0, 1]")
         d_theta = np.asarray(t_hot_rows_k) - np.asarray(t_cold_rows_k)
         return (

@@ -71,17 +71,19 @@ def _tec_reactive(
 ) -> np.ndarray:
     """The Fan+TEC device rule: on when a covered component violates,
     off once every covered component has hysteresis-cleared the
-    threshold."""
-    temps = np.asarray(sensor_temps_c, dtype=float)
-    tec = state.tec.copy()
-    for placement in system.tec.placements:
-        under = temps[placement.component_idx]
-        if np.any(under > problem.t_threshold_c):
-            tec[placement.device] = 1.0
-        elif np.all(under < problem.t_threshold_c - TEC_OFF_HYSTERESIS_C):
-            tec[placement.device] = 0.0
-        # else: inside the hysteresis band — hold the previous state.
-    return tec
+    threshold; inside the hysteresis band a device holds its state.
+
+    One segment reduction per condition over the device-sorted
+    footprint arrays (a NaN reading neither trips nor clears).
+    """
+    tec = system.tec
+    temps = np.asarray(sensor_temps_c, dtype=float)[tec.coo_component]
+    starts = tec.device_starts()
+    on = np.logical_or.reduceat(temps > problem.t_threshold_c, starts)
+    off = np.logical_and.reduceat(
+        temps < problem.t_threshold_c - TEC_OFF_HYSTERESIS_C, starts
+    )
+    return np.where(on, 1.0, np.where(off, 0.0, state.tec))
 
 
 def _dvfs_reactive(

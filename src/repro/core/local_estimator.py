@@ -15,6 +15,22 @@ the heat spreader, the sink) is frozen at its last known temperature.
 * every candidate evaluation re-solves only the cores whose knobs differ
   from the applied configuration, against *frozen boundary temperatures*.
 
+A core's local solve depends on nothing but the observer field, the
+core's own DVFS level and its tile's TEC pattern: Eq. (7) rescales each
+component by its own tile's level ratio, and leakage and the frozen
+boundary stay fixed until the field moves. So the estimator keeps a
+**core table** mapping (tile-TEC pattern, core, level) to that core's
+quantized prediction. A batch encodes every changed (candidate, core)
+pair as one integer key, fills only the keys the table lacks with one
+stacked LAPACK solve (each system is solved on its own, so a row is the
+same LU solve the per-pair datapath runs), and assembles every
+candidate's prediction with one gather. The table lives exactly as long
+as the observer field: :meth:`LocalBandedEstimator.begin_interval` and
+:meth:`LocalBandedEstimator.commit` drop it. ``n_core_solves``
+(``estimator.core_solves``) still counts the hardware's systolic passes,
+one per demanded (candidate, changed core) pair;
+``estimator.core_table_fills`` counts the solves actually run.
+
 The locality is exactly why the hardware heuristic struggles at slow fan
 speeds: each locally-evaluated move looks safe, but the global
 spreader/sink warm-up that a chip-wide decision causes is invisible until
@@ -60,7 +76,6 @@ class _CoreBlock:
     # External couplings: for each local component, lists of (node, g).
     ext_node: list  # list of np.ndarray of external node indices
     ext_g: list  # matching conductances
-    spreader_node: int
     capacities: np.ndarray  # per local component [J/K]
 
 
@@ -70,31 +85,42 @@ class LocalBandedEstimator:
 
     Drop-in replacement for
     :class:`repro.core.estimator.NextIntervalEstimator`; see module
-    docstring for the locality semantics.
+    docstring for the locality semantics and the core table.
     """
 
     system: CMPSystem
     ips_predictor: IPSPredictor
     dyn_tracker: DynamicPowerTracker = field(default=None)
     n_evaluations: int = 0
-    #: Core re-solves performed (the hardware's "systolic array passes").
+    #: Core re-solves demanded (the hardware's "systolic array passes").
     n_core_solves: int = 0
 
     _blocks: list = field(default=None, repr=False)
-    _tile_devs: list = field(default=None, repr=False)
+    #: (n_cores, devices per tile) global device indices, tile-major.
+    _tile_devs: np.ndarray = field(default=None, repr=False)
     _t_nodes_k: np.ndarray = field(default=None, repr=False)
     _dt_s: float = 0.0
     _base_state: ActuatorState = field(default=None, repr=False)
     _base_pred_comp_k: np.ndarray = field(default=None, repr=False)
     _p_leak: np.ndarray = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
-    # (core, tile-TEC-bytes) -> (a, b_base, beta): the power-independent
-    # part of a core solve. Valid only for the current observer field, so
-    # it is dropped whenever ``_t_nodes_k`` moves. ``_stack_cache`` keys
-    # stacked batch variants on the identity of these tuples, so the two
-    # are always cleared together.
+    # Everything below is valid for the current observer field only and
+    # is dropped whenever ``_t_nodes_k`` moves (see ``_clear_table``).
+    # (core, pattern id) -> (a, b_base, beta): the power-independent
+    # part of a core solve.
     _ctx_cache: dict = field(default_factory=dict, repr=False)
-    _stack_cache: dict = field(default_factory=dict, repr=False)
+    # Tile-TEC pattern bytes -> pattern id, and the id's activations.
+    _patterns: dict = field(default_factory=dict, repr=False)
+    _pattern_rows: list = field(default_factory=list, repr=False)
+    # id(TEC vector) -> (vector, per-core pattern ids); holding the
+    # vector keeps its id from being reused while the entry lives.
+    _tec_pids: dict = field(default_factory=dict, repr=False)
+    # The core table: row ``(pid * n_cores + core) * n_levels + level``
+    # holds that core's quantized prediction once ``_have[row]``.
+    _table: np.ndarray = field(default=None, repr=False)
+    _have: np.ndarray = field(default=None, repr=False)
+    # (n_levels, n_cores, m): dynamic + leakage power per core level.
+    _p_by_level: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.dyn_tracker is None:
@@ -104,13 +130,14 @@ class LocalBandedEstimator:
                 core_domain=core_dvfs_domain_mask(self.system.chip),
             )
         self._build_blocks()
+        self._table = np.empty((0, self.system.chip.components_per_tile))
+        self._have = np.zeros(0, dtype=bool)
 
     # ------------------------------------------------------------------
     def _build_blocks(self) -> None:
         system = self.system
         nodes = system.nodes
         g_full = system.cond.base_matrix().tocsr()
-        n_comp = nodes.n_components
         blocks: list[_CoreBlock] = []
         for core in range(system.n_cores):
             sl = system.chip.tile_slice(core)
@@ -145,14 +172,13 @@ class LocalBandedEstimator:
                     g_local=g_local,
                     ext_node=ext_node,
                     ext_g=ext_g,
-                    spreader_node=nodes.spreader_index(core),
                     capacities=nodes.capacities[sl],
                 )
             )
         self._blocks = blocks
-        self._tile_devs = [
-            system.tec.tile_devices(core) for core in range(system.n_cores)
-        ]
+        self._tile_devs = np.stack(
+            [system.tec.tile_devices(core) for core in range(system.n_cores)]
+        )
 
     # ------------------------------------------------------------------
     def begin_interval(
@@ -201,14 +227,21 @@ class LocalBandedEstimator:
         self._base_state = state
         self._base_pred_comp_k = None
         self._cache.clear()
-        self._ctx_cache.clear()
-        self._stack_cache.clear()
+        self._clear_table()
 
     def commit(self, estimate: Estimate) -> None:
         """Adopt an accepted candidate's components into the observer."""
         self._t_nodes_k = estimate.t_nodes_k
+        self._clear_table()
+
+    def _clear_table(self) -> None:
+        """Drop every per-field cache: the core table and its inputs."""
         self._ctx_cache.clear()
-        self._stack_cache.clear()
+        self._patterns.clear()
+        self._pattern_rows.clear()
+        self._tec_pids.clear()
+        self._have[:] = False
+        self._p_by_level = None
 
     def predicted_component_temps_c(self) -> np.ndarray | None:
         """The observer's current component temperatures [degC].
@@ -225,18 +258,37 @@ class LocalBandedEstimator:
         )
 
     # ------------------------------------------------------------------
-    def _core_context(self, core: int, state: ActuatorState):
+    def _tile_pattern_ids(self, tec: np.ndarray) -> np.ndarray:
+        """Per-core pattern ids of a TEC vector (memoized per object).
+
+        Equal ids mean equal tile activations: ``+ 0.0`` folds ``-0.0``
+        into ``0.0`` before the byte-level interning.
+        """
+        hit = self._tec_pids.get(id(tec))
+        if hit is not None:
+            return hit[1]
+        rows = np.asarray(tec)[self._tile_devs] + 0.0
+        pids = np.empty(len(rows), dtype=np.intp)
+        for core, row in enumerate(rows):
+            b = row.tobytes()
+            pid = self._patterns.get(b)
+            if pid is None:
+                pid = self._patterns[b] = len(self._pattern_rows)
+                self._pattern_rows.append(row)
+            pids[core] = pid
+        self._tec_pids[id(tec)] = (tec, pids)
+        return pids
+
+    def _core_context(self, core: int, pid: int):
         """Power-independent pieces of one core solve: ``(a, b_base, beta)``.
 
         ``a`` is the local conductance block with the TEC pump terms on
         the diagonal, ``b_base`` the frozen-boundary inflow plus Joule
         injection, ``beta`` the Eq. (5) relaxation factors. Depends on
-        the observer field and this tile's TEC activations only, so one
-        context serves every candidate power vector — including whole
-        batches in :meth:`evaluate_many`.
+        the observer field and this tile's TEC pattern only, so one
+        context serves every DVFS level of the core.
         """
-        tile_devs = self._tile_devs[core]
-        key = (core, np.asarray(state.tec)[tile_devs].tobytes())
+        key = (core, pid)
         ctx = self._ctx_cache.get(key)
         if ctx is not None:
             return ctx
@@ -258,8 +310,8 @@ class LocalBandedEstimator:
         # TEC terms for devices on this tile (pump on diagonal, Joule in
         # RHS; the hot side is the frozen spreader).
         tec = system.tec
-        for dev in tile_devs:
-            s = float(state.tec[dev])
+        for dev, s in zip(self._tile_devs[core], self._pattern_rows[pid]):
+            s = float(s)
             if s <= 0.0:
                 continue
             placement = tec.placements[dev]
@@ -275,46 +327,73 @@ class LocalBandedEstimator:
         self._ctx_cache[key] = ctx
         return ctx
 
-    def _solve_core(
-        self, core: int, state: ActuatorState, p_dyn: np.ndarray
+    def _lookup(
+        self, pids: np.ndarray, cores: np.ndarray, levels: np.ndarray
     ) -> np.ndarray:
-        """Banded next-interval prediction of one core's components [K]."""
-        self.n_core_solves += 1
-        obs.incr("estimator.core_solves")
-        blk: _CoreBlock = self._blocks[core]
-        idx = blk.comp_idx
-        a, b_base, beta = self._core_context(core, state)
-        b = (p_dyn + self._p_leak)[idx] + b_base
-        t_steady = np.linalg.solve(a, b)
-        t_comp_now = self._t_nodes_k[self.system.nodes.component_slice]
-        t_next = (1.0 - beta) * t_steady + beta * t_comp_now[idx]
-        return _quantize(t_next)
+        """Core-table rows for ``(pattern, core, level)`` triples [K].
+
+        Missing keys are filled first, each distinct key once, with one
+        stacked ``np.linalg.solve``: LAPACK solves every ``(m, m)``
+        system independently, so a row equals the single-system solve.
+        """
+        n_cores = self.system.n_cores
+        n_levels = self.dyn_tracker.dvfs.n_levels
+        per_pattern = n_cores * n_levels
+        keys = (pids * n_cores + cores) * n_levels + levels
+        n_rows = len(self._pattern_rows) * per_pattern
+        if n_rows > len(self._have):
+            n_rows = max(n_rows, 2 * len(self._have))
+            table = np.empty((n_rows, self._table.shape[1]))
+            table[: len(self._table)] = self._table
+            have = np.zeros(n_rows, dtype=bool)
+            have[: len(self._have)] = self._have
+            self._table, self._have = table, have
+        fill = np.unique(keys[~self._have[keys]])
+        if fill.size:
+            if self._p_by_level is None:
+                every = np.repeat(np.arange(n_levels)[:, None], n_cores, axis=1)
+                self._p_by_level = (
+                    self.dyn_tracker.predict_many(every) + self._p_leak[None, :]
+                ).reshape(n_levels, n_cores, -1)
+            f_pid, rest = np.divmod(fill, per_pattern)
+            f_core, f_level = np.divmod(rest, n_levels)
+            ctxs = [
+                self._core_context(c, p)
+                for c, p in zip(f_core.tolist(), f_pid.tolist())
+            ]
+            a, b_base, beta = (np.stack(part) for part in zip(*ctxs))
+            rhs = self._p_by_level[f_level, f_core] + b_base
+            t_steady = np.linalg.solve(a, rhs[:, :, None])[..., 0]
+            t_now = self._t_nodes_k[self.system.nodes.component_slice]
+            t_now = t_now.reshape(n_cores, -1)[f_core]
+            self._table[fill] = _quantize(
+                (1.0 - beta) * t_steady + beta * t_now
+            )
+            self._have[fill] = True
+            obs.incr("estimator.core_table_fills", fill.size)
+        return self._table[keys]
 
     def _base_prediction(self) -> np.ndarray:
+        """Every core's prediction at the applied state (N passes, once
+        per interval)."""
         if self._base_pred_comp_k is None:
-            state = self._base_state
-            p_dyn = self.dyn_tracker.predict(state.dvfs)
-            pred = self._t_nodes_k[self.system.nodes.component_slice].copy()
-            for core in range(self.system.n_cores):
-                blk = self._blocks[core]
-                pred[blk.comp_idx] = self._solve_core(core, state, p_dyn)
-            self._base_pred_comp_k = pred
+            base = self._base_state
+            n_cores = self.system.n_cores
+            self._base_pred_comp_k = self._lookup(
+                self._tile_pattern_ids(base.tec), np.arange(n_cores), base.dvfs
+            ).reshape(-1)
+            self.n_core_solves += n_cores
+            obs.incr("estimator.core_solves", n_cores)
         return self._base_pred_comp_k
-
-    def _diff_cores(self, state: ActuatorState) -> list[int]:
-        base = self._base_state
-        cores = set(np.flatnonzero(state.dvfs != base.dvfs).tolist())
-        changed_dev = np.flatnonzero(state.tec != base.tec)
-        for dev in changed_dev:
-            cores.add(int(self.system.tec.device_tile[dev]))
-        return sorted(cores)
 
     # ------------------------------------------------------------------
     def evaluate(self, state: ActuatorState) -> Estimate:
         """Predict next-interval peak temperature and EPI for ``state``.
 
-        Only the cores whose knobs differ from the applied configuration
-        are re-solved — the paper's one-core-per-cycle datapath.
+        A one-candidate :meth:`evaluate_many` (without the batch
+        counters): only the cores whose knobs differ from the applied
+        configuration are re-solved — the paper's one-core-per-cycle
+        datapath.
         """
         if self._t_nodes_k is None:
             raise ControlError("begin_interval must be called first")
@@ -323,49 +402,15 @@ class LocalBandedEstimator:
         if hit is not None:
             obs.incr("estimator.cache_hits")
             return hit
-        self.n_evaluations += 1
-        obs.incr("estimator.evaluations")
-        system = self.system
-        nodes = system.nodes
+        results: list = [None]
+        self._evaluate_misses([(0, state, key)], results)
+        return results[0]
 
-        p_dyn = self.dyn_tracker.predict(state.dvfs)
-        pred = self._base_prediction().copy()
-        for core in self._diff_cores(state):
-            blk = self._blocks[core]
-            pred[blk.comp_idx] = self._solve_core(core, state, p_dyn)
-
-        t_nodes = self._t_nodes_k.copy()
-        t_nodes[nodes.component_slice] = pred
-        peak_c = float(units.k_to_c(pred).max())
-
-        p_cores = float(p_dyn.sum() + self._p_leak.sum())
-        p_tec = system.tec_power_w(state.tec, t_nodes)
-        p_fan = system.fan.power_w(state.fan_level)
-        p_chip = p_cores + p_tec + p_fan
-        ips = float(np.sum(self.ips_predictor.predict(state.dvfs)))
-        est = Estimate(
-            state=state,
-            t_nodes_k=t_nodes,
-            peak_temp_c=peak_c,
-            p_chip_w=p_chip,
-            p_cores_w=p_cores,
-            p_tec_w=p_tec,
-            p_fan_w=p_fan,
-            ips_chip=ips,
-            epi=EnergyProblem.epi(p_chip, ips),
-        )
-        self._cache[key] = est
-        return est
-
-    # ------------------------------------------------------------------
     def evaluate_many(self, states: list) -> list:
         """Batched :meth:`evaluate` over many candidate states.
 
-        Positionally matches ``states``. Candidates needing the same
-        core context (same core, same tile TEC setting) are solved with
-        one stacked ``np.linalg.solve`` — LAPACK back-substitutes each
-        (m, m) system independently, so every row equals the sequential
-        single-candidate solve. All computed estimates enter the memo
+        Positionally matches ``states``; every row is bit-identical to
+        the single-candidate call. All computed estimates enter the memo
         cache.
         """
         if self._t_nodes_k is None:
@@ -392,114 +437,58 @@ class LocalBandedEstimator:
                 results[i] = self._cache[state.key()]
         return results
 
-    def _evaluate_misses(
-        self, misses: list, results: list
-    ) -> None:
+    def _evaluate_misses(self, misses: list, results: list) -> None:
         system = self.system
         nodes = system.nodes
         n_miss = len(misses)
+        n_cores = system.n_cores
         levels = np.stack([s.dvfs for _, s, _ in misses])
+        if levels.min() < 0 or levels.max() >= self.dyn_tracker.dvfs.n_levels:
+            raise ControlError("candidate DVFS level outside the DVFS table")
         p_dyn_many = self.dyn_tracker.predict_many(levels)
         ips_many = predict_ips_many(self.ips_predictor, levels)
         base_pred = self._base_prediction()
-        t_comp_now = self._t_nodes_k[nodes.component_slice]
         base = self._base_state
-        base_tec = base.tec
-        # DVFS-only candidates share the applied TEC vector *object*
-        # (ActuatorState.with_dvfs aliases it), which skips every
-        # per-candidate TEC comparison below.
+
+        # The (candidate, core) pairs whose knobs differ from the applied
+        # state are the hardware's passes; each reads its core-table row,
+        # every other core keeps the base prediction.
         tec_objs = [s.tec for _, s, _ in misses]
-        odd_tec = [
-            j for j, t in enumerate(tec_objs) if t is not base_tec
-        ]
-
-        # Which cores each candidate re-solves (its DVFS knob moved or a
-        # device on its tile did) — one vectorized pass over the batch
-        # instead of per-candidate ``_diff_cores`` scans.
-        diff = levels != np.asarray(base.dvfs)[None, :]
-        device_tile = system.tec.device_tile
-        for j in odd_tec:
-            changed = np.flatnonzero(
-                np.asarray(tec_objs[j]) != np.asarray(base_tec)
-            )
-            for dev in changed:
-                diff[j, int(device_tile[dev])] = True
-        pair_miss, pair_core = np.nonzero(diff)
-
-        # Every (candidate, core) re-solve shares its power-independent
-        # context with same-tile-TEC peers; all solves of one block size
-        # collapse into a single stacked LAPACK call (each (m, m) system
-        # back-substitutes independently, so rows stay bit-identical).
-        ctx_memo: dict = {}
-        buckets: dict = {}
-        for j, core in zip(pair_miss.tolist(), pair_core.tolist()):
-            mkey = (core, id(tec_objs[j]))
-            ctx = ctx_memo.get(mkey)
-            if ctx is None:
-                ctx = self._core_context(core, misses[j][1])
-                ctx_memo[mkey] = ctx
-            buckets.setdefault(ctx[0].shape[0], []).append((j, core, ctx))
-
-        p_all = p_dyn_many + self._p_leak[None, :]
+        pids = np.stack([self._tile_pattern_ids(t) for t in tec_objs])
+        diff = (levels != base.dvfs) | (
+            pids != self._tile_pattern_ids(base.tec)
+        )
+        jj, cc = np.nonzero(diff)
         preds = np.repeat(base_pred[None, :], n_miss, axis=0)
-        for pairs in buckets.values():
-            jj = np.array([j for j, _, _ in pairs])
-            # The stacked interval-invariant arrays are memoized on the
-            # (core, context) sequence: controller iterations re-screen
-            # overlapping candidate sets within one interval.
-            skey = tuple((core, id(ctx)) for _, core, ctx in pairs)
-            stacks = self._stack_cache.get(skey)
-            if stacks is None:
-                stacks = (
-                    np.stack(
-                        [self._blocks[core].comp_idx for _, core, _ in pairs]
-                    ),
-                    np.stack([ctx[0] for _, _, ctx in pairs]),
-                    np.stack([ctx[1] for _, _, ctx in pairs]),
-                    np.stack([ctx[2] for _, _, ctx in pairs]),
-                )
-                self._stack_cache[skey] = stacks
-            idx_stack, a_stack, b_stack, beta_stack = stacks
-            rhs = p_all[jj[:, None], idx_stack] + b_stack
-            t_steady = np.linalg.solve(a_stack, rhs[:, :, None])[..., 0]
-            q = _quantize(
-                (1.0 - beta_stack) * t_steady
-                + beta_stack * t_comp_now[idx_stack]
-            )
-            # One pair per (candidate, core): the scattered writes are
-            # disjoint component ranges.
-            preds[jj[:, None], idx_stack] = q
-            self.n_core_solves += len(pairs)
-            obs.incr("estimator.core_solves", len(pairs))
+        preds.reshape(n_miss, n_cores, -1)[jj, cc] = self._lookup(
+            pids[jj, cc], cc, levels[jj, cc]
+        )
+        self.n_core_solves += jj.size
+        obs.incr("estimator.core_solves", jj.size)
 
         # Shared per-candidate tail: one field matrix, one TEC-power
         # scatter per distinct activation vector, hoisted leakage sum.
         t_rows = np.repeat(self._t_nodes_k[None, :], n_miss, axis=0)
         t_rows[:, nodes.component_slice] = preds
-        t_comp_c = units.k_to_c(preds)
-        peaks = t_comp_c.max(axis=1)
+        peaks = units.k_to_c(preds).max(axis=1)
         # Contiguous copies keep the row-wise pairwise-summation order of
         # the sequential per-candidate ``.sum()`` calls.
         p_dyn_sums = np.ascontiguousarray(p_dyn_many).sum(axis=1)
         ips_sums = np.ascontiguousarray(ips_many).sum(axis=1)
         p_leak_sum = self._p_leak.sum()
         p_tec_arr = np.empty(n_miss)
-        odd = set(odd_tec)
         tec_groups: dict = {}
         for j, t in enumerate(tec_objs):
-            gkey = np.asarray(t).tobytes() if j in odd else None
-            tec_groups.setdefault(gkey, []).append(j)
+            tec_groups.setdefault(t.tobytes(), []).append(j)
         for members in tec_groups.values():
             p_tec_arr[members] = system.tec_power_many(
-                np.asarray(tec_objs[members[0]]), t_rows[members]
+                tec_objs[members[0]], t_rows[members]
             )
 
         self.n_evaluations += n_miss
         obs.incr("estimator.evaluations", n_miss)
         fan_pw: dict = {}
         for j, (i, state, key) in enumerate(misses):
-            t_nodes = t_rows[j]
-            peak_c = float(peaks[j])
             p_cores = float(p_dyn_sums[j] + p_leak_sum)
             p_tec = float(p_tec_arr[j])
             p_fan = fan_pw.get(state.fan_level)
@@ -510,8 +499,8 @@ class LocalBandedEstimator:
             ips = float(ips_sums[j])
             est = Estimate(
                 state=state,
-                t_nodes_k=t_nodes,
-                peak_temp_c=peak_c,
+                t_nodes_k=t_rows[j],
+                peak_temp_c=float(peaks[j]),
                 p_chip_w=p_chip,
                 p_cores_w=p_cores,
                 p_tec_w=p_tec,

@@ -38,7 +38,7 @@ class ActuatorState:
     def __post_init__(self) -> None:
         tec = np.asarray(self.tec, dtype=float)
         dvfs = np.asarray(self.dvfs, dtype=int)
-        if np.any(tec < 0.0) or np.any(tec > 1.0):
+        if not np.all((tec >= 0.0) & (tec <= 1.0)):  # NaN fails too
             raise ConfigurationError("TEC activations must lie in [0, 1]")
         if self.fan_level < 1:
             raise ConfigurationError("fan level must be >= 1")
@@ -78,19 +78,31 @@ class ActuatorState:
         """Copy with one core's DVFS level changed."""
         dvfs = self.dvfs.copy()
         dvfs[core] = level
-        return ActuatorState(tec=self.tec, dvfs=dvfs, fan_level=self.fan_level)
+        return self._derive(dvfs, self.fan_level)
 
     def with_dvfs_vector(self, dvfs: np.ndarray) -> "ActuatorState":
         """Copy with the whole DVFS vector replaced."""
-        return ActuatorState(
-            tec=self.tec,
-            dvfs=np.asarray(dvfs, dtype=int).copy(),
-            fan_level=self.fan_level,
-        )
+        return self._derive(np.array(dvfs, dtype=int), self.fan_level)
 
     def with_fan(self, fan_level: int) -> "ActuatorState":
         """Copy with the fan level changed."""
-        return ActuatorState(tec=self.tec, dvfs=self.dvfs, fan_level=fan_level)
+        if fan_level < 1:
+            raise ConfigurationError("fan level must be >= 1")
+        return self._derive(self.dvfs, fan_level)
+
+    def _derive(self, dvfs: np.ndarray, fan_level: int) -> "ActuatorState":
+        """Copy sharing this state's validated, write-frozen ``tec``.
+
+        ``dvfs`` must be an int array the copy may own; it is frozen
+        here. Skips ``__post_init__``, whose only check is on ``tec``
+        and the fan level (checked by the callers that change it).
+        """
+        new = object.__new__(ActuatorState)
+        dvfs.setflags(write=False)
+        object.__setattr__(new, "tec", self.tec)
+        object.__setattr__(new, "dvfs", dvfs)
+        object.__setattr__(new, "fan_level", fan_level)
+        return new
 
     # ------------------------------------------------------------------
     @property

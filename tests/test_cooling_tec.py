@@ -113,3 +113,14 @@ def test_custom_grid(chip):
     arr = build_tec_array(chip, grid=(2, 2))
     assert arr.devices_per_tile == 4
     assert arr.n_devices == 4 * chip.n_tiles
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5, 1.5])
+def test_electrical_power_rejects_out_of_range_activation(tec, bad):
+    state = np.zeros(tec.n_devices)
+    state[1] = bad
+    t = np.full(tec.n_devices, 330.0)
+    with pytest.raises(ConfigurationError):
+        tec.electrical_power_w(state, t, t)
+    with pytest.raises(ConfigurationError):
+        tec.electrical_power_many(state, t[None, :], t[None, :])

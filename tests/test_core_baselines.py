@@ -10,6 +10,7 @@ from repro.core.baselines import (
     FanOnlyController,
     FanTECController,
     TEC_OFF_HYSTERESIS_C,
+    _tec_reactive,
 )
 from repro.core.estimator import NextIntervalEstimator
 from repro.core.problem import EnergyProblem
@@ -71,6 +72,48 @@ def test_fantec_hysteresis_band_holds(system2, est, problem):
     t2 = temps(system2, TH - TEC_OFF_HYSTERESIS_C - 1.0)
     out2 = FanTECController().decide(on, t2, est, problem)
     assert out2.tec_on_count == 0
+
+
+def _tec_reactive_loop(state, sensor_temps_c, system, problem):
+    """The reactive TEC rule written per placement."""
+    tec = state.tec.copy()
+    for placement in system.tec.placements:
+        under = sensor_temps_c[placement.component_idx]
+        if np.any(under > problem.t_threshold_c):
+            tec[placement.device] = 1.0
+        elif np.all(under < problem.t_threshold_c - TEC_OFF_HYSTERESIS_C):
+            tec[placement.device] = 0.0
+    return tec
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reactive_tec_rule_matches_per_placement_loop(system16, problem, seed):
+    """Segment reductions == the per-placement loop, bit for bit, on
+    readings inside the hysteresis band, on its edges, and with NaN
+    sensors."""
+    system = system16
+    rng = np.random.default_rng(seed)
+    n_comp = system.nodes.n_components
+    t = TH - 2.0 * TEC_OFF_HYSTERESIS_C + 3.0 * TEC_OFF_HYSTERESIS_C * (
+        rng.random(n_comp)
+    )
+    edges = rng.choice(n_comp, size=20, replace=False)
+    t[edges[:10]] = TH
+    t[edges[10:]] = TH - TEC_OFF_HYSTERESIS_C
+    t[rng.random(n_comp) < 0.1] = np.nan
+    tec = rng.choice([0.0, 0.25, 1.0], size=system.n_tec_devices)
+    state = ActuatorState(
+        tec=tec,
+        dvfs=np.full(system.n_cores, system.dvfs.max_level),
+        fan_level=1,
+    )
+    want = _tec_reactive_loop(state, t, system, problem)
+    got = _tec_reactive(state, t, system, problem)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    # Every branch is exercised: on, off and hold.
+    assert np.any(want == 1.0) and np.any(want == 0.0)
+    assert np.any(want == 0.25)
 
 
 def test_fandvfs_throttles_on_violation(system2, base_state2, est, problem):

@@ -101,3 +101,208 @@ def test_observer_boots_from_anchor(system2, base_state2):
     band, _ = primed_pair(system2, base_state2)
     rest = band._t_nodes_k[system2.nodes.spreader_slice]
     assert np.all(rest > system2.package.ambient_k + 1.0)
+
+
+# ----------------------------------------------------------------------
+# Core table: every prediction equals the per-core datapath
+# ----------------------------------------------------------------------
+def _reference_core(est, state, core):
+    """One core's banded prediction solved on its own [K]: the hardware
+    datapath written out without the estimator's core table."""
+    system = est.system
+    blk = est._blocks[core]
+    idx = blk.comp_idx
+    t_now = est._t_nodes_k
+    a = blk.g_local.copy()
+    b = np.zeros(len(idx))
+    for k in range(len(idx)):
+        if blk.ext_node[k].size:
+            b[k] += float(np.dot(blk.ext_g[k], t_now[blk.ext_node[k]]))
+    tec = system.tec
+    for dev in tec.tile_devices(core):
+        s = float(state.tec[dev])
+        if s <= 0.0:
+            continue
+        placement = tec.placements[dev]
+        s_joule = float(tec.joule_scale(np.array([s]))[0])
+        for ci, w in zip(placement.component_idx, placement.weights):
+            k = int(ci - idx[0])
+            a[k, k] += s * w * tec.alpha_i
+            b[k] += s_joule * w * 0.5 * tec.joule_w
+    beta = np.exp(-est._dt_s * np.diag(a) / blk.capacities)
+    rhs = (est.dyn_tracker.predict(state.dvfs) + est._p_leak)[idx] + b
+    t_steady = np.linalg.solve(a, rhs)
+    t_comp = t_now[system.nodes.component_slice]
+    return _quantize((1.0 - beta) * t_steady + beta * t_comp[idx])
+
+
+def _changed_cores(system, base, state):
+    return [
+        core for core in range(system.n_cores)
+        if state.dvfs[core] != base.dvfs[core]
+        or np.any(state.tec[system.tec.tile_devices(core)]
+                  != base.tec[system.tec.tile_devices(core)])
+    ]
+
+
+def _reference_base(est):
+    return np.concatenate([
+        _reference_core(est, est._base_state, core)
+        for core in range(est.system.n_cores)
+    ])
+
+
+def _reference_prediction(est, base_pred, state):
+    """Base prediction with every changed core re-solved."""
+    system = est.system
+    pred = base_pred.copy()
+    for core in _changed_cores(system, est._base_state, state):
+        pred[system.chip.tile_slice(core)] = _reference_core(est, state, core)
+    return pred
+
+
+def _primed_banded(system, seed):
+    rng = np.random.default_rng(seed)
+    n_comp = system.nodes.n_components
+    tec = np.zeros(system.n_tec_devices)
+    tec[rng.choice(system.n_tec_devices, size=3, replace=False)] = 1.0
+    state = ActuatorState(
+        tec=tec,
+        dvfs=rng.integers(1, system.dvfs.max_level, size=system.n_cores),
+        fan_level=2,
+    )
+    est = LocalBandedEstimator(
+        system=system, ips_predictor=IPSTracker(system.dvfs)
+    )
+    est.begin_interval(
+        60.0 + 15.0 * rng.random(n_comp), 0.5 + rng.random(n_comp),
+        1e9 * (1.0 + rng.random(system.n_cores)), state, 2e-3,
+    )
+    return est, state, rng
+
+
+def _random_candidates(rng, system, work, n):
+    """Multi-core DVFS diffs, tile-TEC toggles, chip-level moves, fans."""
+    max_level = system.dvfs.max_level
+    out = []
+    for _ in range(n):
+        kind = int(rng.integers(4))
+        if kind == 0:
+            cores = rng.choice(
+                system.n_cores, size=int(rng.integers(1, system.n_cores + 1)),
+                replace=False,
+            )
+            lv = work.dvfs.copy()
+            lv[cores] = rng.integers(0, max_level + 1, size=len(cores))
+            s = work.with_dvfs_vector(lv)
+        elif kind == 1:
+            tec = work.tec.copy()
+            devs = rng.choice(system.n_tec_devices, size=int(rng.integers(1, 4)),
+                              replace=False)
+            tec[devs] = 1.0 - tec[devs]
+            s = work.with_tec_vector(tec)
+            if rng.random() < 0.5:
+                s = s.with_dvfs(int(rng.integers(system.n_cores)),
+                                int(rng.integers(max_level + 1)))
+        elif kind == 2:
+            step = int(rng.choice([-1, 1]))
+            s = work.with_dvfs_vector(
+                np.clip(work.dvfs + step, 0, max_level)
+            )
+        else:
+            s = work.with_fan(int(rng.integers(1, system.fan.n_levels + 1)))
+        out.append(s)
+    return out
+
+
+def _assert_matches_reference(est, base_pred, states, got):
+    comp = est.system.nodes.component_slice
+    for state, e in zip(states, got):
+        want = _reference_prediction(est, base_pred, state)
+        assert np.array_equal(e.t_nodes_k[comp], want)
+
+
+@pytest.fixture(scope="module")
+def server_system():
+    from repro.server.platform import build_server_system
+
+    return build_server_system().system
+
+
+@pytest.mark.parametrize("name", ["system2", "system16", "server_system"])
+def test_core_table_matches_per_core_solves(request, name):
+    """Overlapping random batches: every candidate's prediction is the
+    per-core reference bit for bit, each (core, tile pattern, level) is
+    solved once, and the pass count is the demanded (candidate, changed
+    core) pairs."""
+    from repro.obs.telemetry import Telemetry, telemetry_session
+
+    system = request.getfixturevalue(name)
+    est, base, rng = _primed_banded(system, seed=3)
+    base_pred = _reference_base(est)
+    tiles = system.tec.tile_devices
+    triples = {
+        (core, base.tec[tiles(core)].tobytes(), int(base.dvfs[core]))
+        for core in range(system.n_cores)
+    }
+    passes = system.n_cores
+    seen: set = set()
+    tel = Telemetry()
+    previous: list = []
+    with telemetry_session(tel):
+        for round_ in range(6):
+            batch = _random_candidates(rng, system, base, 12) + previous[:4]
+            if round_ % 2:
+                got = est.evaluate_many(batch)
+            else:
+                got = [est.evaluate(s) for s in batch]
+            _assert_matches_reference(est, base_pred, batch, got)
+            for s in batch:
+                if s.key() in seen:
+                    continue
+                seen.add(s.key())
+                changed = _changed_cores(system, base, s)
+                passes += len(changed)
+                triples.update(
+                    (c, s.tec[tiles(c)].tobytes(), int(s.dvfs[c]))
+                    for c in changed
+                )
+            previous = batch
+    assert est.n_core_solves == passes
+    counters = tel.metrics
+    assert counters.counter("estimator.core_solves").value == passes
+    assert counters.counter("estimator.core_table_fills").value == len(triples)
+    assert len(triples) < passes
+
+
+def test_commit_and_begin_interval_invalidate_table(system16):
+    """A stale table would silently answer with the old field: after
+    ``commit`` and after ``begin_interval`` the same (core, pattern,
+    level) keys must be re-solved against the new observer state."""
+    system = system16
+    est, base, rng = _primed_banded(system, seed=5)
+    base_pred = _reference_base(est)
+    raised = base.with_dvfs(0, system.dvfs.max_level).with_tec(0, 1.0)
+    before = est.evaluate(raised)
+    _assert_matches_reference(est, base_pred, [raised], [before])
+
+    hot = est.evaluate(base.with_dvfs_vector(
+        np.full(system.n_cores, system.dvfs.max_level)
+    ))
+    est.commit(hot)
+    # A fan move misses the memo but needs exactly the same table keys.
+    again = raised.with_fan(3)
+    after = est.evaluate(again)
+    _assert_matches_reference(est, base_pred, [again], [after])
+    comp = system.nodes.component_slice
+    assert not np.array_equal(before.t_nodes_k[comp], after.t_nodes_k[comp])
+
+    n_comp = system.nodes.n_components
+    est.begin_interval(
+        70.0 + 10.0 * rng.random(n_comp), 0.5 + rng.random(n_comp),
+        np.full(system.n_cores, 1.5e9), base, 2e-3,
+    )
+    fresh_base = _reference_base(est)
+    third = est.evaluate(raised)
+    _assert_matches_reference(est, fresh_base, [raised], [third])
+    assert not np.array_equal(after.t_nodes_k[comp], third.t_nodes_k[comp])

@@ -57,6 +57,36 @@ def test_validation():
         ActuatorState(tec=np.array([0.0]), dvfs=np.array([0]), fan_level=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_tec_rejected(bad):
+    """NaN compares False against both bounds; it must still fail."""
+    with pytest.raises(ConfigurationError):
+        ActuatorState(tec=np.array([bad, 0.5]), dvfs=np.array([0]), fan_level=1)
+    ok = ActuatorState.initial(n_devices=2, n_cores=1, max_dvfs_level=5)
+    with pytest.raises(ConfigurationError):
+        ok.with_tec(0, bad)
+    with pytest.raises(ConfigurationError):
+        ok.with_tec_vector(np.array([0.0, bad]))
+
+
+def test_derived_copies_share_validated_tec(state):
+    """DVFS and fan moves reuse the parent's frozen TEC vector."""
+    levels = np.zeros(2, dtype=int)
+    derived = (
+        state.with_dvfs(0, 1),
+        state.with_dvfs_vector(levels),
+        state.with_fan(3),
+    )
+    for s2 in derived:
+        assert s2.tec is state.tec
+        assert not s2.dvfs.flags.writeable
+    levels[0] = 4  # the caller's array is copied, not adopted
+    assert derived[1].dvfs[0] == 0
+    assert state.with_tec(0, 1.0).tec is not state.tec
+    with pytest.raises(ConfigurationError):
+        state.with_fan(0)
+
+
 def test_key_identity(state):
     assert state.key() == state.with_fan(1).key()
     assert state.key() != state.with_fan(2).key()
