@@ -51,7 +51,7 @@ class FleetPolicy:
     dvfs_headroom: float = 1.1
     throttle_level: int = 1
     _cap_table: np.ndarray = field(default=None, repr=False)
-    _tile_masks: list = field(default=None, repr=False)
+    _tile_index: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         sys = self.system
@@ -76,17 +76,20 @@ class FleetPolicy:
             raise ConfigurationError(
                 "capacity-per-level table must be strictly increasing"
             )
+        # (n_tiles, width) component indices of each tile, short rows
+        # padded with the tile's own first component: max ignores the
+        # repeat, so one gather + max(axis=2) gives every tile peak.
         tile_of = sys.chip.tile_of()
-        self._tile_masks = [
-            np.flatnonzero(tile_of == t) for t in range(sys.chip.n_tiles)
-        ]
+        members = [np.flatnonzero(tile_of == t) for t in range(sys.chip.n_tiles)]
+        width = max(m.size for m in members)
+        self._tile_index = np.array(
+            [np.pad(m, (0, width - m.size), mode="edge") for m in members]
+        )
 
     # ------------------------------------------------------------------
     def tile_peaks_c(self, t_comp_c: np.ndarray) -> np.ndarray:
         """Per-tile peak temperature, ``(n_nodes, n_tiles)`` [degC]."""
-        return np.stack(
-            [t_comp_c[:, m].max(axis=1) for m in self._tile_masks], axis=1
-        )
+        return t_comp_c[:, self._tile_index].max(axis=2)
 
     def decide_tec(
         self, tile_peak_c: np.ndarray, tec_prev: np.ndarray

@@ -111,6 +111,7 @@ class FleetShardResult:
     node_intervals: int
     batched_steps: int
     class_groups: int
+    solved_rows: int
     final_t_nodes_k: np.ndarray
     final_backlog_inst: np.ndarray
     final_fan: np.ndarray
@@ -171,6 +172,7 @@ class FleetResult:
     throttle_rate: float
     batched_steps: int
     class_groups: int
+    solved_rows: int
     digest: str
     shard_digests: list = field(default_factory=list)
     latency_counts: np.ndarray | None = None
@@ -196,6 +198,7 @@ class FleetResult:
             "throttle_rate": self.throttle_rate,
             "batched_steps": self.batched_steps,
             "class_groups": self.class_groups,
+            "solved_rows": self.solved_rows,
             "digest": self.digest,
         }
 
@@ -330,6 +333,15 @@ class FleetSim:
         cap_per_level = self.policy._cap_table
         status = self._status
 
+        def peaks(t_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """Per-tile and per-node peaks [degC] of a temperature field."""
+            tile = self.policy.tile_peaks_c(units.k_to_c(t_rows[:, comp]))
+            return tile, tile.max(axis=1)
+
+        # Peaks of the current field: computed once after each step and
+        # reused by the next interval's router (fast-forward holds them).
+        tile_peak, node_peak = peaks(t_rows)
+
         def status_fields() -> dict:
             """Live-status fields: run totals so far, and the state of
             the last executed interval (fast-forward holds it)."""
@@ -362,10 +374,6 @@ class FleetSim:
 
             cap = cap_per_level[dvfs_rows]
             node_cap_ips = cap.sum(axis=1)
-
-            t_comp_c = units.k_to_c(t_rows[:, comp])
-            tile_peak = self.policy.tile_peaks_c(t_comp_c)
-            node_peak = tile_peak.max(axis=1)
 
             view = RouterView(
                 backlog_inst=backlog.sum(axis=1),
@@ -406,9 +414,7 @@ class FleetSim:
             p_total = float(p_node.sum())
             energy_j += p_total * dt
 
-            t_comp_c = units.k_to_c(t_rows[:, comp])
-            tile_peak = self.policy.tile_peaks_c(t_comp_c)
-            node_peak = tile_peak.max(axis=1)
+            tile_peak, node_peak = peaks(t_rows)
             peak_run_c = max(peak_run_c, float(node_peak.max()))
             n_viol = int(np.count_nonzero(node_peak > viol_c))
             viol_node_iv += n_viol
@@ -510,6 +516,7 @@ class FleetSim:
             node_intervals=node_iv,
             batched_steps=getattr(self.stepper, "batched_steps", 0),
             class_groups=getattr(self.stepper, "class_groups", 0),
+            solved_rows=getattr(self.stepper, "solved_rows", 0),
             final_t_nodes_k=t_rows,
             final_backlog_inst=backlog,
             final_fan=fan_arr,
@@ -543,7 +550,7 @@ def merge_shard_results(
     """Deterministic fold of shard outputs into fleet metrics."""
     counts = np.zeros(len(LATENCY_EDGES_S), dtype=np.int64)
     energy = inst = routed = 0.0
-    intervals = ff = bsteps = groups = 0
+    intervals = ff = bsteps = groups = solved = 0
     viol = thr = node_iv = 0
     peak = float("-inf")
     sim_time = 0.0
@@ -557,6 +564,7 @@ def merge_shard_results(
         ff += r.ff_intervals
         bsteps += r.batched_steps
         groups += r.class_groups
+        solved += r.solved_rows
         viol += r.violation_node_intervals
         thr += r.throttled_node_intervals
         node_iv += r.node_intervals
@@ -587,6 +595,7 @@ def merge_shard_results(
         throttle_rate=thr / node_iv if node_iv else 0.0,
         batched_steps=bsteps,
         class_groups=groups,
+        solved_rows=solved,
         digest=h.hexdigest(),
         shard_digests=digests,
         latency_counts=counts,

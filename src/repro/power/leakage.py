@@ -22,7 +22,7 @@ voltage factor defaults to off).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,6 +100,10 @@ class QuadraticLeakage:
     p2_w_per_k2: float
     t_ref_c: float
     areas_mm2: np.ndarray
+    #: Area shares and the reference in kelvin, derived once: the plant
+    #: calls :meth:`per_component_w` on every leakage fixed-point pass.
+    _frac: np.ndarray = field(init=False, repr=False, compare=False)
+    _t_ref_k: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.areas_mm2, dtype=float)
@@ -108,6 +112,8 @@ class QuadraticLeakage:
         if self.p0_w <= 0:
             raise ConfigurationError("p0 must be positive")
         object.__setattr__(self, "areas_mm2", a)
+        object.__setattr__(self, "_frac", a / a.sum())
+        object.__setattr__(self, "_t_ref_k", units.c_to_k(self.t_ref_c).item())
 
     @classmethod
     def fit_to_linear(
@@ -125,15 +131,14 @@ class QuadraticLeakage:
     @property
     def t_ref_k(self) -> float:
         """Reference temperature [K]."""
-        return units.c_to_k(self.t_ref_c).item()
+        return self._t_ref_k
 
     def per_component_w(self, t_components_k: np.ndarray) -> np.ndarray:
         """Per-component leakage [W]."""
         t = np.asarray(t_components_k, dtype=float)
-        dt = t - self.t_ref_k
-        frac = self.areas_mm2 / self.areas_mm2.sum()
+        dt = t - self._t_ref_k
         chipwise = self.p0_w + self.p1_w_per_k * dt + self.p2_w_per_k2 * dt**2
-        return np.clip(chipwise, 0.0, None) * frac
+        return np.clip(chipwise, 0.0, None) * self._frac
 
     def chip_total_w(self, t_components_k: np.ndarray) -> float:
         """Total chip leakage [W]."""

@@ -68,18 +68,19 @@ class LeakageCoupledSolver:
             t_comp = np.asarray(t_guess_k, dtype=float)[:nd.n_components]
 
         prev_peak = np.inf
-        for it in range(1, self.max_iterations + 1):
+        for _ in range(self.max_iterations):
             p_leak = self.leakage_fn(t_comp)
             t_nodes = self.solver.solve(
                 p_dynamic_w + p_leak, fan_level, tec_activation
             )
             t_comp = t_nodes[comp]
             peak = float(t_comp.max())
-            if abs(peak - prev_peak) < self.tolerance_k:
+            residual = abs(peak - prev_peak)
+            if residual < self.tolerance_k:
                 return t_nodes, p_leak
             prev_peak = peak
         raise ConvergenceError(
             "temperature-leakage loop did not converge",
             iterations=self.max_iterations,
-            residual=abs(peak - prev_peak),
+            residual=residual,
         )

@@ -17,6 +17,14 @@ column independently, so every column is bit-identical to the
 corresponding single-RHS :meth:`~SteadyStateSolver.solve` — the batched
 controller path produces exactly the same decisions as the sequential
 one, just without B round trips through Python and the RHS assembly.
+
+Each cache entry is a :class:`Factorization`: the exact activation, the
+LU of ``G``, and the actuator-only part of the right-hand side (TEC
+Joule heat plus the ambient boundary term). A solve adds the component
+powers to a copy of that base instead of reassembling it; a caller that
+solves repeatedly against one setting (the fleet's leakage fixed point)
+looks the entry up once with :meth:`SteadyStateSolver.factorization`
+and passes it to :meth:`~SteadyStateSolver.solve_many`.
 """
 
 from __future__ import annotations
@@ -31,6 +39,21 @@ from repro.exceptions import ThermalModelError
 from repro.obs import telemetry as obs
 from repro.thermal.conductance import ConductanceModel
 from repro.thermal.keys import ActuatorKeyer
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """One cached actuator setting of :class:`SteadyStateSolver`.
+
+    ``base_rhs`` is ``model.rhs(0, fan, tec)``: the right-hand side with
+    no component power. Adding powers to the component entries of a
+    copy gives ``model.rhs(p, fan, tec)`` bit for bit, because those
+    entries start from the same Joule term and addition commutes.
+    """
+
+    activation: np.ndarray
+    lu: spla.SuperLU
+    base_rhs: np.ndarray
 
 
 @dataclass
@@ -50,8 +73,8 @@ class SteadyStateSolver:
 
     model: ConductanceModel
     cache_size: int = 64
-    #: ``key -> (exact activation, SuperLU)`` in LRU order; the stored
-    #: activation is the exact-match guard behind the quantized key.
+    #: ``key -> Factorization`` in LRU order; the stored activation is
+    #: the exact-match guard behind the quantized key.
     _lu_cache: OrderedDict = field(default_factory=OrderedDict, repr=False)
     _keyer: ActuatorKeyer = field(default_factory=ActuatorKeyer, repr=False)
     #: Statistics: factorizations performed / solves served / LRU drops.
@@ -72,12 +95,15 @@ class SteadyStateSolver:
         self.__dict__.update(state)
 
     # ------------------------------------------------------------------
-    def _factorization(self, fan_level: int, tec_activation: np.ndarray):
+    def factorization(
+        self, fan_level: int, tec_activation: np.ndarray
+    ) -> Factorization:
+        """The cached LU and base RHS of ``G(fan, tec)``, built on a miss."""
         key = self._keyer.key(fan_level, tec_activation)
         entry = self._lu_cache.get(key)
-        if entry is not None and np.array_equal(entry[0], tec_activation):
+        if entry is not None and np.array_equal(entry.activation, tec_activation):
             self._lu_cache.move_to_end(key)
-            return entry[1]
+            return entry
         g = self.model.matrix(fan_level, tec_activation)
         try:
             lu = spla.splu(g)
@@ -85,7 +111,15 @@ class SteadyStateSolver:
             raise ThermalModelError(
                 f"G matrix is singular for fan={fan_level}"
             ) from exc
-        self._lu_cache[key] = (np.array(tec_activation, dtype=float), lu)
+        activation = np.array(tec_activation, dtype=float)
+        entry = Factorization(
+            activation=activation,
+            lu=lu,
+            base_rhs=self.model.rhs(
+                np.zeros(self.model.nodes.n_components), fan_level, activation
+            ),
+        )
+        self._lu_cache[key] = entry
         self._lu_cache.move_to_end(key)
         if len(self._lu_cache) > self.cache_size:
             self._lu_cache.popitem(last=False)
@@ -93,7 +127,7 @@ class SteadyStateSolver:
             obs.incr("thermal.lu_evictions")
         self.n_factorizations += 1
         obs.incr("thermal.factorizations")
-        return lu
+        return entry
 
     # ------------------------------------------------------------------
     def solve(
@@ -114,10 +148,11 @@ class SteadyStateSolver:
             Per-device activation in [0, 1].
         """
         with obs.span("thermal.solve", hist_ms="thermal.solver_ms"):
-            lu = self._factorization(fan_level, tec_activation)
-            rhs = self.model.rhs(p_components_w, fan_level, tec_activation)
+            f = self.factorization(fan_level, tec_activation)
+            rhs = f.base_rhs.copy()
+            rhs[self.model.nodes.component_slice] += p_components_w
             self.n_solves += 1
-            t = lu.solve(rhs)
+            t = f.lu.solve(rhs)
         if not np.all(np.isfinite(t)):
             raise ThermalModelError("non-finite steady-state temperatures")
         return t
@@ -127,6 +162,7 @@ class SteadyStateSolver:
         p_components_w: np.ndarray,
         fan_level: int,
         tec_activation: np.ndarray,
+        factorization: Factorization | None = None,
     ) -> np.ndarray:
         """Batched steady states for one actuator setting, many powers.
 
@@ -138,6 +174,9 @@ class SteadyStateSolver:
         fan_level, tec_activation:
             Shared actuator setting (the whole point: one factorization,
             one multi-RHS back-substitution).
+        factorization:
+            :meth:`factorization` of this same setting, when the caller
+            already holds it; skips the cache lookup.
 
         Returns
         -------
@@ -151,17 +190,16 @@ class SteadyStateSolver:
                 f"got shape {p.shape}"
             )
         with obs.span("thermal.solve_many", hist_ms="thermal.solver_ms"):
-            lu = self._factorization(fan_level, tec_activation)
+            f = factorization
+            if f is None:
+                f = self.factorization(fan_level, tec_activation)
             # The Joule + ambient pieces of the RHS are shared by every
             # candidate; only the component power differs per column.
-            base = self.model.rhs(
-                np.zeros(p.shape[1]), fan_level, tec_activation
-            )
-            rhs = np.repeat(base[:, None], p.shape[0], axis=1)
+            rhs = np.repeat(f.base_rhs[:, None], p.shape[0], axis=1)
             rhs[self.model.nodes.component_slice, :] += p.T
             self.n_solves += p.shape[0]
             obs.incr("thermal.batch_solves")
-            t = lu.solve(rhs)
+            t = f.lu.solve(rhs)
         if not np.all(np.isfinite(t)):
             raise ThermalModelError("non-finite steady-state temperatures")
         return np.ascontiguousarray(t.T)

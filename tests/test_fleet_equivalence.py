@@ -5,8 +5,11 @@ decisions agree exactly. In practice the batched kernel is bit-identical
 — `solve_many` rows match `solve`, the masked leakage fixed point
 freezes converged rows with the same iteration outputs, and
 `dynamic_power_many` returns C-ordered rows so `sum(axis=1)` reduces in
-the same order as the per-node loop.
+the same order as the per-node loop. The batched stepper advances each
+distinct node row once; the row pools below make duplicates common.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,8 +18,14 @@ from hypothesis import strategies as st
 
 from repro.fleet import FleetConfig, run_fleet
 from repro.fleet.control import FleetPolicy
-from repro.fleet.stepper import BatchedStepper, SequentialStepper
+from repro.fleet.stepper import (
+    BatchedStepper,
+    SequentialStepper,
+    StepResult,
+    distinct_rows,
+)
 from repro.server.platform import build_server_system
+from repro.thermal.keys import exact_actuator_key
 
 TEMP_TOL_K = 1e-9
 
@@ -26,43 +35,71 @@ def platform():
     return build_server_system()
 
 
-def _random_fleet_state(system, rng, n_nodes, n_classes):
-    """Random per-node states drawn from a small pool of actuator classes.
+def _random_fleet_state(system, rng, n_nodes, n_classes, n_states):
+    """Random per-node rows drawn from small pools.
 
-    Pooled fan/TEC patterns force genuinely shared classes (the batched
-    multi-RHS path) alongside singleton classes, instead of every node
-    landing in its own group.
+    Each node picks an actuator class (fan/TEC pattern) from a pool of
+    ``n_classes`` and a physical state (activity, DVFS, temperatures)
+    from a pool of ``n_states``, independently. Pooled classes force
+    shared classes (the multi-RHS path) next to singletons; pooled
+    states make whole rows repeat within a class (merged by the
+    distinct-row step) and across classes (equal physics under another
+    actuator setting, which must not merge).
     """
     n_tiles = system.chip.n_tiles
     n_tec = system.tec.n_devices
     n_th = system.nodes.n_nodes
     fan_pool = rng.integers(1, system.fan.n_levels + 1, size=n_classes)
     tec_pool = rng.integers(0, 2, size=(n_classes, n_tec)).astype(float)
+    act_pool = rng.uniform(0.0, 1.0, size=(n_states, n_tiles))
+    lv_pool = rng.integers(
+        0, system.power.component_power.dvfs.n_levels, size=(n_states, n_tiles)
+    )
+    t_pool = rng.uniform(305.0, 345.0, size=(n_states, n_th))
     cls = rng.integers(0, n_classes, size=n_nodes)
+    row = rng.integers(0, n_states, size=n_nodes)
     return {
-        "activity": rng.uniform(0.0, 1.0, size=(n_nodes, n_tiles)),
-        "dvfs_levels": rng.integers(
-            0, system.power.component_power.dvfs.n_levels, size=(n_nodes, n_tiles)
-        ),
+        "activity": act_pool[row],
+        "dvfs_levels": lv_pool[row],
         "fan_levels": fan_pool[cls].astype(float),
         "tec": tec_pool[cls],
-        "t_nodes_k": rng.uniform(305.0, 345.0, size=(n_nodes, n_th)),
+        "t_nodes_k": t_pool[row],
     }
+
+
+def _n_classes(state) -> int:
+    return len({
+        exact_actuator_key(int(f), t)
+        for f, t in zip(state["fan_levels"], state["tec"])
+    })
+
+
+def _n_distinct_rows(state) -> int:
+    return len({
+        b"".join(np.ascontiguousarray(state[k][i]).tobytes() for k in state)
+        for i in range(len(state["t_nodes_k"]))
+    })
 
 
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n_nodes=st.integers(min_value=1, max_value=10),
     n_classes=st.integers(min_value=1, max_value=3),
+    n_states=st.integers(min_value=1, max_value=3),
 )
 @settings(max_examples=25, deadline=None)
-def test_steppers_agree_on_random_mixes(platform, seed, n_nodes, n_classes):
+def test_steppers_agree_on_random_mixes(
+    platform, seed, n_nodes, n_classes, n_states
+):
     system = platform.system
     rng = np.random.default_rng(seed)
-    state = _random_fleet_state(system, rng, n_nodes, n_classes)
+    state = _random_fleet_state(system, rng, n_nodes, n_classes, n_states)
 
     seq = SequentialStepper(system).advance(dt_s=1.0, **state)
-    bat = BatchedStepper(system).advance(dt_s=1.0, **state)
+    stepper = BatchedStepper(system)
+    bat = stepper.advance(dt_s=1.0, **state)
+    assert stepper.class_groups == _n_classes(state)
+    assert stepper.solved_rows == _n_distinct_rows(state)
 
     assert np.max(np.abs(bat.t_nodes_k - seq.t_nodes_k)) <= TEMP_TOL_K
     assert np.max(np.abs(bat.t_steady_k - seq.t_steady_k)) <= TEMP_TOL_K
@@ -94,6 +131,61 @@ def test_steppers_agree_on_random_mixes(platform, seed, n_nodes, n_classes):
             policy.decide_fan(tp_a.max(axis=1), state["fan_levels"]),
             policy.decide_fan(tp_b.max(axis=1), state["fan_levels"]),
         )
+
+
+def _assert_same_step(a, b):
+    for f in fields(StepResult):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x.shape == y.shape and np.array_equal(x, y), f.name
+
+
+def test_identical_rows_give_the_one_row_result_tiled(platform):
+    system = platform.system
+    one = _random_fleet_state(system, np.random.default_rng(7), 1, 1, 1)
+    fleet = {k: np.repeat(v, 64, axis=0) for k, v in one.items()}
+    single = BatchedStepper(system).advance(dt_s=1.0, **one)
+    stepper = BatchedStepper(system)
+    tiled = stepper.advance(dt_s=1.0, **fleet)
+    assert stepper.solved_rows == 1
+    assert stepper.class_groups == 1
+    expect = StepResult(
+        *(np.repeat(getattr(single, f.name), 64, axis=0) for f in fields(StepResult))
+    )
+    _assert_same_step(tiled, expect)
+
+
+def test_rows_one_temperature_bit_apart_are_not_merged(platform):
+    system = platform.system
+    one = _random_fleet_state(system, np.random.default_rng(11), 1, 1, 1)
+    state = {k: np.repeat(v, 2, axis=0) for k, v in one.items()}
+    state["t_nodes_k"][1, 5] = np.nextafter(state["t_nodes_k"][1, 5], np.inf)
+    reps, inverse = distinct_rows(*state.values())
+    assert list(reps) == [0, 1] and list(inverse) == [0, 1]
+    stepper = BatchedStepper(system)
+    bat = stepper.advance(dt_s=1.0, **state)
+    assert stepper.solved_rows == 2
+    _assert_same_step(bat, SequentialStepper(system).advance(dt_s=1.0, **state))
+
+
+def test_hash_collisions_never_merge_different_rows(platform, monkeypatch):
+    # A constant hash puts every row in one bucket: only the compare
+    # against the bucket's first row may merge, everything else stands
+    # alone, and the step still matches the per-node loop.
+    import repro.fleet.stepper as stepper_mod
+
+    monkeypatch.setattr(
+        stepper_mod, "_hash_weights", lambda width: np.zeros(width, np.uint64)
+    )
+    system = platform.system
+    state = _random_fleet_state(system, np.random.default_rng(3), 8, 2, 2)
+    reps, inverse = distinct_rows(*state.values())
+    for i, r in enumerate(reps[inverse]):
+        for arr in state.values():
+            assert np.ascontiguousarray(arr[i]).tobytes() == (
+                np.ascontiguousarray(arr[r]).tobytes()
+            )
+    bat = BatchedStepper(system).advance(dt_s=1.0, **state)
+    _assert_same_step(bat, SequentialStepper(system).advance(dt_s=1.0, **state))
 
 
 @pytest.mark.parametrize("router", ["identity", "round-robin", "thermal"])

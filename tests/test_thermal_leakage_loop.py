@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConvergenceError
+from repro.fleet.stepper import BatchedStepper
 from repro.thermal.leakage_loop import LeakageCoupledSolver
 
 
@@ -66,12 +67,50 @@ def test_divergent_leakage_raises(system2):
     bad = LeakageCoupledSolver(
         solver=system2.solver, leakage_fn=runaway, max_iterations=5
     )
-    with pytest.raises((ConvergenceError, Exception)):
+    with pytest.raises(ConvergenceError) as err:
         bad.solve(
             np.full(system2.nodes.n_components, 0.2),
             1,
             np.zeros(system2.n_tec_devices),
         )
+    # The residual is the last pass's peak move, read before the update.
+    assert err.value.iterations == 5
+    assert err.value.residual > 0.0
+
+
+def test_batched_divergence_reports_the_unconverged_rows_residual(
+    system2, monkeypatch
+):
+    """Batched twin, mixed convergence: with a two-pass budget the two
+    warm-started rows converge on the last pass and the cold one does
+    not. The residual is the cold row's own last peak move, exactly what
+    the scalar loop reports for that row alone."""
+    nd = system2.nodes
+    comp = nd.component_slice
+    act = np.ones((3, system2.n_cores))
+    lv = np.full((3, system2.n_cores), system2.dvfs.max_level)
+    fan = np.ones(3, dtype=int)
+    tec = np.zeros((3, system2.n_tec_devices))
+    p_dyn = system2.power.component_power.dynamic_power_w(act[0], lv[0])
+    t_fix, _ = system2.plant_thermal.solve(p_dyn, 1, tec[0])
+    t_rows = np.stack([t_fix, t_fix + 0.01, np.full(nd.n_nodes, 300.0)])
+
+    scalar = LeakageCoupledSolver(
+        solver=system2.solver,
+        leakage_fn=system2.plant_thermal.leakage_fn,
+        max_iterations=2,
+    )
+    for warm in t_rows[:2]:
+        scalar.solve(p_dyn, 1, tec[0], t_guess_k=warm[comp])
+    with pytest.raises(ConvergenceError) as alone:
+        scalar.solve(p_dyn, 1, tec[0], t_guess_k=t_rows[2][comp])
+
+    monkeypatch.setattr(system2.plant_thermal, "max_iterations", 2)
+    with pytest.raises(ConvergenceError) as batched:
+        BatchedStepper(system2).advance(act, lv, fan, tec, t_rows, dt_s=1.0)
+    assert batched.value.iterations == 2
+    assert batched.value.residual == alone.value.residual
+    assert batched.value.residual > system2.plant_thermal.tolerance_k
 
 
 def test_convergence_error_carries_diagnostics():
