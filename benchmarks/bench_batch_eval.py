@@ -1,9 +1,10 @@
-"""Benchmark: batched what-if evaluation vs the sequential path.
+"""Benchmark: batched what-if evaluation vs per-candidate calls.
 
 Measures the two layers this perf subsystem adds:
 
-1. **Candidate rounds** — many-candidate ``evaluate_many`` against
-   per-candidate ``evaluate`` on the 16-core chip, for both the full
+1. **Candidate rounds** — one many-candidate ``evaluate_many`` against
+   per-candidate ``evaluate`` calls (each a one-candidate batch through
+   the same code path) on the 16-core chip, for both the full
    (:class:`~repro.core.estimator.NextIntervalEstimator`) and banded
    (:class:`~repro.core.local_estimator.LocalBandedEstimator`)
    estimators. Equivalence is asserted bit-exactly on every round.
@@ -80,7 +81,7 @@ def _round_candidates(system, state):
 
 
 def bench_candidate_rounds(system, kind: str, rounds: int) -> dict:
-    """Sequential-vs-batched evaluation of identical candidate rounds."""
+    """Per-candidate vs batched evaluation of identical candidate rounds."""
     from repro.core.estimator import NextIntervalEstimator
     from repro.core.local_estimator import LocalBandedEstimator
 

@@ -40,8 +40,9 @@ from repro.obs import telemetry as obs
 #: Version of the snapshot payload layout. Bump on any incompatible
 #: change to the keys or their meaning; loaders reject other versions.
 #: Schema 3 carries the whole loop as one ``LoopState`` under ``"loop"``
-#: and no solver state.
-CHECKPOINT_SCHEMA = 3
+#: and no solver state; schema 4 pickles the estimators as one class
+#: family and ``TECfanController`` without its ``batched`` field.
+CHECKPOINT_SCHEMA = 4
 
 
 def atomic_write_bytes(path, blob: bytes) -> str:

@@ -340,7 +340,7 @@ class SimulationEngine:
             state = initial_state
         if ips_predictor is None:
             ips_predictor = IPSTracker(dvfs=dvfs)
-        if getattr(controller, "estimator_kind", "full") == "banded":
+        if controller.estimator_kind == "banded":
             estimator = LocalBandedEstimator(
                 system=system, ips_predictor=ips_predictor
             )

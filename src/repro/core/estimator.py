@@ -17,8 +17,9 @@ The estimator composes the paper's on-line models:
   the server experiment (Sec. IV-B);
 * TEC and fan power — Eq. (9) and the fan table.
 
-Every :meth:`evaluate` call is counted, which is how the overhead
-benchmark validates the O(NL + N^2 M) complexity claim of Sec. V-A.
+Every estimated candidate is counted (``n_evaluations``), which is how
+the overhead benchmark validates the O(NL + N^2 M) complexity claim of
+Sec. V-A.
 """
 
 from __future__ import annotations
@@ -40,14 +41,7 @@ from repro.thermal.keys import exact_actuator_key
 
 
 class IPSPredictor(Protocol):
-    """Strategy mapping a candidate DVFS vector to per-core IPS.
-
-    Predictors may additionally provide ``predict_many(levels)`` taking a
-    ``(batch, n_cores)`` level matrix and returning ``(batch, n_cores)``
-    IPS, with each row bit-identical to the corresponding ``predict``
-    call; :func:`predict_ips_many` falls back to a per-row loop when the
-    batched form is absent.
-    """
+    """Strategy mapping candidate DVFS vectors to per-core IPS."""
 
     def observe(self, ips: np.ndarray, dvfs_levels: np.ndarray) -> None:
         """Record the last interval's measured IPS and levels."""
@@ -57,20 +51,10 @@ class IPSPredictor(Protocol):
         """Per-core IPS for a candidate level vector."""
         ...
 
-
-def predict_ips_many(
-    predictor: IPSPredictor, levels: np.ndarray
-) -> np.ndarray:
-    """Batched per-core IPS for a ``(batch, n_cores)`` level matrix.
-
-    Uses the predictor's vectorized ``predict_many`` when available,
-    otherwise stacks per-row ``predict`` calls. Either way row ``b``
-    is bit-identical to ``predictor.predict(levels[b])``.
-    """
-    batched = getattr(predictor, "predict_many", None)
-    if batched is not None:
-        return np.asarray(batched(levels))
-    return np.stack([predictor.predict(lv) for lv in np.asarray(levels)])
+    def predict_many(self, dvfs_levels: np.ndarray) -> np.ndarray:
+        """``(batch, n_cores)`` IPS for a ``(batch, n_cores)`` level
+        matrix; row ``b`` is bit-identical to ``predict(dvfs_levels[b])``."""
+        ...
 
 
 @dataclass(frozen=True)
@@ -87,18 +71,20 @@ class Estimate:
     ips_chip: float
     epi: float
 
-    def feasible(self, problem: EnergyProblem) -> bool:
-        """Does this candidate meet the temperature constraint?"""
-        return problem.satisfied(self.peak_temp_c)
-
 
 @dataclass
 class NextIntervalEstimator:
-    """What-if evaluator over one :class:`CMPSystem`.
+    """What-if evaluator over one :class:`CMPSystem`: the full model.
 
     Call :meth:`begin_interval` once per control period with the plant's
-    measurements, then :meth:`evaluate` for each candidate. Evaluations
-    within a period are memoized by actuator state.
+    measurements, then :meth:`evaluate` or :meth:`evaluate_many` for the
+    candidates. Evaluations within a period are memoized by actuator
+    state.
+
+    The observer, the memo and the tail that turns predicted fields into
+    :class:`Estimate` objects live here once. A subclass supplies its own
+    :meth:`begin_interval` and :meth:`_predict_fields` (see
+    :class:`repro.core.local_estimator.LocalBandedEstimator`).
     """
 
     system: CMPSystem
@@ -145,20 +131,34 @@ class NextIntervalEstimator:
         dt_s:
             Lower-level control period length.
         """
-        if dt_s <= 0:
-            raise ControlError(f"non-positive control period {dt_s}")
-        nodes = self.system.nodes
-        if self._t_nodes_k is None:
-            self._t_nodes_k = self.system.uniform_initial_temps_k()
         # The controller senses die components; spreader and sink states
         # persist from its own previous prediction (a simple observer).
-        t = self._t_nodes_k.copy()
-        t[nodes.component_slice] = units.c_to_k(sensor_temps_c)
+        t = self._observe(p_dyn_measured_w, ips_measured, state, dt_s)
+        t[self.system.nodes.component_slice] = units.c_to_k(sensor_temps_c)
         self._t_nodes_k = t
+
+    def _observe(
+        self,
+        p_dyn_measured_w: np.ndarray,
+        ips_measured: np.ndarray,
+        state: ActuatorState,
+        dt_s: float,
+    ) -> np.ndarray:
+        """Shared :meth:`begin_interval` prologue.
+
+        Validates ``dt_s``, feeds both trackers and drops the memo;
+        returns a copy of the observer field (uniform before the first
+        interval) for the caller to update.
+        """
+        if dt_s <= 0:
+            raise ControlError(f"non-positive control period {dt_s}")
+        if self._t_nodes_k is None:
+            self._t_nodes_k = self.system.uniform_initial_temps_k()
         self.dyn_tracker.observe(p_dyn_measured_w, state.dvfs)
         self.ips_predictor.observe(ips_measured, state.dvfs)
         self._dt_s = dt_s
         self._cache.clear()
+        return self._t_nodes_k.copy()
 
     def commit(self, estimate: Estimate) -> None:
         """Adopt an accepted candidate's field as the observer state."""
@@ -180,7 +180,11 @@ class NextIntervalEstimator:
 
     # ------------------------------------------------------------------
     def evaluate(self, state: ActuatorState) -> Estimate:
-        """Predict next-interval temperature and EPI for ``state``."""
+        """Predict next-interval temperature and EPI for ``state``.
+
+        The one-candidate :meth:`evaluate_many`, without the batch
+        counters.
+        """
         if self._t_nodes_k is None:
             raise ControlError("begin_interval must be called first")
         key = state.key()
@@ -188,146 +192,136 @@ class NextIntervalEstimator:
         if hit is not None:
             obs.incr("estimator.cache_hits")
             return hit
-        self.n_evaluations += 1
-        obs.incr("estimator.evaluations")
-        system = self.system
-        nodes = system.nodes
+        return self._estimate_misses([state], [key])[0]
 
-        p_dyn = self.dyn_tracker.predict(state.dvfs)
-        t_comp_k = self._t_nodes_k[nodes.component_slice]
-        p_leak = system.power.controller_leakage.per_component_w(t_comp_k)
-
-        t_steady = system.solver.solve(
-            p_dyn + p_leak, state.fan_level, state.tec
-        )
-        t_next = system.transient.step(
-            self._t_nodes_k, t_steady, self._dt_s, state.fan_level, state.tec
-        )
-        peak_c = float(
-            units.k_to_c(t_next[nodes.component_slice]).max()
-        )
-
-        p_cores = float(p_dyn.sum() + p_leak.sum())
-        p_tec = system.tec_power_w(state.tec, t_next)
-        p_fan = system.fan.power_w(state.fan_level)
-        p_chip = p_cores + p_tec + p_fan
-
-        ips = float(np.sum(self.ips_predictor.predict(state.dvfs)))
-        est = Estimate(
-            state=state,
-            t_nodes_k=t_next,
-            peak_temp_c=peak_c,
-            p_chip_w=p_chip,
-            p_cores_w=p_cores,
-            p_tec_w=p_tec,
-            p_fan_w=p_fan,
-            ips_chip=ips,
-            epi=EnergyProblem.epi(p_chip, ips),
-        )
-        self._cache[key] = est
-        return est
-
-    # ------------------------------------------------------------------
     def evaluate_many(self, states: list) -> list:
-        """Batched :meth:`evaluate` over many candidate states.
+        """:meth:`evaluate` over many candidate states.
 
         The returned list matches ``states`` positionally and every
-        :class:`Estimate` is bit-identical to what the sequential call
-        would produce: cached entries are served from the memo cache,
-        misses sharing an actuator setting (fan level + TEC vector) go
-        through one multi-RHS :meth:`SteadyStateSolver.solve_many`, and
-        all per-candidate arithmetic keeps the sequential operation
-        order. All computed estimates enter the memo cache.
+        :class:`Estimate` is bit-identical to the single-candidate call:
+        memoized states are served from the cache, each distinct miss is
+        estimated once in one batch, and every estimate enters the memo.
         """
         if self._t_nodes_k is None:
             raise ControlError("begin_interval must be called first")
         results: list = [None] * len(states)
-        misses: list[tuple[int, ActuatorState, tuple]] = []
-        seen: set = set()
+        first_miss: dict = {}  # memo key -> position of its first miss
         for i, state in enumerate(states):
             key = state.key()
             hit = self._cache.get(key)
             if hit is not None:
                 obs.incr("estimator.cache_hits")
                 results[i] = hit
-            elif key not in seen:
-                seen.add(key)
-                misses.append((i, state, key))
-            # duplicates within the batch resolve from the cache below
-        if not misses:
-            for i, state in enumerate(states):
-                if results[i] is None:
-                    obs.incr("estimator.cache_hits")
-                    results[i] = self._cache[state.key()]
-            return results
-
-        obs.incr("estimator.batch_calls")
-        obs.incr("estimator.batch_candidates", len(misses))
-        system = self.system
-        nodes = system.nodes
-        t_comp_k = self._t_nodes_k[nodes.component_slice]
-        p_leak = system.power.controller_leakage.per_component_w(t_comp_k)
-        p_leak_sum = p_leak.sum()
-        levels = np.stack([s.dvfs for _, s, _ in misses])
-        p_dyn_many = self.dyn_tracker.predict_many(levels)
-        ips_many = predict_ips_many(self.ips_predictor, levels)
-        # Row-wise reductions over contiguous copies are bit-identical to
-        # each row's own ``.sum()`` (pairwise summation runs per row in
-        # logical order; a strided source would reduce across rows).
-        p_dyn_sums = np.ascontiguousarray(p_dyn_many).sum(axis=1)
-        ips_sums = np.ascontiguousarray(ips_many).sum(axis=1)
-
-        # One multi-RHS solve per distinct (fan, TEC) setting: the LU
-        # factorization, Joule terms, transient betas, TEC power scatter
-        # and fan lookup are shared. Grouping must be exact (not the
-        # caches' quantized keying): members share one factorization.
-        groups: dict = {}
-        for j, (_, state, _) in enumerate(misses):
-            gkey = exact_actuator_key(state.fan_level, state.tec)
-            groups.setdefault(gkey, []).append(j)
-        for members in groups.values():
-            state0 = misses[members[0]][1]
-            fan, tec = state0.fan_level, state0.tec
-            p_matrix = p_dyn_many[members] + p_leak[None, :]
-            t_steady_rows = system.solver.solve_many(p_matrix, fan, tec)
-            beta = system.transient.betas(self._dt_s, fan, tec)
-            t_next_rows = (
-                (1.0 - beta)[None, :] * t_steady_rows
-                + beta[None, :] * self._t_nodes_k[None, :]
+            elif key not in first_miss:
+                first_miss[key] = i
+        if first_miss:
+            obs.incr("estimator.batch_calls")
+            obs.incr("estimator.batch_candidates", len(first_miss))
+            where = list(first_miss.values())
+            estimates = self._estimate_misses(
+                [states[i] for i in where], list(first_miss)
             )
-            p_tec_rows = system.tec_power_many(tec, t_next_rows)
-            p_fan = system.fan.power_w(fan)
-            peaks = units.k_to_c(
-                t_next_rows[:, nodes.component_slice]
-            ).max(axis=1)
-            for r, j in enumerate(members):
-                i, state, key = misses[j]
-                t_next = t_next_rows[r]
-                peak_c = float(peaks[r])
-                p_cores = float(p_dyn_sums[j] + p_leak_sum)
-                p_tec = float(p_tec_rows[r])
-                p_chip = p_cores + p_tec + p_fan
-                ips = float(ips_sums[j])
-                self.n_evaluations += 1
-                obs.incr("estimator.evaluations")
-                est = Estimate(
-                    state=state,
-                    t_nodes_k=t_next,
-                    peak_temp_c=peak_c,
-                    p_chip_w=p_chip,
-                    p_cores_w=p_cores,
-                    p_tec_w=p_tec,
-                    p_fan_w=p_fan,
-                    ips_chip=ips,
-                    epi=EnergyProblem.epi(p_chip, ips),
-                )
-                self._cache[key] = est
+            for i, est in zip(where, estimates):
                 results[i] = est
         for i, state in enumerate(states):
             if results[i] is None:  # in-batch duplicate of a miss
                 obs.incr("estimator.cache_hits")
                 results[i] = self._cache[state.key()]
         return results
+
+    def _estimate_misses(self, states: list, keys: list) -> list:
+        """Estimates for distinct memo misses, entered into the memo.
+
+        The field comes from :meth:`_predict_fields`; the rest is shared:
+        Eq. (7) dynamic power, IPS, one TEC-power scatter per distinct
+        activation vector, fan power and EPI. Row-wise sums run over
+        contiguous copies, so each keeps the pairwise-summation order of
+        a per-candidate ``.sum()`` and a row does not depend on its batch.
+        """
+        system = self.system
+        levels = np.stack([s.dvfs for s in states])
+        if levels.min() < 0 or levels.max() >= self.dyn_tracker.dvfs.n_levels:
+            raise ControlError("candidate DVFS level outside the DVFS table")
+        p_dyn_many = self.dyn_tracker.predict_many(levels)
+        t_rows, p_leak = self._predict_fields(states, levels, p_dyn_many)
+        ips_many = self.ips_predictor.predict_many(levels)
+        peaks = units.k_to_c(t_rows[:, system.nodes.component_slice]).max(
+            axis=1
+        )
+        p_dyn_sums = np.ascontiguousarray(p_dyn_many).sum(axis=1)
+        ips_sums = np.ascontiguousarray(ips_many).sum(axis=1)
+        p_leak_sum = p_leak.sum()
+        p_tec_rows = np.empty(len(states))
+        tec_groups: dict = {}
+        for j, state in enumerate(states):
+            tec_groups.setdefault(state.tec.tobytes(), []).append(j)
+        for members in tec_groups.values():
+            p_tec_rows[members] = system.tec_power_many(
+                states[members[0]].tec, t_rows[members]
+            )
+
+        self.n_evaluations += len(states)
+        obs.incr("estimator.evaluations", len(states))
+        fan_w: dict = {}
+        estimates = []
+        for j, (state, key) in enumerate(zip(states, keys)):
+            p_cores = float(p_dyn_sums[j] + p_leak_sum)
+            p_tec = float(p_tec_rows[j])
+            p_fan = fan_w.get(state.fan_level)
+            if p_fan is None:
+                p_fan = fan_w[state.fan_level] = system.fan.power_w(
+                    state.fan_level
+                )
+            p_chip = p_cores + p_tec + p_fan
+            ips = float(ips_sums[j])
+            est = Estimate(
+                state=state,
+                t_nodes_k=t_rows[j],
+                peak_temp_c=float(peaks[j]),
+                p_chip_w=p_chip,
+                p_cores_w=p_cores,
+                p_tec_w=p_tec,
+                p_fan_w=p_fan,
+                ips_chip=ips,
+                epi=EnergyProblem.epi(p_chip, ips),
+            )
+            self._cache[key] = est
+            estimates.append(est)
+        return estimates
+
+    def _predict_fields(
+        self, states: list, levels: np.ndarray, p_dyn_many: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Next-interval node fields of ``states`` and the leakage they use.
+
+        Returns the ``(len(states), n_nodes)`` fields [K] and the
+        per-component leakage [W]. The full model: linear Eq. (6) leakage
+        at the observer's component temperatures, steady state Eq. (1)
+        and transient Eq. (5). One multi-RHS solve per distinct (fan, TEC)
+        setting shares the LU factorization and transient betas; grouping
+        is exact (not the caches' quantized keying) because members share
+        one factorization.
+        """
+        system = self.system
+        t_now = self._t_nodes_k
+        p_leak = system.power.controller_leakage.per_component_w(
+            t_now[system.nodes.component_slice]
+        )
+        t_rows = np.empty((len(states), len(t_now)))
+        groups: dict = {}
+        for j, state in enumerate(states):
+            gkey = exact_actuator_key(state.fan_level, state.tec)
+            groups.setdefault(gkey, []).append(j)
+        for members in groups.values():
+            fan, tec = states[members[0]].fan_level, states[members[0]].tec
+            t_steady = system.solver.solve_many(
+                p_dyn_many[members] + p_leak[None, :], fan, tec
+            )
+            beta = system.transient.betas(self._dt_s, fan, tec)
+            t_rows[members] = (
+                (1.0 - beta)[None, :] * t_steady + beta[None, :] * t_now[None, :]
+            )
+        return t_rows, p_leak
 
     # ------------------------------------------------------------------
     def evaluate_fan_setting(
@@ -341,7 +335,8 @@ class NextIntervalEstimator:
         Uses the last higher-level interval's *average* power and TEC
         state (possibly fractional), per Sec. III-D. The fan acts through
         the heat sink whose time constant dwarfs the fan period, so the
-        steady field is the right horizon.
+        steady field is the right horizon. Always the full model: even
+        the banded hardware runs this in firmware, at seconds scale.
         """
         self.n_evaluations += 1
         t = self.system.solver.solve(avg_p_components_w, fan_level, avg_tec)

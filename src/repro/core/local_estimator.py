@@ -49,14 +49,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import units
-from repro.core.estimator import Estimate, IPSPredictor, predict_ips_many
-from repro.core.problem import EnergyProblem
+from repro.core.estimator import Estimate, NextIntervalEstimator
 from repro.core.state import ActuatorState
-from repro.core.system import CMPSystem
-from repro.exceptions import ControlError
 from repro.obs import telemetry as obs
-from repro.power.component_power import core_dvfs_domain_mask
-from repro.power.dynamic import DynamicPowerTracker
 
 #: Temperature quantization step of the 8-bit hardware encoding [K].
 HW_TEMP_STEP_K: float = 0.5
@@ -80,30 +75,24 @@ class _CoreBlock:
 
 
 @dataclass
-class LocalBandedEstimator:
+class LocalBandedEstimator(NextIntervalEstimator):
     """Sec. III-E's per-core banded what-if evaluator.
 
-    Drop-in replacement for
-    :class:`repro.core.estimator.NextIntervalEstimator`; see module
-    docstring for the locality semantics and the core table.
+    A :class:`repro.core.estimator.NextIntervalEstimator` whose
+    :meth:`begin_interval` anchors the observer and whose field
+    prediction is the core-table gather; see module docstring for the
+    locality semantics and the core table.
     """
 
-    system: CMPSystem
-    ips_predictor: IPSPredictor
-    dyn_tracker: DynamicPowerTracker = field(default=None)
-    n_evaluations: int = 0
     #: Core re-solves demanded (the hardware's "systolic array passes").
     n_core_solves: int = 0
 
     _blocks: list = field(default=None, repr=False)
     #: (n_cores, devices per tile) global device indices, tile-major.
     _tile_devs: np.ndarray = field(default=None, repr=False)
-    _t_nodes_k: np.ndarray = field(default=None, repr=False)
-    _dt_s: float = 0.0
     _base_state: ActuatorState = field(default=None, repr=False)
     _base_pred_comp_k: np.ndarray = field(default=None, repr=False)
     _p_leak: np.ndarray = field(default=None, repr=False)
-    _cache: dict = field(default_factory=dict, repr=False)
     # Everything below is valid for the current observer field only and
     # is dropped whenever ``_t_nodes_k`` moves (see ``_clear_table``).
     # (core, pattern id) -> (a, b_base, beta): the power-independent
@@ -123,12 +112,7 @@ class LocalBandedEstimator:
     _p_by_level: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.dyn_tracker is None:
-            self.dyn_tracker = DynamicPowerTracker(
-                dvfs=self.system.dvfs,
-                tile_of=self.system.chip.tile_of(),
-                core_domain=core_dvfs_domain_mask(self.system.chip),
-            )
+        super().__post_init__()
         self._build_blocks()
         self._table = np.empty((0, self.system.chip.components_per_tile))
         self._have = np.zeros(0, dtype=bool)
@@ -190,20 +174,13 @@ class LocalBandedEstimator:
         dt_s: float,
     ) -> None:
         """Load one control period's measurements (see full estimator)."""
-        if dt_s <= 0:
-            raise ControlError(f"non-positive control period {dt_s}")
         system = self.system
         nodes = system.nodes
         first_call = self._t_nodes_k is None
-        if first_call:
-            self._t_nodes_k = system.uniform_initial_temps_k()
-        self.dyn_tracker.observe(p_dyn_measured_w, state.dvfs)
-        self.ips_predictor.observe(ips_measured, state.dvfs)
-        self._dt_s = dt_s
+        t = self._observe(p_dyn_measured_w, ips_measured, state, dt_s)
         # Firmware bookkeeping: one full steady solve at the *applied*
         # configuration anchors the spreader/sink observer. Components
         # come from the (quantized) sensors.
-        t = self._t_nodes_k.copy()
         t[nodes.component_slice] = _quantize(units.c_to_k(sensor_temps_c))
         p_leak = system.power.controller_leakage.per_component_w(
             t[nodes.component_slice]
@@ -226,12 +203,12 @@ class LocalBandedEstimator:
         )
         self._base_state = state
         self._base_pred_comp_k = None
-        self._cache.clear()
         self._clear_table()
 
     def commit(self, estimate: Estimate) -> None:
-        """Adopt an accepted candidate's components into the observer."""
-        self._t_nodes_k = estimate.t_nodes_k
+        """Adopt an accepted candidate's field; the core table goes with
+        the old one."""
+        super().commit(estimate)
         self._clear_table()
 
     def _clear_table(self) -> None:
@@ -242,20 +219,6 @@ class LocalBandedEstimator:
         self._tec_pids.clear()
         self._have[:] = False
         self._p_by_level = None
-
-    def predicted_component_temps_c(self) -> np.ndarray | None:
-        """The observer's current component temperatures [degC].
-
-        Same contract as
-        :meth:`repro.core.estimator.NextIntervalEstimator.predicted_component_temps_c`;
-        the engine's sensor validator uses it as the plausibility
-        reference for raw readings. ``None`` until the first interval.
-        """
-        if self._t_nodes_k is None:
-            return None
-        return units.k_to_c(
-            self._t_nodes_k[self.system.nodes.component_slice]
-        )
 
     # ------------------------------------------------------------------
     def _tile_pattern_ids(self, tec: np.ndarray) -> np.ndarray:
@@ -387,74 +350,28 @@ class LocalBandedEstimator:
         return self._base_pred_comp_k
 
     # ------------------------------------------------------------------
-    def evaluate(self, state: ActuatorState) -> Estimate:
-        """Predict next-interval peak temperature and EPI for ``state``.
+    # The memo front is the base class's, defined again in this class
+    # body so per-class instrumentation (``benchmarks/e2e/layers.py``)
+    # binds the banded estimator's calls on their own.
+    evaluate = NextIntervalEstimator.evaluate
+    evaluate_many = NextIntervalEstimator.evaluate_many
 
-        A one-candidate :meth:`evaluate_many` (without the batch
-        counters): only the cores whose knobs differ from the applied
-        configuration are re-solved — the paper's one-core-per-cycle
-        datapath.
+    def _predict_fields(
+        self, states: list, levels: np.ndarray, p_dyn_many: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Observer field with every candidate's changed cores re-solved.
+
+        Only the cores whose knobs differ from the applied configuration
+        are the hardware's passes — the paper's one-core-per-cycle
+        datapath; each reads its core-table row and every other core keeps
+        the base prediction. Leakage stays the one fixed at
+        :meth:`begin_interval`.
         """
-        if self._t_nodes_k is None:
-            raise ControlError("begin_interval must be called first")
-        key = state.key()
-        hit = self._cache.get(key)
-        if hit is not None:
-            obs.incr("estimator.cache_hits")
-            return hit
-        results: list = [None]
-        self._evaluate_misses([(0, state, key)], results)
-        return results[0]
-
-    def evaluate_many(self, states: list) -> list:
-        """Batched :meth:`evaluate` over many candidate states.
-
-        Positionally matches ``states``; every row is bit-identical to
-        the single-candidate call. All computed estimates enter the memo
-        cache.
-        """
-        if self._t_nodes_k is None:
-            raise ControlError("begin_interval must be called first")
-        results: list = [None] * len(states)
-        misses: list[tuple[int, ActuatorState, tuple]] = []
-        seen: set = set()
-        for i, state in enumerate(states):
-            key = state.key()
-            hit = self._cache.get(key)
-            if hit is not None:
-                obs.incr("estimator.cache_hits")
-                results[i] = hit
-            elif key not in seen:
-                seen.add(key)
-                misses.append((i, state, key))
-        if misses:
-            obs.incr("estimator.batch_calls")
-            obs.incr("estimator.batch_candidates", len(misses))
-            self._evaluate_misses(misses, results)
-        for i, state in enumerate(states):
-            if results[i] is None:  # in-batch duplicate of a miss
-                obs.incr("estimator.cache_hits")
-                results[i] = self._cache[state.key()]
-        return results
-
-    def _evaluate_misses(self, misses: list, results: list) -> None:
-        system = self.system
-        nodes = system.nodes
-        n_miss = len(misses)
-        n_cores = system.n_cores
-        levels = np.stack([s.dvfs for _, s, _ in misses])
-        if levels.min() < 0 or levels.max() >= self.dyn_tracker.dvfs.n_levels:
-            raise ControlError("candidate DVFS level outside the DVFS table")
-        p_dyn_many = self.dyn_tracker.predict_many(levels)
-        ips_many = predict_ips_many(self.ips_predictor, levels)
+        n_miss = len(states)
+        n_cores = self.system.n_cores
         base_pred = self._base_prediction()
         base = self._base_state
-
-        # The (candidate, core) pairs whose knobs differ from the applied
-        # state are the hardware's passes; each reads its core-table row,
-        # every other core keeps the base prediction.
-        tec_objs = [s.tec for _, s, _ in misses]
-        pids = np.stack([self._tile_pattern_ids(t) for t in tec_objs])
+        pids = np.stack([self._tile_pattern_ids(s.tec) for s in states])
         diff = (levels != base.dvfs) | (
             pids != self._tile_pattern_ids(base.tec)
         )
@@ -465,63 +382,6 @@ class LocalBandedEstimator:
         )
         self.n_core_solves += jj.size
         obs.incr("estimator.core_solves", jj.size)
-
-        # Shared per-candidate tail: one field matrix, one TEC-power
-        # scatter per distinct activation vector, hoisted leakage sum.
         t_rows = np.repeat(self._t_nodes_k[None, :], n_miss, axis=0)
-        t_rows[:, nodes.component_slice] = preds
-        peaks = units.k_to_c(preds).max(axis=1)
-        # Contiguous copies keep the row-wise pairwise-summation order of
-        # the sequential per-candidate ``.sum()`` calls.
-        p_dyn_sums = np.ascontiguousarray(p_dyn_many).sum(axis=1)
-        ips_sums = np.ascontiguousarray(ips_many).sum(axis=1)
-        p_leak_sum = self._p_leak.sum()
-        p_tec_arr = np.empty(n_miss)
-        tec_groups: dict = {}
-        for j, t in enumerate(tec_objs):
-            tec_groups.setdefault(t.tobytes(), []).append(j)
-        for members in tec_groups.values():
-            p_tec_arr[members] = system.tec_power_many(
-                tec_objs[members[0]], t_rows[members]
-            )
-
-        self.n_evaluations += n_miss
-        obs.incr("estimator.evaluations", n_miss)
-        fan_pw: dict = {}
-        for j, (i, state, key) in enumerate(misses):
-            p_cores = float(p_dyn_sums[j] + p_leak_sum)
-            p_tec = float(p_tec_arr[j])
-            p_fan = fan_pw.get(state.fan_level)
-            if p_fan is None:
-                p_fan = system.fan.power_w(state.fan_level)
-                fan_pw[state.fan_level] = p_fan
-            p_chip = p_cores + p_tec + p_fan
-            ips = float(ips_sums[j])
-            est = Estimate(
-                state=state,
-                t_nodes_k=t_rows[j],
-                peak_temp_c=float(peaks[j]),
-                p_chip_w=p_chip,
-                p_cores_w=p_cores,
-                p_tec_w=p_tec,
-                p_fan_w=p_fan,
-                ips_chip=ips,
-                epi=EnergyProblem.epi(p_chip, ips),
-            )
-            self._cache[key] = est
-            results[i] = est
-
-    # ------------------------------------------------------------------
-    def evaluate_fan_setting(
-        self,
-        avg_p_components_w: np.ndarray,
-        avg_tec: np.ndarray,
-        fan_level: int,
-    ) -> float:
-        """Higher-level fan estimate — full model (firmware, not the
-        systolic datapath; it runs at seconds scale)."""
-        self.n_evaluations += 1
-        t = self.system.solver.solve(avg_p_components_w, fan_level, avg_tec)
-        return float(
-            units.k_to_c(t[self.system.nodes.component_slice]).max()
-        )
+        t_rows[:, self.system.nodes.component_slice] = preds
+        return t_rows, self._p_leak

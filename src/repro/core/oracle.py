@@ -55,7 +55,7 @@ import numpy as np
 
 from repro import units
 from repro.core.controller import Controller
-from repro.core.estimator import NextIntervalEstimator, predict_ips_many
+from repro.core.estimator import NextIntervalEstimator
 from repro.core.problem import EnergyProblem
 from repro.core.state import ActuatorState
 from repro.exceptions import ConfigurationError, ControlError
@@ -379,9 +379,7 @@ class ExhaustiveSearcher(Controller):
         t_meas_k = units.c_to_k(np.asarray(sensor_temps_c, dtype=float))
         leak0 = system.power.controller_leakage.per_component_w(t_meas_k)
 
-        ips = predict_ips_many(
-            estimator.ips_predictor, sp.dvfs
-        ).sum(axis=1)  # (D,)
+        ips = estimator.ips_predictor.predict_many(sp.dvfs).sum(axis=1)  # (D,)
         if self.perf_floor is not None:
             step = min(call, len(self.perf_floor) - 1)
             # Cap at what is achievable under the *current* demand — the

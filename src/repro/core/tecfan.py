@@ -98,11 +98,6 @@ class TECfanController(Controller):
     #: chip-level DVFS seamlessly"): every DVFS move shifts all cores
     #: together, as on parts without per-core regulators.
     chip_level_dvfs: bool = False
-    #: Evaluate DVFS candidate sets through the estimator's batched
-    #: ``evaluate_many`` (one multi-RHS solve per actuator setting)
-    #: instead of per-candidate ``evaluate`` calls. Decision-identical;
-    #: ``False`` forces the sequential path for A/B validation.
-    batched: bool = True
     #: Evaluation counters per phase, for the overhead benchmark.
     n_hot_iterations: int = 0
     n_cool_iterations: int = 0
@@ -127,20 +122,6 @@ class TECfanController(Controller):
         return est.peak_temp_c <= (
             problem.t_threshold_c - self.guard_band_c - extra_margin_c
         )
-
-    def _evaluate_candidates(
-        self, estimator: NextIntervalEstimator, candidates: list
-    ) -> list:
-        """Estimates for ``candidates``, batched when the estimator can.
-
-        ``evaluate_many`` returns bit-identical estimates in candidate
-        order, so selection logic downstream is unchanged either way.
-        """
-        if self.batched:
-            batched = getattr(estimator, "evaluate_many", None)
-            if batched is not None:
-                return batched(candidates)
-        return [estimator.evaluate(c) for c in candidates]
 
     # ------------------------------------------------------------------
     def decide(
@@ -197,7 +178,7 @@ class TECfanController(Controller):
                     candidates = self._dvfs_candidates(work, system, -1)
                     if candidates:
                         best = min(
-                            self._evaluate_candidates(estimator, candidates),
+                            estimator.evaluate_many(candidates),
                             key=lambda e: e.epi,
                         )
                         work = best.state
@@ -310,7 +291,7 @@ class TECfanController(Controller):
         candidates = self._dvfs_candidates(work, system, +1)
         margin = self.coupling_penalty_c * raises_accepted
         best: Estimate | None = None
-        for e in self._evaluate_candidates(estimator, candidates):
+        for e in estimator.evaluate_many(candidates):
             gains = e.ips_chip > cur.ips_chip * (1.0 + self.ips_gain_rel)
             if gains and self._ok(e, problem, margin):
                 if best is None or e.epi < best.epi:
@@ -322,7 +303,7 @@ class TECfanController(Controller):
     ) -> Estimate | None:
         candidates = self._dvfs_candidates(work, system, -1)
         best: Estimate | None = None
-        for e in self._evaluate_candidates(estimator, candidates):
+        for e in estimator.evaluate_many(candidates):
             neutral = e.ips_chip >= cur.ips_chip * (1.0 - self.ips_loss_rel)
             saves = e.epi < cur.epi * (1.0 - self.epi_improvement_rel)
             if neutral and saves and self._ok(e, problem):

@@ -62,7 +62,3 @@ class IPSTracker:
         return self._ips_prev[None, :] * self.dvfs.frequency_ratio(
             self._levels_prev[None, :], lv
         )
-
-    def predict_chip(self, dvfs_levels: np.ndarray) -> float:
-        """Eq. (10): total chip IPS for a candidate level vector."""
-        return float(self.predict(dvfs_levels).sum())

@@ -83,11 +83,3 @@ class DynamicPowerTracker:
         if self.core_domain is not None:
             comp_ratio = np.where(self.core_domain[None, :], comp_ratio, 1.0)
         return self._p_prev[None, :] * comp_ratio
-
-    def predict_single_change(self, core: int, new_level: int) -> np.ndarray:
-        """Power if only ``core`` changes to ``new_level`` [W]."""
-        if not self.ready:
-            raise ControlError("no previous interval observed yet")
-        lv = self._levels_prev.copy()
-        lv[core] = new_level
-        return self.predict(lv)

@@ -234,7 +234,3 @@ class ServerIPSPredictor:
         freqs = self.dvfs.frequency_ghz(np.asarray(dvfs_levels, dtype=int))
         cap = self.perf.capacity_ips(freqs, self.peak_ips)
         return np.minimum(self._demand[None, :], cap)
-
-    def predict_chip_batch(self, levels: np.ndarray) -> np.ndarray:
-        """Chip IPS for a (D, n_cores) batch of level vectors."""
-        return self.predict_many(levels).sum(axis=1)

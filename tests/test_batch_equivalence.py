@@ -1,13 +1,17 @@
-"""Batched evaluation must be *bit-identical* to the sequential path.
+"""Batched evaluation must be *bit-identical* to per-candidate physics.
 
-The batched candidate pipeline (``solve_many`` / ``predict_many`` /
-``evaluate_many``) exists purely as a performance optimization: SuperLU
+Each estimator has one evaluation path, built on batched primitives
+(``solve_many`` / ``predict_many`` / ``tec_power_many``): SuperLU
 back-substitutes multi-RHS columns independently, LAPACK solves stacked
 dense systems independently, and the Eq. (7)/(11) ratio algebra is
-elementwise. These tests pin the resulting contract — equality to the
-last bit, not approximate agreement — so any future vectorization that
-reassociates floating-point arithmetic fails loudly instead of silently
-shifting controller decisions.
+elementwise. These tests pin the primitives against their single-row
+forms and the full-model estimator against a per-candidate reference
+written out below (``solve`` -> ``transient.step`` -> ``tec_power_w``);
+the banded estimator's reference is the per-core datapath in
+``test_core_local_estimator.py``. Equality is to the last bit, not
+approximate, so any vectorization that reassociates floating-point
+arithmetic fails loudly instead of silently shifting controller
+decisions.
 """
 
 from __future__ import annotations
@@ -15,13 +19,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import units
+from repro.core import engine as engine_module
 from repro.core.engine import EngineConfig, SimulationEngine
-from repro.core.estimator import NextIntervalEstimator, predict_ips_many
+from repro.core.estimator import Estimate, NextIntervalEstimator
 from repro.core.local_estimator import LocalBandedEstimator
 from repro.core.problem import EnergyProblem
 from repro.core.state import ActuatorState
 from repro.core.system import build_system
 from repro.core.tecfan import TECfanController
+from repro.exceptions import ControlError
 from repro.perf import splash2_workload
 from repro.perf.ips import IPSTracker
 from repro.perf.splash2 import REF_FREQ_GHZ
@@ -136,22 +143,79 @@ def test_server_predictor_predict_many_bitwise():
     batched = pred.predict_many(levels)
     for b in range(levels.shape[0]):
         assert np.array_equal(batched[b], pred.predict(levels[b]))
-    assert np.array_equal(
-        pred.predict_chip_batch(levels), batched.sum(axis=1)
+
+
+# ----------------------------------------------------------------------
+# Full-model reference: the estimator's physics, one candidate at a time
+# ----------------------------------------------------------------------
+def _reference_estimate(est, state):
+    """One candidate's full-model estimate written out on its own:
+    Eq. (7) power and Eq. (6) leakage at the observer field, ``solve``,
+    the Eq. (5) ``transient.step``, then ``tec_power_w`` and the fan."""
+    system = est.system
+    comp = system.nodes.component_slice
+    p_dyn = est.dyn_tracker.predict(state.dvfs)
+    p_leak = system.power.controller_leakage.per_component_w(
+        est._t_nodes_k[comp]
+    )
+    t_steady = system.solver.solve(p_dyn + p_leak, state.fan_level, state.tec)
+    t_next = system.transient.step(
+        est._t_nodes_k, t_steady, est._dt_s, state.fan_level, state.tec
+    )
+    p_cores = float(p_dyn.sum() + p_leak.sum())
+    p_tec = system.tec_power_w(state.tec, t_next)
+    p_fan = system.fan.power_w(state.fan_level)
+    p_chip = p_cores + p_tec + p_fan
+    ips = float(np.sum(est.ips_predictor.predict(state.dvfs)))
+    return Estimate(
+        state=state,
+        t_nodes_k=t_next,
+        peak_temp_c=float(units.k_to_c(t_next[comp]).max()),
+        p_chip_w=p_chip,
+        p_cores_w=p_cores,
+        p_tec_w=p_tec,
+        p_fan_w=p_fan,
+        ips_chip=ips,
+        epi=EnergyProblem.epi(p_chip, ips),
     )
 
 
-def test_predict_ips_many_falls_back_without_batched_method():
-    class Plain:
-        def observe(self, ips, dvfs_levels):
-            pass
+class _ReferenceEstimator(NextIntervalEstimator):
+    """Full-model estimator whose every memo miss is the reference."""
 
-        def predict(self, dvfs_levels):
-            return np.asarray(dvfs_levels, dtype=float) * 2.0
+    def evaluate(self, state):
+        if self._t_nodes_k is None:
+            raise ControlError("begin_interval must be called first")
+        key = state.key()
+        if key not in self._cache:
+            self.n_evaluations += 1
+            self._cache[key] = _reference_estimate(self, state)
+        return self._cache[key]
 
-    levels = np.arange(12).reshape(4, 3)
-    out = predict_ips_many(Plain(), levels)
-    assert np.array_equal(out, levels * 2.0)
+    def evaluate_many(self, states):
+        return [self.evaluate(s) for s in states]
+
+
+def _assert_same_estimates(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.state.key() == w.state.key()
+        assert np.array_equal(g.t_nodes_k, w.t_nodes_k)
+        for name in ESTIMATE_SCALARS:
+            assert getattr(g, name) == getattr(w, name)
+
+
+def test_full_evaluate_many_matches_reference_bitwise(system):
+    est, state = _primed_estimator(NextIntervalEstimator, system)
+    ref, _ = _primed_estimator(_ReferenceEstimator, system)
+    cands = _candidates(system, state)
+    _assert_same_estimates(est.evaluate_many(cands), ref.evaluate_many(cands))
+    assert est.n_evaluations == ref.n_evaluations
+    # A committed field moves the leakage and the transient start point.
+    for e in (est, ref):
+        e.commit(e.evaluate(cands[0]))
+    moved = _candidates(system, cands[0].with_fan(3))
+    _assert_same_estimates(est.evaluate_many(moved), ref.evaluate_many(moved))
+    assert est.n_evaluations == ref.n_evaluations
 
 
 # ----------------------------------------------------------------------
@@ -203,9 +267,8 @@ def test_evaluate_many_requires_begin_interval(system, cls):
 # ----------------------------------------------------------------------
 # Whole-engine decision identity
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kind", ["banded", "full"])
-def test_engine_metrics_identical_batched_vs_sequential(kind):
-    def run(batched: bool):
+def test_engine_full_estimator_matches_reference(monkeypatch):
+    def run():
         system = build_system(rows=2, cols=2)
         wl = splash2_workload("lu", 4, system.chip)
         engine = SimulationEngine(
@@ -213,12 +276,21 @@ def test_engine_metrics_identical_batched_vs_sequential(kind):
             EnergyProblem(t_threshold_c=70.0),
             EngineConfig(max_time_s=0.05),
         )
-        controller = TECfanController(batched=batched, estimator_kind=kind)
+        controller = TECfanController(estimator_kind="full")
         return engine.run(
             WorkloadRun(wl, system.chip, REF_FREQ_GHZ), controller
         )
 
-    res_b, res_s = run(True), run(False)
-    assert res_b.metrics == res_s.metrics
-    assert res_b.trace._rows == res_s.trace._rows
-    assert res_b.final_state.key() == res_s.final_state.key()
+    res = run()
+    built: list = []
+
+    def reference(**kwargs):
+        built.append(_ReferenceEstimator(**kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(engine_module, "NextIntervalEstimator", reference)
+    ref = run()
+    assert len(built) == 1 and built[0].n_evaluations > 0
+    assert res.metrics == ref.metrics
+    assert res.trace._rows == ref.trace._rows
+    assert res.final_state.key() == ref.final_state.key()

@@ -194,8 +194,9 @@ def test_load_checkpoint_rejects_wrong_schema(tmp_path):
     path = tmp_path / "old.pkl"
     # Schema 1 predates LoopState (loose state/t_nodes/prev_tec keys);
     # schema 2 still carried the solver-cache recipes and the loop's
-    # quiescence-detector fields.
-    for schema in (1, 2, CHECKPOINT_SCHEMA + 1):
+    # quiescence-detector fields; schema 3 pickled TECfanController's
+    # ``batched`` field and two unrelated estimator classes.
+    for schema in (1, 2, 3, CHECKPOINT_SCHEMA + 1):
         write_checkpoint(path, {"schema": schema, "kind": "engine-run"})
         with pytest.raises(CheckpointError, match="schema"):
             load_checkpoint(path)

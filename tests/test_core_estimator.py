@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.estimator import NextIntervalEstimator
-from repro.core.problem import EnergyProblem
 from repro.core.state import ActuatorState
 from repro.exceptions import ControlError
 from repro.perf.ips import IPSTracker
@@ -83,12 +82,6 @@ def test_slower_fan_cheaper_but_hotter(primed, base_state2):
     e1 = primed.evaluate(base_state2.with_fan(3))
     assert e1.p_fan_w < e0.p_fan_w
     assert e1.peak_temp_c > e0.peak_temp_c
-
-
-def test_feasibility_helper(primed, base_state2):
-    e = primed.evaluate(base_state2)
-    assert e.feasible(EnergyProblem(t_threshold_c=e.peak_temp_c + 1.0))
-    assert not e.feasible(EnergyProblem(t_threshold_c=e.peak_temp_c - 1.0))
 
 
 def test_commit_adopts_field(primed, base_state2):

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import units
-from repro.core.estimator import NextIntervalEstimator, predict_ips_many
+from repro.core.estimator import NextIntervalEstimator
 from repro.core.oracle import ExhaustiveSearcher, make_oftec, make_oracle
 from repro.core.problem import EnergyProblem
 from repro.core.state import ActuatorState
@@ -20,19 +20,10 @@ from repro.server.platform import build_server_system
 from repro.server.trace_workload import ServerIPSPredictor
 
 
-class BatchIPSTracker(IPSTracker):
-    """IPSTracker with the batch API the searcher needs."""
-
-    def predict_chip_batch(self, levels):
-        freqs = self.dvfs.frequency_ghz(np.asarray(levels, dtype=int))
-        ref = self.dvfs.frequency_ghz(self._levels_prev)
-        return (self._ips_prev[None, :] * freqs / ref[None, :]).sum(axis=1)
-
-
 @pytest.fixture()
 def primed(system2, base_state2):
     est = NextIntervalEstimator(
-        system=system2, ips_predictor=BatchIPSTracker(system2.dvfs)
+        system=system2, ips_predictor=IPSTracker(system2.dvfs)
     )
     n = system2.nodes.n_components
     est.begin_interval(
@@ -209,7 +200,7 @@ class ReferenceSearcher(ExhaustiveSearcher):
         p_dyn = tracker.predict_many(levels)
         t_meas_k = units.c_to_k(np.asarray(sensor_temps_c, dtype=float))
         leak0 = system.power.controller_leakage.per_component_w(t_meas_k)
-        ips = predict_ips_many(estimator.ips_predictor, levels).sum(axis=1)
+        ips = estimator.ips_predictor.predict_many(levels).sum(axis=1)
         floor = None
         if self.perf_floor is not None:
             k = min(call, len(self.perf_floor) - 1)
@@ -304,7 +295,7 @@ def primed_on(system, seed, temp_c=70.0, power_w=0.15):
         fan_level=int(rng.integers(1, system.fan.n_levels + 1)),
     )
     est = NextIntervalEstimator(
-        system=system, ips_predictor=BatchIPSTracker(system.dvfs)
+        system=system, ips_predictor=IPSTracker(system.dvfs)
     )
     temps = temp_c + rng.uniform(-5.0, 5.0, n)
     est.begin_interval(
@@ -324,7 +315,7 @@ def assert_same_decision(system, policy, seed, temp_c, power_w, th_c,
     kw = dict(POLICIES[policy], decision_period=1)
     if policy == "Oracle-P":
         top = np.full((1, system.n_cores), system.dvfs.max_level)
-        top_ips = predict_ips_many(est.ips_predictor, top).sum()
+        top_ips = est.ips_predictor.predict_many(top).sum()
         kw["perf_floor"] = np.array([floor_frac * top_ips])
     new, ref = ExhaustiveSearcher(**kw), ReferenceSearcher(**kw)
     problem = EnergyProblem(t_threshold_c=th_c)
@@ -369,7 +360,7 @@ def test_affine_objective_matches_two_pass(systems, name, objective):
     sp = searcher._prepare(system)
     est, _, temps = primed_on(system, seed=11)
     p_dyn = est.dyn_tracker.predict_many(sp.dvfs)
-    ips = predict_ips_many(est.ips_predictor, sp.dvfs).sum(axis=1)
+    ips = est.ips_predictor.predict_many(sp.dvfs).sum(axis=1)
     leak0 = system.power.controller_leakage.per_component_w(
         units.c_to_k(temps)
     )

@@ -37,7 +37,8 @@ def test_eq11_linear_frequency_scaling(tracker):
 def test_eq10_chip_sum(tracker):
     ips = np.array([1.0e9, 3.0e9])
     tracker.observe(ips, np.array([5, 5]))
-    assert tracker.predict_chip(np.array([5, 5])) == pytest.approx(4.0e9)
+    chip = tracker.predict_many(np.array([[5, 5], [0, 5]])).sum(axis=1)
+    np.testing.assert_allclose(chip, [4.0e9, 3.5e9])
 
 
 def test_zero_ips_stays_zero(tracker):

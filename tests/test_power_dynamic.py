@@ -44,15 +44,6 @@ def test_eq7_scaling(tracker, chip2):
     np.testing.assert_allclose(pred[~scaled], 1.0)
 
 
-def test_single_change_helper(tracker, chip2):
-    p = np.ones(chip2.n_components)
-    tracker.observe(p, np.full(chip2.n_tiles, 5))
-    a = tracker.predict_single_change(0, 3)
-    lv = np.array([3, 5])
-    b = tracker.predict(lv)
-    np.testing.assert_allclose(a, b)
-
-
 def test_observation_is_copied(tracker, chip2):
     p = np.ones(chip2.n_components)
     lv = np.full(chip2.n_tiles, 5)

@@ -109,9 +109,9 @@ def test_predictor_batch_matches_scalar():
     pred = ServerIPSPredictor(dvfs=I7_DVFS, peak_ips=6e9)
     pred.observe(np.full(4, 0.5 * 6e9), np.full(4, I7_DVFS.max_level))
     levels = np.array([[0, 1, 2, 3], [5, 5, 5, 5]])
-    batch = pred.predict_chip_batch(levels)
-    assert batch[0] == pytest.approx(pred.predict(levels[0]).sum())
-    assert batch[1] == pytest.approx(pred.predict(levels[1]).sum())
+    batch = pred.predict_many(levels)
+    assert np.array_equal(batch[0], pred.predict(levels[0]))
+    assert np.array_equal(batch[1], pred.predict(levels[1]))
 
 
 def test_predictor_before_observe():
