@@ -72,6 +72,96 @@ class Estimate:
     epi: float
 
 
+#: Per-candidate score arrays of an :class:`EstimateBatch`, paired with
+#: the :class:`Estimate` field each becomes.
+BATCH_SCORES = (
+    ("peak_c", "peak_temp_c"),
+    ("p_chip_w", "p_chip_w"),
+    ("p_cores_w", "p_cores_w"),
+    ("p_tec_w", "p_tec_w"),
+    ("p_fan_w", "p_fan_w"),
+    ("ips_chip", "ips_chip"),
+    ("epi", "epi"),
+)
+
+
+class EstimateBatch:
+    """What-if scores of a candidate batch, one row per state.
+
+    ``peak_c`` [degC], ``p_chip_w``, ``p_cores_w``, ``p_tec_w``,
+    ``p_fan_w`` [W], ``ips_chip`` and ``epi`` are arrays, so a controller
+    selects among candidates without building their fields. ``batch[j]``
+    is row ``j``'s full :class:`Estimate`: built (field included) on
+    first access and kept, so every access returns the same object and
+    its scalars equal the arrays' entries.
+    """
+
+    def __init__(
+        self,
+        states: list,
+        peak_c: np.ndarray,
+        p_chip_w: np.ndarray,
+        p_cores_w: np.ndarray,
+        p_tec_w: np.ndarray,
+        p_fan_w: np.ndarray,
+        ips_chip: np.ndarray,
+        epi: np.ndarray,
+        field_of=None,
+    ) -> None:
+        self.states = states
+        self.peak_c = peak_c
+        self.p_chip_w = p_chip_w
+        self.p_cores_w = p_cores_w
+        self.p_tec_w = p_tec_w
+        self.p_fan_w = p_fan_w
+        self.ips_chip = ips_chip
+        self.epi = epi
+        #: Row -> next-interval node field [K].
+        self._field_of = field_of
+        #: Row -> (batch, row) that owns its Estimate, for gathered batches.
+        self._source: list | None = None
+        self._built: dict = {}
+
+    @classmethod
+    def gather(cls, rows: list) -> "EstimateBatch":
+        """Batch of ``(batch, j)`` rows of other batches.
+
+        Row ``i`` answers with the source row's scores and its very
+        :class:`Estimate` object.
+        """
+        out = cls(
+            [b.states[j] for b, j in rows],
+            *(
+                np.array([getattr(b, name)[j] for b, j in rows])
+                for name, _ in BATCH_SCORES
+            ),
+        )
+        out._source = rows
+        return out
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __getitem__(self, j: int) -> Estimate:
+        if self._source is not None:
+            b, row = self._source[j]
+            return b[row]
+        est = self._built.get(j)
+        if est is None:
+            est = self._built[j] = Estimate(
+                state=self.states[j],
+                t_nodes_k=self._field_of(j),
+                **{
+                    attr: float(getattr(self, name)[j])
+                    for name, attr in BATCH_SCORES
+                },
+            )
+        return est
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self)))
+
+
 @dataclass
 class NextIntervalEstimator:
     """What-if evaluator over one :class:`CMPSystem`: the full model.
@@ -81,9 +171,9 @@ class NextIntervalEstimator:
     candidates. Evaluations within a period are memoized by actuator
     state.
 
-    The observer, the memo and the tail that turns predicted fields into
-    :class:`Estimate` objects live here once. A subclass supplies its own
-    :meth:`begin_interval` and :meth:`_predict_fields` (see
+    The observer, the memo and the tail that turns per-candidate scores
+    into an :class:`EstimateBatch` live here once. A subclass supplies its
+    own :meth:`begin_interval` and :meth:`_score` (see
     :class:`repro.core.local_estimator.LocalBandedEstimator`).
     """
 
@@ -96,6 +186,7 @@ class NextIntervalEstimator:
     # Per-interval context
     _t_nodes_k: np.ndarray = field(default=None, repr=False)
     _dt_s: float = 0.0
+    # The memo: state key -> (EstimateBatch, row) of this interval.
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -105,6 +196,18 @@ class NextIntervalEstimator:
                 tile_of=self.system.chip.tile_of(),
                 core_domain=core_dvfs_domain_mask(self.system.chip),
             )
+
+    # Pickling (checkpoints, worker payloads) carries state, not caches:
+    # the memo only ever answers within one interval and is dropped by
+    # the next ``begin_interval`` anyway.
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_cache"] = {}
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._cache = {}
 
     # ------------------------------------------------------------------
     def begin_interval(
@@ -183,7 +286,7 @@ class NextIntervalEstimator:
         """Predict next-interval temperature and EPI for ``state``.
 
         The one-candidate :meth:`evaluate_many`, without the batch
-        counters.
+        counters; a memoized state returns its row's :class:`Estimate`.
         """
         if self._t_nodes_k is None:
             raise ControlError("begin_interval must be called first")
@@ -191,122 +294,104 @@ class NextIntervalEstimator:
         hit = self._cache.get(key)
         if hit is not None:
             obs.incr("estimator.cache_hits")
-            return hit
+            batch, row = hit
+            return batch[row]
         return self._estimate_misses([state], [key])[0]
 
-    def evaluate_many(self, states: list) -> list:
-        """:meth:`evaluate` over many candidate states.
+    def evaluate_many(self, states: list) -> EstimateBatch:
+        """:meth:`evaluate` over many candidate states, as one batch.
 
-        The returned list matches ``states`` positionally and every
-        :class:`Estimate` is bit-identical to the single-candidate call:
-        memoized states are served from the cache, each distinct miss is
-        estimated once in one batch, and every estimate enters the memo.
+        Row ``j`` of the returned :class:`EstimateBatch` answers for
+        ``states[j]`` and is bit-identical to the single-candidate call:
+        memoized states are served from the memo, each distinct miss is
+        estimated once in one batch, and every miss enters the memo.
         """
         if self._t_nodes_k is None:
             raise ControlError("begin_interval must be called first")
-        results: list = [None] * len(states)
+        rows: list = [None] * len(states)
         first_miss: dict = {}  # memo key -> position of its first miss
         for i, state in enumerate(states):
             key = state.key()
             hit = self._cache.get(key)
             if hit is not None:
                 obs.incr("estimator.cache_hits")
-                results[i] = hit
+                rows[i] = hit
             elif key not in first_miss:
                 first_miss[key] = i
         if first_miss:
             obs.incr("estimator.batch_calls")
             obs.incr("estimator.batch_candidates", len(first_miss))
             where = list(first_miss.values())
-            estimates = self._estimate_misses(
+            batch = self._estimate_misses(
                 [states[i] for i in where], list(first_miss)
             )
-            for i, est in zip(where, estimates):
-                results[i] = est
+            if len(where) == len(states):
+                return batch
+            for j, i in enumerate(where):
+                rows[i] = (batch, j)
         for i, state in enumerate(states):
-            if results[i] is None:  # in-batch duplicate of a miss
+            if rows[i] is None:  # in-batch duplicate of a miss
                 obs.incr("estimator.cache_hits")
-                results[i] = self._cache[state.key()]
-        return results
+                rows[i] = self._cache[state.key()]
+        return EstimateBatch.gather(rows)
 
-    def _estimate_misses(self, states: list, keys: list) -> list:
-        """Estimates for distinct memo misses, entered into the memo.
+    def _estimate_misses(self, states: list, keys: list) -> EstimateBatch:
+        """Scores of distinct memo misses, entered into the memo.
 
-        The field comes from :meth:`_predict_fields`; the rest is shared:
-        Eq. (7) dynamic power, IPS, one TEC-power scatter per distinct
-        activation vector, fan power and EPI. Row-wise sums run over
-        contiguous copies, so each keeps the pairwise-summation order of
-        a per-candidate ``.sum()`` and a row does not depend on its batch.
+        Peak temperature, core and TEC power and the field come from
+        :meth:`_score`; the rest is shared: IPS, fan power, chip power
+        and EPI. Row-wise sums run over contiguous copies, so each keeps
+        the pairwise-summation order of a per-candidate ``.sum()`` and a
+        row does not depend on its batch.
         """
         system = self.system
-        levels = np.stack([s.dvfs for s in states])
+        levels = np.array([s.dvfs for s in states])
         if levels.min() < 0 or levels.max() >= self.dyn_tracker.dvfs.n_levels:
             raise ControlError("candidate DVFS level outside the DVFS table")
-        p_dyn_many = self.dyn_tracker.predict_many(levels)
-        t_rows, p_leak = self._predict_fields(states, levels, p_dyn_many)
-        ips_many = self.ips_predictor.predict_many(levels)
-        peaks = units.k_to_c(t_rows[:, system.nodes.component_slice]).max(
-            axis=1
+        peak_c, p_cores, p_tec, field_of = self._score(states, levels)
+        ips = np.ascontiguousarray(
+            self.ips_predictor.predict_many(levels)
+        ).sum(axis=1)
+        fan_w = {
+            level: system.fan.power_w(level)
+            for level in {s.fan_level for s in states}
+        }
+        p_fan = np.array([fan_w[s.fan_level] for s in states])
+        p_chip = p_cores + p_tec + p_fan
+        batch = EstimateBatch(
+            states,
+            peak_c,
+            p_chip,
+            p_cores,
+            p_tec,
+            p_fan,
+            ips,
+            EnergyProblem.epi_many(p_chip, ips),
+            field_of,
         )
-        p_dyn_sums = np.ascontiguousarray(p_dyn_many).sum(axis=1)
-        ips_sums = np.ascontiguousarray(ips_many).sum(axis=1)
-        p_leak_sum = p_leak.sum()
-        p_tec_rows = np.empty(len(states))
-        tec_groups: dict = {}
-        for j, state in enumerate(states):
-            tec_groups.setdefault(state.tec.tobytes(), []).append(j)
-        for members in tec_groups.values():
-            p_tec_rows[members] = system.tec_power_many(
-                states[members[0]].tec, t_rows[members]
-            )
-
         self.n_evaluations += len(states)
         obs.incr("estimator.evaluations", len(states))
-        fan_w: dict = {}
-        estimates = []
-        for j, (state, key) in enumerate(zip(states, keys)):
-            p_cores = float(p_dyn_sums[j] + p_leak_sum)
-            p_tec = float(p_tec_rows[j])
-            p_fan = fan_w.get(state.fan_level)
-            if p_fan is None:
-                p_fan = fan_w[state.fan_level] = system.fan.power_w(
-                    state.fan_level
-                )
-            p_chip = p_cores + p_tec + p_fan
-            ips = float(ips_sums[j])
-            est = Estimate(
-                state=state,
-                t_nodes_k=t_rows[j],
-                peak_temp_c=float(peaks[j]),
-                p_chip_w=p_chip,
-                p_cores_w=p_cores,
-                p_tec_w=p_tec,
-                p_fan_w=p_fan,
-                ips_chip=ips,
-                epi=EnergyProblem.epi(p_chip, ips),
-            )
-            self._cache[key] = est
-            estimates.append(est)
-        return estimates
+        for j, key in enumerate(keys):
+            self._cache[key] = (batch, j)
+        return batch
 
-    def _predict_fields(
-        self, states: list, levels: np.ndarray, p_dyn_many: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Next-interval node fields of ``states`` and the leakage they use.
+    def _score(self, states: list, levels: np.ndarray):
+        """Per-candidate peak [degC], core power and TEC power [W], and
+        a row -> next-interval field [K] callable.
 
-        Returns the ``(len(states), n_nodes)`` fields [K] and the
-        per-component leakage [W]. The full model: linear Eq. (6) leakage
+        The full model: Eq. (7) dynamic power and linear Eq. (6) leakage
         at the observer's component temperatures, steady state Eq. (1)
         and transient Eq. (5). One multi-RHS solve per distinct (fan, TEC)
         setting shares the LU factorization and transient betas; grouping
         is exact (not the caches' quantized keying) because members share
-        one factorization.
+        one factorization. TEC power is one cold-side scatter per distinct
+        activation vector.
         """
         system = self.system
+        comp = system.nodes.component_slice
         t_now = self._t_nodes_k
-        p_leak = system.power.controller_leakage.per_component_w(
-            t_now[system.nodes.component_slice]
-        )
+        p_dyn_many = self.dyn_tracker.predict_many(levels)
+        p_leak = system.power.controller_leakage.per_component_w(t_now[comp])
         t_rows = np.empty((len(states), len(t_now)))
         groups: dict = {}
         for j, state in enumerate(states):
@@ -321,7 +406,17 @@ class NextIntervalEstimator:
             t_rows[members] = (
                 (1.0 - beta)[None, :] * t_steady + beta[None, :] * t_now[None, :]
             )
-        return t_rows, p_leak
+        peak_c = units.k_to_c(t_rows[:, comp]).max(axis=1)
+        p_cores = np.ascontiguousarray(p_dyn_many).sum(axis=1) + p_leak.sum()
+        p_tec = np.empty(len(states))
+        tec_groups: dict = {}
+        for j, state in enumerate(states):
+            tec_groups.setdefault(state.tec.tobytes(), []).append(j)
+        for members in tec_groups.values():
+            p_tec[members] = system.tec_power_many(
+                states[members[0]].tec, t_rows[members]
+            )
+        return peak_c, p_cores, p_tec, t_rows.__getitem__
 
     # ------------------------------------------------------------------
     def evaluate_fan_setting(

@@ -63,6 +63,20 @@ class EnergyProblem:
             return _INFINITE_EPI
         return p_chip_w / ips_chip
 
+    @staticmethod
+    def epi_many(p_chip_w: np.ndarray, ips_chip: np.ndarray) -> np.ndarray:
+        """:meth:`epi` over arrays; entry ``j`` equals ``epi(p[j], ips[j])``."""
+        p = np.asarray(p_chip_w, dtype=float)
+        ips = np.asarray(ips_chip, dtype=float)
+        negative = p < 0.0
+        if negative.any():
+            raise ConfigurationError(f"negative chip power {p[negative][0]}")
+        out = np.full(p.shape, _INFINITE_EPI)
+        # ``~(ips <= 0)`` rather than ``ips > 0``: a NaN IPS divides, as
+        # in the scalar form.
+        np.divide(p, ips, out=out, where=~(ips <= 0.0))
+        return out
+
     def satisfied(self, peak_temp_c: float) -> bool:
         """Eq. (14): does the peak temperature meet the constraint?"""
         return peak_temp_c <= self.t_threshold_c

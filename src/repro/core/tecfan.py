@@ -43,10 +43,28 @@ import numpy as np
 
 from repro import units
 from repro.core.controller import Controller
-from repro.core.estimator import Estimate, NextIntervalEstimator
+from repro.core.estimator import Estimate, EstimateBatch, NextIntervalEstimator
 from repro.core.problem import EnergyProblem
 from repro.core.state import ActuatorState
 from repro.obs import telemetry as obs
+
+
+def _first_min(values: np.ndarray) -> int:
+    """Index of the first minimum, as a strict-``<`` scan keeps it.
+
+    A NaN in first place stays; a later NaN never wins.
+    """
+    if np.isnan(values[0]):
+        return 0
+    return int(np.argmin(np.where(np.isnan(values), np.inf, values)))
+
+
+def _pick(batch: EstimateBatch, ok: np.ndarray) -> Estimate | None:
+    """The lowest-EPI row among ``ok`` rows (first on ties), or None."""
+    where = np.flatnonzero(ok)
+    if where.size == 0:
+        return None
+    return batch[int(where[_first_min(batch.epi[where])])]
 
 
 @dataclass
@@ -115,13 +133,17 @@ class TECfanController(Controller):
         self.n_cool_iterations = 0
         self._health = None
 
+    def _ceiling_c(
+        self, problem: EnergyProblem, extra_margin_c: float = 0.0
+    ) -> float:
+        """Guard-banded acceptance ceiling on the predicted peak [degC]."""
+        return problem.t_threshold_c - self.guard_band_c - extra_margin_c
+
     def _ok(
         self, est: Estimate, problem: EnergyProblem, extra_margin_c: float = 0.0
     ) -> bool:
         """Guard-banded feasibility for candidate acceptance."""
-        return est.peak_temp_c <= (
-            problem.t_threshold_c - self.guard_band_c - extra_margin_c
-        )
+        return est.peak_temp_c <= self._ceiling_c(problem, extra_margin_c)
 
     # ------------------------------------------------------------------
     def decide(
@@ -177,11 +199,8 @@ class TECfanController(Controller):
                     # Lower DVFS, choosing the smallest-EPI candidate.
                     candidates = self._dvfs_candidates(work, system, -1)
                     if candidates:
-                        best = min(
-                            estimator.evaluate_many(candidates),
-                            key=lambda e: e.epi,
-                        )
-                        work = best.state
+                        batch = estimator.evaluate_many(candidates)
+                        work = candidates[_first_min(batch.epi)]
                         moved = True
                         break
             if not moved:
@@ -289,27 +308,25 @@ class TECfanController(Controller):
         self, work, cur, estimator, problem, system, raises_accepted=0
     ) -> Estimate | None:
         candidates = self._dvfs_candidates(work, system, +1)
+        if not candidates:
+            return None
         margin = self.coupling_penalty_c * raises_accepted
-        best: Estimate | None = None
-        for e in estimator.evaluate_many(candidates):
-            gains = e.ips_chip > cur.ips_chip * (1.0 + self.ips_gain_rel)
-            if gains and self._ok(e, problem, margin):
-                if best is None or e.epi < best.epi:
-                    best = e
-        return best
+        batch = estimator.evaluate_many(candidates)
+        gains = batch.ips_chip > cur.ips_chip * (1.0 + self.ips_gain_rel)
+        cool = batch.peak_c <= self._ceiling_c(problem, margin)
+        return _pick(batch, gains & cool)
 
     def _best_lowering(
         self, work, cur, estimator, problem, system
     ) -> Estimate | None:
         candidates = self._dvfs_candidates(work, system, -1)
-        best: Estimate | None = None
-        for e in estimator.evaluate_many(candidates):
-            neutral = e.ips_chip >= cur.ips_chip * (1.0 - self.ips_loss_rel)
-            saves = e.epi < cur.epi * (1.0 - self.epi_improvement_rel)
-            if neutral and saves and self._ok(e, problem):
-                if best is None or e.epi < best.epi:
-                    best = e
-        return best
+        if not candidates:
+            return None
+        batch = estimator.evaluate_many(candidates)
+        neutral = batch.ips_chip >= cur.ips_chip * (1.0 - self.ips_loss_rel)
+        saves = batch.epi < cur.epi * (1.0 - self.epi_improvement_rel)
+        cool = batch.peak_c <= self._ceiling_c(problem)
+        return _pick(batch, neutral & saves & cool)
 
     def _tec_off_coolest(
         self, work, cur, estimator, problem, system

@@ -21,8 +21,14 @@ import pytest
 
 from repro import units
 from repro.core import engine as engine_module
+from repro.checkpoint import result_digest
 from repro.core.engine import EngineConfig, SimulationEngine
-from repro.core.estimator import Estimate, NextIntervalEstimator
+from repro.core.estimator import (
+    BATCH_SCORES,
+    Estimate,
+    EstimateBatch,
+    NextIntervalEstimator,
+)
 from repro.core.local_estimator import LocalBandedEstimator
 from repro.core.problem import EnergyProblem
 from repro.core.state import ActuatorState
@@ -193,7 +199,19 @@ class _ReferenceEstimator(NextIntervalEstimator):
         return self._cache[key]
 
     def evaluate_many(self, states):
-        return [self.evaluate(s) for s in states]
+        return _batch_of([self.evaluate(s) for s in states])
+
+
+def _batch_of(estimates):
+    """An :class:`EstimateBatch` whose rows are ``estimates``."""
+    return EstimateBatch(
+        [e.state for e in estimates],
+        *(
+            np.array([getattr(e, attr) for e in estimates])
+            for _, attr in BATCH_SCORES
+        ),
+        field_of=lambda j: estimates[j].t_nodes_k,
+    )
 
 
 def _assert_same_estimates(got, want):
@@ -248,7 +266,10 @@ def test_evaluate_many_populates_memo_cache(system, cls):
     # Every candidate is now memoized: further evaluation is free.
     for cand, got in zip(cands, first):
         assert est.evaluate(cand) is got
-    assert est.evaluate_many(cands) == first
+    again = est.evaluate_many(cands)
+    assert all(a is b for a, b in zip(again, first, strict=True))
+    for name, _ in BATCH_SCORES:
+        assert np.array_equal(getattr(again, name), getattr(first, name))
     assert est.n_evaluations == n_after_batch
 
 
@@ -294,3 +315,80 @@ def test_engine_full_estimator_matches_reference(monkeypatch):
     assert res.metrics == ref.metrics
     assert res.trace._rows == ref.trace._rows
     assert res.final_state.key() == ref.final_state.key()
+
+
+class _ReferenceBandedEstimator(LocalBandedEstimator):
+    """Banded estimator whose every memo miss is the per-core reference:
+    the base prediction and each changed core solved on their own
+    (``_reference_core``), scored from the assembled field."""
+
+    def begin_interval(self, *args, **kwargs):
+        super().begin_interval(*args, **kwargs)
+        self._ref_base = None
+
+    def evaluate(self, state):
+        from tests.test_core_local_estimator import (
+            _changed_cores,
+            _reference_base,
+            _reference_scores,
+        )
+
+        if self._t_nodes_k is None:
+            raise ControlError("begin_interval must be called first")
+        key = state.key()
+        if key not in self._cache:
+            if self._ref_base is None:
+                self._ref_base = _reference_base(self)
+                self.n_core_solves += self.system.n_cores
+            self.n_evaluations += 1
+            self.n_core_solves += len(
+                _changed_cores(self.system, self._base_state, state)
+            )
+            field, scores = _reference_scores(self, self._ref_base, state)
+            self._cache[key] = Estimate(
+                state=state,
+                t_nodes_k=field,
+                **{attr: scores[name] for name, attr in BATCH_SCORES},
+            )
+        return self._cache[key]
+
+    def evaluate_many(self, states):
+        return _batch_of([self.evaluate(s) for s in states])
+
+
+def test_engine_banded_estimator_matches_reference(monkeypatch):
+    def run():
+        system = build_system(rows=2, cols=2)
+        wl = splash2_workload("lu", 4, system.chip)
+        engine = SimulationEngine(
+            system,
+            EnergyProblem(t_threshold_c=70.0),
+            EngineConfig(max_time_s=0.05),
+        )
+        return engine.run(
+            WorkloadRun(wl, system.chip, REF_FREQ_GHZ), TECfanController()
+        )
+
+    def spy(cls, built):
+        def make(**kwargs):
+            built.append(cls(**kwargs))
+            return built[-1]
+
+        return make
+
+    fast: list = []
+    monkeypatch.setattr(
+        engine_module, "LocalBandedEstimator", spy(LocalBandedEstimator, fast)
+    )
+    res = run()
+    ref: list = []
+    monkeypatch.setattr(
+        engine_module,
+        "LocalBandedEstimator",
+        spy(_ReferenceBandedEstimator, ref),
+    )
+    want = run()
+    assert len(fast) == len(ref) == 1 and ref[0].n_evaluations > 0
+    assert result_digest(res) == result_digest(want)
+    assert fast[0].n_evaluations == ref[0].n_evaluations
+    assert fast[0].n_core_solves == ref[0].n_core_solves

@@ -122,6 +122,18 @@ def test_checkpoint_no_perturb_and_resume_bit_identical(name, tmp_path):
     assert_identical(baseline, resumed)
 
 
+def test_checkpoint_estimator_carries_no_caches(tmp_path):
+    """The estimator in a checkpoint holds state only: no memo, no core
+    table, no pattern interning or per-core contexts."""
+    ck = str(tmp_path / "ck.pkl")
+    _run(dict(checkpoint_path=ck, checkpoint_every_s=0.007))
+    est = load_checkpoint(ck, kind="engine-run")["estimator"]
+    assert est._cache == {}
+    assert not est._have.any() and len(est._table) == 0
+    assert not est._patterns and not est._tec_pids and not est._static_ctx
+    assert est._bnd is None
+
+
 def test_resume_from_every_cadence_is_identical(tmp_path):
     """Fine cadence: many snapshots, resume still lands on the bit."""
     baseline = _run({})

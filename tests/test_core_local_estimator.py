@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.estimator import NextIntervalEstimator
+from repro.core.estimator import BATCH_SCORES, NextIntervalEstimator
 from repro.core.local_estimator import (
     HW_TEMP_STEP_K,
     LocalBandedEstimator,
@@ -232,9 +232,9 @@ def server_system():
 @pytest.mark.parametrize("name", ["system2", "system16", "server_system"])
 def test_core_table_matches_per_core_solves(request, name):
     """Overlapping random batches: every candidate's prediction is the
-    per-core reference bit for bit, each (core, tile pattern, level) is
-    solved once, and the pass count is the demanded (candidate, changed
-    core) pairs."""
+    per-core reference bit for bit, each (core, tile pattern) is solved
+    once at every level, and the pass count is the demanded (candidate,
+    changed core) pairs."""
     from repro.obs.telemetry import Telemetry, telemetry_session
 
     system = request.getfixturevalue(name)
@@ -271,7 +271,11 @@ def test_core_table_matches_per_core_solves(request, name):
     assert est.n_core_solves == passes
     counters = tel.metrics
     assert counters.counter("estimator.core_solves").value == passes
-    assert counters.counter("estimator.core_table_fills").value == len(triples)
+    # A (core, tile pattern) pair is filled at every DVFS level at once.
+    pairs = {(core, pattern) for core, pattern, _ in triples}
+    assert counters.counter("estimator.core_table_fills").value == (
+        system.dvfs.n_levels * len(pairs)
+    )
     assert len(triples) < passes
 
 
@@ -306,3 +310,233 @@ def test_commit_and_begin_interval_invalidate_table(system16):
     third = est.evaluate(raised)
     _assert_matches_reference(est, fresh_base, [raised], [third])
     assert not np.array_equal(after.t_nodes_k[comp], third.t_nodes_k[comp])
+
+
+# ----------------------------------------------------------------------
+# Core blocks: CSR slices equal the per-row construction
+# ----------------------------------------------------------------------
+def _reference_blocks(system):
+    """Per-core local models built one ``getrow`` at a time."""
+    g_full = system.cond.base_matrix().tocsr()
+    blocks = []
+    for core in range(system.n_cores):
+        sl = system.chip.tile_slice(core)
+        idx = np.arange(sl.start, sl.stop)
+        local_pos = {int(i): k for k, i in enumerate(idx)}
+        g_local = np.zeros((len(idx), len(idx)))
+        ext_node, ext_g = [], []
+        for k, i in enumerate(idx):
+            row = g_full.getrow(int(i))
+            e_nodes, e_gs = [], []
+            for c, v in zip(row.indices, row.data):
+                if int(c) in local_pos:
+                    g_local[k, local_pos[int(c)]] = v
+                else:
+                    e_nodes.append(int(c))
+                    e_gs.append(-float(v))
+            ext_node.append(np.asarray(e_nodes, dtype=np.intp))
+            ext_g.append(np.asarray(e_gs, dtype=float))
+        blocks.append((idx, g_local, ext_node, ext_g,
+                       system.nodes.capacities[sl]))
+    return blocks
+
+
+def _bitwise(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", ["system2", "system16", "server_system"])
+def test_blocks_match_per_row_construction(request, name):
+    system = request.getfixturevalue(name)
+    est = LocalBandedEstimator(
+        system=system, ips_predictor=IPSTracker(system.dvfs)
+    )
+    want = _reference_blocks(system)
+    assert len(est._blocks) == len(want)
+    for blk, (idx, g_local, ext_node, ext_g, caps) in zip(est._blocks, want):
+        assert _bitwise(blk.comp_idx, idx)
+        assert _bitwise(blk.g_local, g_local)
+        assert _bitwise(blk.capacities, caps)
+        assert len(blk.ext_node) == len(ext_node) == len(blk.ext_g)
+        for got, ref in zip(blk.ext_node, ext_node):
+            assert _bitwise(got, ref)
+        for got, ref in zip(blk.ext_g, ext_g):
+            assert _bitwise(got, ref)
+
+
+# ----------------------------------------------------------------------
+# Array scores: every batch entry equals the per-candidate reference
+# ----------------------------------------------------------------------
+def _reference_scores(est, base_pred, state):
+    """One candidate's banded scores from its assembled field, written
+    out with ``tec_power_w``, ``k_to_c(...).max()`` and ``epi``."""
+    from repro import units
+    from repro.core.problem import EnergyProblem
+
+    system = est.system
+    comp = system.nodes.component_slice
+    t = est._t_nodes_k.copy()
+    t[comp] = _reference_prediction(est, base_pred, state)
+    p_dyn = est.dyn_tracker.predict(state.dvfs)
+    p_cores = float(p_dyn.sum() + est._p_leak.sum())
+    p_tec = system.tec_power_w(state.tec, t)
+    p_fan = system.fan.power_w(state.fan_level)
+    p_chip = p_cores + p_tec + p_fan
+    ips = float(np.sum(est.ips_predictor.predict(state.dvfs)))
+    return t, {
+        "peak_c": float(units.k_to_c(t[comp]).max()),
+        "p_chip_w": p_chip,
+        "p_cores_w": p_cores,
+        "p_tec_w": p_tec,
+        "p_fan_w": p_fan,
+        "ips_chip": ips,
+        "epi": EnergyProblem.epi(p_chip, ips),
+    }
+
+
+def _scored_candidates(rng, system, work, n):
+    """:func:`_random_candidates` plus fractional TEC activations."""
+    out = _random_candidates(rng, system, work, n)
+    for _ in range(n // 2):
+        tec = work.tec.copy()
+        devs = rng.choice(system.n_tec_devices, size=int(rng.integers(1, 5)),
+                          replace=False)
+        tec[devs] = rng.random(len(devs))
+        s = work.with_tec_vector(tec)
+        if rng.random() < 0.5:
+            s = s.with_dvfs(int(rng.integers(system.n_cores)),
+                            int(rng.integers(system.dvfs.max_level + 1)))
+        out.append(s)
+    return out
+
+
+@pytest.fixture(scope="module")
+def current_drive_system():
+    from repro.core.system import build_system
+
+    return build_system(rows=1, cols=2, tec_drive_mode="current")
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["system2", "system16", "server_system", "current_drive_system"],
+)
+def test_array_scores_match_per_candidate_reference(request, name):
+    """Peak, TEC, core and chip power, IPS and EPI of every batch row
+    equal the reference built from that candidate's own field, before
+    and after a ``commit`` moves the observer field."""
+    system = request.getfixturevalue(name)
+    est, base, rng = _primed_banded(system, seed=7)
+    tec = base.tec.copy()
+    tec[rng.choice(system.n_tec_devices, size=2, replace=False)] = 0.25
+    base = base.with_tec_vector(tec)
+    n_comp = system.nodes.n_components
+    est.begin_interval(
+        60.0 + 15.0 * rng.random(n_comp), 0.5 + rng.random(n_comp),
+        1e9 * (1.0 + rng.random(system.n_cores)), base, 2e-3,
+    )
+    base_pred = _reference_base(est)
+    scored: dict = {}  # the memo outlives a commit within the interval
+    for round_ in range(3):
+        states = _scored_candidates(rng, system, base, 10)
+        batch = est.evaluate_many(states)
+        assert len(batch) == len(states)
+        for j, state in enumerate(states):
+            if state.key() not in scored:
+                scored[state.key()] = _reference_scores(est, base_pred, state)
+            field, want = scored[state.key()]
+            for name_, value in want.items():
+                assert getattr(batch, name_)[j] == value, (round_, j, name_)
+            assert np.array_equal(batch[j].t_nodes_k, field)
+            assert batch[j].state.key() == state.key()
+        # Stale-base semantics: after a commit the unchanged cores keep
+        # the interval's base prediction while changed cores re-solve
+        # against the committed field.
+        est.commit(batch[0])
+
+
+def test_gathered_batch_rows_are_memo_rows(system16):
+    """Hits and in-batch duplicates answer with the memo's own row."""
+    est, base, rng = _primed_banded(system16, seed=9)
+    first = est.evaluate_many(_random_candidates(rng, system16, base, 6))
+    fresh = _random_candidates(rng, system16, base, 3)
+    mixed = [first.states[2], fresh[0], fresh[0], first.states[0], fresh[1]]
+    batch = est.evaluate_many(mixed)
+    assert batch[0] is first[2] and batch[3] is first[0]
+    assert batch[1] is batch[2]
+    for j in range(len(mixed)):
+        assert batch.epi[j] == batch[j].epi
+        assert batch.peak_c[j] == batch[j].peak_temp_c
+
+
+def test_out_of_range_level_raises(system2, base_state2):
+    band, _ = primed_pair(system2, base_state2)
+    with pytest.raises(ControlError):
+        band.evaluate(base_state2.with_dvfs(0, system2.dvfs.n_levels))
+    with pytest.raises(ControlError):
+        band.evaluate_many([base_state2.with_dvfs(1, -1)])
+
+
+# ----------------------------------------------------------------------
+# Pickling carries state, not caches
+# ----------------------------------------------------------------------
+_CACHE_FIELDS = (
+    "_blocks", "_static_ctx", "_bnd", "_patterns", "_pattern_rows",
+    "_tec_pids", "_table", "_row_max", "_row_dev_w", "_have",
+)
+
+
+def test_pickled_estimator_holds_no_caches(system16):
+    import pickle
+
+    est, base, rng = _primed_banded(system16, seed=11)
+    cands = _random_candidates(rng, system16, base, 8)
+    want = est.evaluate_many(cands)
+    state = est.__getstate__()
+    assert state["_cache"] == {}
+    for name in _CACHE_FIELDS:
+        assert name not in state
+    clone = pickle.loads(pickle.dumps(est))
+    assert clone._cache == {} and len(clone._patterns) == 0
+    assert not clone._have.any() and not clone._static_ctx
+    # The clone rebuilds what it needs and answers bit for bit.
+    got = clone.evaluate_many(cands)
+    for name, _ in BATCH_SCORES:
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    for j in range(len(cands)):
+        assert np.array_equal(got[j].t_nodes_k, want[j].t_nodes_k)
+    # The base prediction is state and survives; only the candidates'
+    # passes run again.
+    passes = est.n_core_solves - system16.n_cores
+    assert clone.n_core_solves == est.n_core_solves + passes
+
+
+def test_older_payload_with_cache_keys_loads(system16):
+    """A payload from before the caches were dropped (memo of Estimates,
+    per-field contexts, a row table without summaries) still loads."""
+    est, base, rng = _primed_banded(system16, seed=13)
+    cands = _random_candidates(rng, system16, base, 5)
+    legacy = dict(est.__dict__)
+    legacy.update(
+        _cache={cands[0].key(): object()},
+        _ctx_cache={(0, 0): (np.eye(2), np.zeros(2), np.ones(2))},
+        _table=np.zeros((7, 18)),
+        _have=np.ones(7, dtype=bool),
+        _p_by_level=np.zeros(3),
+        _base_pred_comp_k=np.zeros(system16.nodes.n_components),
+    )
+    del legacy["_base_row_max"], legacy["_base_dev_w"], legacy["_row_max"]
+    loaded = LocalBandedEstimator.__new__(LocalBandedEstimator)
+    loaded.__setstate__(legacy)
+    assert "_ctx_cache" not in loaded.__dict__ and loaded._cache == {}
+    n_comp = system16.nodes.n_components
+    args = (
+        70.0 + 5.0 * rng.random(n_comp), 0.5 + rng.random(n_comp),
+        np.full(system16.n_cores, 1.5e9), base, 2e-3,
+    )
+    est.begin_interval(*args)
+    loaded.begin_interval(*args)
+    want = est.evaluate_many(cands)
+    got = loaded.evaluate_many(cands)
+    assert np.array_equal(got.epi, want.epi)
+    assert np.array_equal(got.peak_c, want.peak_c)

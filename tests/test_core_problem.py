@@ -46,3 +46,14 @@ def test_validation():
         EnergyProblem(t_threshold_c=200.0)
     with pytest.raises(ConfigurationError):
         EnergyProblem(t_threshold_c=90.0, violation_margin_c=-1.0)
+
+
+def test_epi_many_matches_scalar_epi():
+    p = np.array([10.0, 0.0, 3.5, 7.0, 2.0, np.nan])
+    ips = np.array([2e9, 1e9, 0.0, -1.0, np.nan, 1e9])
+    got = EnergyProblem.epi_many(p, ips)
+    for j in range(len(p)):
+        want = EnergyProblem.epi(p[j], ips[j])
+        assert got[j] == want or (np.isnan(got[j]) and np.isnan(want))
+    with pytest.raises(ConfigurationError):
+        EnergyProblem.epi_many(np.array([1.0, -0.5]), np.array([1e9, 1e9]))

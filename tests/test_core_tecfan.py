@@ -1,5 +1,7 @@
 """TECfan heuristic: hot/cool iterations, ordering, fan loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -159,3 +161,72 @@ def test_iteration_counters(system2, base_state2, controller):
     )
     assert controller.n_cool_iterations > 0
     assert controller.n_hot_iterations == 0
+
+
+# ----------------------------------------------------------------------
+# Array selection: the first minimum, as the per-candidate scan keeps it
+# ----------------------------------------------------------------------
+class _ConstructedScores:
+    """Estimator stub answering every batch with fixed score arrays."""
+
+    def __init__(self, system, epi, peak_c, ips):
+        self.system = system
+        self.epi, self.peak_c, self.ips = epi, peak_c, ips
+
+    def evaluate_many(self, states):
+        from repro.core.estimator import EstimateBatch
+
+        n = len(states)
+        zeros = np.zeros(n)
+        return EstimateBatch(
+            states, np.asarray(self.peak_c[:n], float), zeros, zeros,
+            zeros, zeros, np.asarray(self.ips[:n], float),
+            np.asarray(self.epi[:n], float),
+            field_of=lambda j: np.zeros(self.system.nodes.n_nodes),
+        )
+
+
+def _scan(batch, ok):
+    """The per-candidate selection loop the array selection replaces."""
+    best = None
+    for j in range(len(batch)):
+        if ok[j] and (best is None or batch.epi[j] < batch[best].epi):
+            best = j
+    return best
+
+
+@pytest.mark.parametrize(
+    "epi",
+    [
+        [3.0, 1.0, 2.0, 1.0, 1.0, 4.0],  # ties: the first minimum wins
+        [2.0, 2.0, 2.0, 2.0, 2.0, 2.0],
+        [np.inf, 5.0, np.inf, 5.0, 6.0, 7.0],
+        [np.inf] * 6,
+        [4.0, np.nan, 3.0, 3.0, np.nan, 9.0],  # a later NaN never wins
+        [np.nan, 1.0, 0.5, 0.5, 2.0, 3.0],  # a NaN in first place stays
+    ],
+)
+def test_equal_epi_candidates_pick_first_minimum(system16, epi):
+    from repro.core.tecfan import _first_min
+
+    state = ActuatorState.initial(
+        system16.n_tec_devices, system16.n_cores, 3, fan_level=2
+    )
+    n = 6
+    epi = np.array(epi + [50.0] * (system16.n_cores - n))
+    # Candidate 4 is too hot and candidate 5 loses IPS: both are masked.
+    peak = np.full(system16.n_cores, 60.0)
+    peak[4] = 99.0
+    ips = np.full(system16.n_cores, 2e9)
+    ips[5] = 0.5e9
+    stub = _ConstructedScores(system16, epi, peak, ips)
+    cur = replace(stub.evaluate_many([state])[0], ips_chip=1e9, epi=100.0)
+    ctl = TECfanController()
+    problem = EnergyProblem(t_threshold_c=80.0)
+    cands = ctl._dvfs_candidates(state, system16, +1)
+    batch = stub.evaluate_many(cands)
+    ok = (batch.ips_chip > 1e9) & (batch.peak_c <= 79.5)
+    want = _scan(batch, ok)
+    got = ctl._best_raise(state, cur, stub, problem, system16)
+    assert got.state.key() == cands[want].key()
+    assert _first_min(batch.epi) == _scan(batch, np.ones(len(batch), bool))
