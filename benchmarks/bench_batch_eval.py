@@ -107,8 +107,8 @@ def bench_candidate_rounds(system, kind: str, rounds: int) -> dict:
     cands = _round_candidates(system, state)
     measured = _measurements(system)
 
-    # Each round is a fresh interval: ``begin_interval`` drops the memo
-    # (and the banded core table). The applied state is evaluated outside
+    # Each round is a fresh interval: ``begin_interval`` drops the banded
+    # core table. The applied state is evaluated outside
     # the timed region, as a controller does before its candidate rounds;
     # for the banded estimator that fills every level of the applied
     # tile patterns, so the timed rounds measure scoring.

@@ -118,34 +118,12 @@ class EstimateBatch:
         self.epi = epi
         #: Row -> next-interval node field [K].
         self._field_of = field_of
-        #: Row -> (batch, row) that owns its Estimate, for gathered batches.
-        self._source: list | None = None
         self._built: dict = {}
-
-    @classmethod
-    def gather(cls, rows: list) -> "EstimateBatch":
-        """Batch of ``(batch, j)`` rows of other batches.
-
-        Row ``i`` answers with the source row's scores and its very
-        :class:`Estimate` object.
-        """
-        out = cls(
-            [b.states[j] for b, j in rows],
-            *(
-                np.array([getattr(b, name)[j] for b, j in rows])
-                for name, _ in BATCH_SCORES
-            ),
-        )
-        out._source = rows
-        return out
 
     def __len__(self) -> int:
         return len(self.states)
 
     def __getitem__(self, j: int) -> Estimate:
-        if self._source is not None:
-            b, row = self._source[j]
-            return b[row]
         est = self._built.get(j)
         if est is None:
             est = self._built[j] = Estimate(
@@ -168,11 +146,12 @@ class NextIntervalEstimator:
 
     Call :meth:`begin_interval` once per control period with the plant's
     measurements, then :meth:`evaluate` or :meth:`evaluate_many` for the
-    candidates. Evaluations within a period are memoized by actuator
-    state.
+    candidates. A what-if depends only on the observer field and the
+    candidate state: every call scores its candidates afresh, as the
+    hardware datapath of Sec. III-E does, and counts them.
 
-    The observer, the memo and the tail that turns per-candidate scores
-    into an :class:`EstimateBatch` live here once. A subclass supplies its
+    The observer and the tail that turns per-candidate scores into an
+    :class:`EstimateBatch` live here once. A subclass supplies its
     own :meth:`begin_interval` and :meth:`_score` (see
     :class:`repro.core.local_estimator.LocalBandedEstimator`).
     """
@@ -186,8 +165,6 @@ class NextIntervalEstimator:
     # Per-interval context
     _t_nodes_k: np.ndarray = field(default=None, repr=False)
     _dt_s: float = 0.0
-    # The memo: state key -> (EstimateBatch, row) of this interval.
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.dyn_tracker is None:
@@ -196,18 +173,6 @@ class NextIntervalEstimator:
                 tile_of=self.system.chip.tile_of(),
                 core_domain=core_dvfs_domain_mask(self.system.chip),
             )
-
-    # Pickling (checkpoints, worker payloads) carries state, not caches:
-    # the memo only ever answers within one interval and is dropped by
-    # the next ``begin_interval`` anyway.
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_cache"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._cache = {}
 
     # ------------------------------------------------------------------
     def begin_interval(
@@ -249,9 +214,9 @@ class NextIntervalEstimator:
     ) -> np.ndarray:
         """Shared :meth:`begin_interval` prologue.
 
-        Validates ``dt_s``, feeds both trackers and drops the memo;
-        returns a copy of the observer field (uniform before the first
-        interval) for the caller to update.
+        Validates ``dt_s`` and feeds both trackers; returns a copy of the
+        observer field (uniform before the first interval) for the caller
+        to update.
         """
         if dt_s <= 0:
             raise ControlError(f"non-positive control period {dt_s}")
@@ -260,7 +225,6 @@ class NextIntervalEstimator:
         self.dyn_tracker.observe(p_dyn_measured_w, state.dvfs)
         self.ips_predictor.observe(ips_measured, state.dvfs)
         self._dt_s = dt_s
-        self._cache.clear()
         return self._t_nodes_k.copy()
 
     def commit(self, estimate: Estimate) -> None:
@@ -286,57 +250,29 @@ class NextIntervalEstimator:
         """Predict next-interval temperature and EPI for ``state``.
 
         The one-candidate :meth:`evaluate_many`, without the batch
-        counters; a memoized state returns its row's :class:`Estimate`.
+        counters.
         """
         if self._t_nodes_k is None:
             raise ControlError("begin_interval must be called first")
-        key = state.key()
-        hit = self._cache.get(key)
-        if hit is not None:
-            obs.incr("estimator.cache_hits")
-            batch, row = hit
-            return batch[row]
-        return self._estimate_misses([state], [key])[0]
+        return self._estimate([state])[0]
 
     def evaluate_many(self, states: list) -> EstimateBatch:
         """:meth:`evaluate` over many candidate states, as one batch.
 
         Row ``j`` of the returned :class:`EstimateBatch` answers for
-        ``states[j]`` and is bit-identical to the single-candidate call:
-        memoized states are served from the memo, each distinct miss is
-        estimated once in one batch, and every miss enters the memo.
+        ``states[j]`` and is bit-identical to the single-candidate call;
+        a state given twice is scored twice.
         """
         if self._t_nodes_k is None:
             raise ControlError("begin_interval must be called first")
-        rows: list = [None] * len(states)
-        first_miss: dict = {}  # memo key -> position of its first miss
-        for i, state in enumerate(states):
-            key = state.key()
-            hit = self._cache.get(key)
-            if hit is not None:
-                obs.incr("estimator.cache_hits")
-                rows[i] = hit
-            elif key not in first_miss:
-                first_miss[key] = i
-        if first_miss:
-            obs.incr("estimator.batch_calls")
-            obs.incr("estimator.batch_candidates", len(first_miss))
-            where = list(first_miss.values())
-            batch = self._estimate_misses(
-                [states[i] for i in where], list(first_miss)
-            )
-            if len(where) == len(states):
-                return batch
-            for j, i in enumerate(where):
-                rows[i] = (batch, j)
-        for i, state in enumerate(states):
-            if rows[i] is None:  # in-batch duplicate of a miss
-                obs.incr("estimator.cache_hits")
-                rows[i] = self._cache[state.key()]
-        return EstimateBatch.gather(rows)
+        if not states:
+            return EstimateBatch([], *(np.empty(0) for _ in BATCH_SCORES))
+        obs.incr("estimator.batch_calls")
+        obs.incr("estimator.batch_candidates", len(states))
+        return self._estimate(states)
 
-    def _estimate_misses(self, states: list, keys: list) -> EstimateBatch:
-        """Scores of distinct memo misses, entered into the memo.
+    def _estimate(self, states: list) -> EstimateBatch:
+        """Scores of a non-empty candidate list.
 
         Peak temperature, core and TEC power and the field come from
         :meth:`_score`; the rest is shared: IPS, fan power, chip power
@@ -371,8 +307,6 @@ class NextIntervalEstimator:
         )
         self.n_evaluations += len(states)
         obs.incr("estimator.evaluations", len(states))
-        for j, key in enumerate(keys):
-            self._cache[key] = (batch, j)
         return batch
 
     def _score(self, states: list, levels: np.ndarray):

@@ -99,13 +99,15 @@ class _CoreBlock:
 
 
 #: Caches a pickled estimator leaves behind: ``__setstate__`` rebuilds the
-#: core blocks from the system and starts every cache empty. ``_ctx_cache``
-#: is the per-field context cache of older checkpoints.
+#: core blocks from the system and starts every cache empty. ``_cache``
+#: (the candidate memo) and ``_ctx_cache`` (the per-field context cache)
+#: are fields of older checkpoints.
 _NOT_PICKLED = (
     "_blocks", "_ext_nodes", "_ext_runs", "_ext_at", "_tile_devs",
     "_foot_comp", "_foot_w", "_static_ctx",
     "_bnd", "_patterns", "_pattern_rows", "_tec_pids", "_table",
-    "_row_max", "_row_dev_w", "_have", "_p_dyn", "_p_by_level", "_ctx_cache",
+    "_row_max", "_row_dev_w", "_have", "_p_dyn", "_p_by_level",
+    "_cache", "_ctx_cache",
 )
 
 
@@ -137,13 +139,13 @@ class LocalBandedEstimator(NextIntervalEstimator):
         self._drop_caches()
 
     def __getstate__(self) -> dict:
-        state = super().__getstate__()
+        state = self.__dict__.copy()
         for name in _NOT_PICKLED:
             state.pop(name, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
-        super().__setstate__(state)
+        self.__dict__.update(state)
         for name in _NOT_PICKLED:
             self.__dict__.pop(name, None)
         if self._base_row_max is None:
@@ -490,8 +492,8 @@ class LocalBandedEstimator(NextIntervalEstimator):
             obs.incr("estimator.core_solves", n_cores)
 
     # ------------------------------------------------------------------
-    # The memo front is the base class's, defined again in this class
-    # body so per-class instrumentation (``benchmarks/e2e/layers.py``)
+    # The evaluation front is the base class's, defined again in this
+    # class body so per-class instrumentation (``benchmarks/e2e/layers.py``)
     # binds the banded estimator's calls on their own.
     evaluate = NextIntervalEstimator.evaluate
     evaluate_many = NextIntervalEstimator.evaluate_many

@@ -113,11 +113,3 @@ class ActuatorState:
     def tec_on_mask(self) -> np.ndarray:
         """Boolean on/off view of the activation vector."""
         return self.tec > 0.5
-
-    def key(self) -> tuple:
-        """Hashable identity (for memoizing candidate evaluations)."""
-        return (
-            self.tec.tobytes(),
-            self.dvfs.tobytes(),
-            self.fan_level,
-        )

@@ -155,7 +155,9 @@ class TECfanController(Controller):
     ) -> ActuatorState:
         est = estimator.evaluate(state)
         if not problem.satisfied(est.peak_temp_c):
-            final, final_est = self._hot_iterations(state, estimator, problem)
+            final, final_est = self._hot_iterations(
+                state, est, estimator, problem
+            )
         else:
             final, final_est = self._cool_iterations(
                 state, est, estimator, problem
@@ -171,15 +173,20 @@ class TECfanController(Controller):
     def _hot_iterations(
         self,
         state: ActuatorState,
+        est: Estimate,
         estimator: NextIntervalEstimator,
         problem: EnergyProblem,
     ) -> tuple[ActuatorState, Estimate]:
+        """Walk from ``state`` (estimated as ``est``) until the estimate
+        is feasible or nothing moves. A DVFS lowering carries its batch
+        row as the next estimate; only a TEC toggle needs a fresh one."""
         system = estimator.system
         work = state
         for _ in range(self.max_iterations):
             self.n_hot_iterations += 1
             obs.incr("controller.hot_iterations")
-            est = estimator.evaluate(work)
+            if est is None:
+                est = estimator.evaluate(work)
             if self._ok(est, problem):
                 return work, est
 
@@ -192,7 +199,7 @@ class TECfanController(Controller):
                         work, est, system, problem
                     )
                     if device is not None:
-                        work = work.with_tec(device, 1.0)
+                        work, est = work.with_tec(device, 1.0), None
                         moved = True
                         break
                 else:
@@ -200,14 +207,17 @@ class TECfanController(Controller):
                     candidates = self._dvfs_candidates(work, system, -1)
                     if candidates:
                         batch = estimator.evaluate_many(candidates)
-                        work = candidates[_first_min(batch.epi)]
+                        est = batch[_first_min(batch.epi)]
+                        work = est.state
                         moved = True
                         break
             if not moved:
                 return work, est  # everything saturated; nothing more to do
-        # Iteration budget exhausted after a move: the last accepted
-        # candidate has not been evaluated yet (memo-cached if it has).
-        return work, estimator.evaluate(work)
+        # Iteration budget exhausted after a move: a TEC toggle is the one
+        # move not yet estimated.
+        if est is None:
+            est = estimator.evaluate(work)
+        return work, est
 
     def _tec_over_hottest_violation(
         self,

@@ -123,12 +123,12 @@ def test_checkpoint_no_perturb_and_resume_bit_identical(name, tmp_path):
 
 
 def test_checkpoint_estimator_carries_no_caches(tmp_path):
-    """The estimator in a checkpoint holds state only: no memo, no core
-    table, no pattern interning or per-core contexts."""
+    """The estimator in a checkpoint holds state only: no core table, no
+    pattern interning or per-core contexts."""
     ck = str(tmp_path / "ck.pkl")
     _run(dict(checkpoint_path=ck, checkpoint_every_s=0.007))
     est = load_checkpoint(ck, kind="engine-run")["estimator"]
-    assert est._cache == {}
+    assert "_cache" not in est.__dict__
     assert not est._have.any() and len(est._table) == 0
     assert not est._patterns and not est._tec_pids and not est._static_ctx
     assert est._bnd is None

@@ -55,11 +55,18 @@ def test_estimate_fields_consistent(primed, base_state2, system2):
     assert e.t_nodes_k.shape == (system2.nodes.n_nodes,)
 
 
-def test_memoization_counts_once(primed, base_state2):
-    primed.evaluate(base_state2)
+def test_every_evaluation_counts(primed, base_state2):
+    """No memo: a repeat is scored again, counts, and answers equal
+    scores through either entry point."""
+    first = primed.evaluate(base_state2)
     n = primed.n_evaluations
-    primed.evaluate(base_state2)
-    assert primed.n_evaluations == n  # cache hit
+    again = primed.evaluate(base_state2)
+    batch = primed.evaluate_many([base_state2, base_state2])
+    assert primed.n_evaluations == n + 3
+    for e in (again, batch[0], batch[1]):
+        assert e is not first
+        assert e.epi == first.epi and e.peak_temp_c == first.peak_temp_c
+        np.testing.assert_array_equal(e.t_nodes_k, first.t_nodes_k)
 
 
 def test_lower_dvfs_lowers_power_and_ips(primed, base_state2):
@@ -85,9 +92,16 @@ def test_slower_fan_cheaper_but_hotter(primed, base_state2):
 
 
 def test_commit_adopts_field(primed, base_state2):
-    e = primed.evaluate(base_state2.with_fan(3))
+    slow = base_state2.with_fan(3)
+    e = primed.evaluate(slow)
     primed.commit(e)
     np.testing.assert_array_equal(primed._t_nodes_k, e.t_nodes_k)
+    # A state scored before the commit answers against the new field:
+    # it is cooler than the sensed 70 degC, so leakage and the transient
+    # start point both drop.
+    after = primed.evaluate(slow)
+    assert after.p_cores_w < e.p_cores_w
+    assert after.peak_temp_c < e.peak_temp_c
 
 
 def test_fan_setting_estimate(primed, system2):

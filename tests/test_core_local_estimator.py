@@ -77,12 +77,19 @@ def test_only_changed_cores_resolved(system2, base_state2):
     assert band.n_core_solves == n0 + 3  # two more for the 2-core diff
 
 
-def test_memoized(system2, base_state2):
+def test_every_evaluation_counts(system2, base_state2):
+    """No memo: a repeat is scored again, counts its evaluation and its
+    core passes, and answers equal scores."""
     band, _ = primed_pair(system2, base_state2)
-    band.evaluate(base_state2)
-    n = band.n_evaluations
-    band.evaluate(base_state2)
-    assert band.n_evaluations == n
+    moved = base_state2.with_dvfs(0, 4)
+    first = band.evaluate(moved)
+    n, passes = band.n_evaluations, band.n_core_solves
+    again = band.evaluate(moved)
+    assert band.n_evaluations == n + 1
+    assert band.n_core_solves == passes + 1
+    assert again is not first
+    assert again.epi == first.epi and again.peak_temp_c == first.peak_temp_c
+    np.testing.assert_array_equal(again.t_nodes_k, first.t_nodes_k)
 
 
 def test_fan_estimate_uses_full_model(system2, base_state2):
@@ -233,8 +240,8 @@ def server_system():
 def test_core_table_matches_per_core_solves(request, name):
     """Overlapping random batches: every candidate's prediction is the
     per-core reference bit for bit, each (core, tile pattern) is solved
-    once at every level, and the pass count is the demanded (candidate,
-    changed core) pairs."""
+    once at every level, and the pass count is the demanded (evaluated
+    candidate, changed core) pairs, repeats included."""
     from repro.obs.telemetry import Telemetry, telemetry_session
 
     system = request.getfixturevalue(name)
@@ -246,7 +253,6 @@ def test_core_table_matches_per_core_solves(request, name):
         for core in range(system.n_cores)
     }
     passes = system.n_cores
-    seen: set = set()
     tel = Telemetry()
     previous: list = []
     with telemetry_session(tel):
@@ -258,9 +264,6 @@ def test_core_table_matches_per_core_solves(request, name):
                 got = [est.evaluate(s) for s in batch]
             _assert_matches_reference(est, base_pred, batch, got)
             for s in batch:
-                if s.key() in seen:
-                    continue
-                seen.add(s.key())
                 changed = _changed_cores(system, base, s)
                 passes += len(changed)
                 triples.update(
@@ -294,10 +297,9 @@ def test_commit_and_begin_interval_invalidate_table(system16):
         np.full(system.n_cores, system.dvfs.max_level)
     ))
     est.commit(hot)
-    # A fan move misses the memo but needs exactly the same table keys.
-    again = raised.with_fan(3)
-    after = est.evaluate(again)
-    _assert_matches_reference(est, base_pred, [again], [after])
+    # The state scored before the commit answers against the new field.
+    after = est.evaluate(raised)
+    _assert_matches_reference(est, base_pred, [raised], [after])
     comp = system.nodes.component_slice
     assert not np.array_equal(before.t_nodes_k[comp], after.t_nodes_k[comp])
 
@@ -424,7 +426,8 @@ def current_drive_system():
 def test_array_scores_match_per_candidate_reference(request, name):
     """Peak, TEC, core and chip power, IPS and EPI of every batch row
     equal the reference built from that candidate's own field, before
-    and after a ``commit`` moves the observer field."""
+    and after a ``commit`` moves the observer field (each round repeats
+    some of the previous round's states)."""
     system = request.getfixturevalue(name)
     est, base, rng = _primed_banded(system, seed=7)
     tec = base.tec.copy()
@@ -436,37 +439,40 @@ def test_array_scores_match_per_candidate_reference(request, name):
         1e9 * (1.0 + rng.random(system.n_cores)), base, 2e-3,
     )
     base_pred = _reference_base(est)
-    scored: dict = {}  # the memo outlives a commit within the interval
+    states: list = []
     for round_ in range(3):
-        states = _scored_candidates(rng, system, base, 10)
+        states = _scored_candidates(rng, system, base, 10) + states[:3]
         batch = est.evaluate_many(states)
         assert len(batch) == len(states)
         for j, state in enumerate(states):
-            if state.key() not in scored:
-                scored[state.key()] = _reference_scores(est, base_pred, state)
-            field, want = scored[state.key()]
+            field, want = _reference_scores(est, base_pred, state)
             for name_, value in want.items():
                 assert getattr(batch, name_)[j] == value, (round_, j, name_)
             assert np.array_equal(batch[j].t_nodes_k, field)
-            assert batch[j].state.key() == state.key()
+            assert batch[j].state is state
         # Stale-base semantics: after a commit the unchanged cores keep
         # the interval's base prediction while changed cores re-solve
         # against the committed field.
         est.commit(batch[0])
 
 
-def test_gathered_batch_rows_are_memo_rows(system16):
-    """Hits and in-batch duplicates answer with the memo's own row."""
+def test_duplicate_rows_answer_equal_scores(system16):
+    """Duplicates within and across batches answer equal scores and
+    fields, and each batch's arrays equal its rows' scalars."""
     est, base, rng = _primed_banded(system16, seed=9)
     first = est.evaluate_many(_random_candidates(rng, system16, base, 6))
     fresh = _random_candidates(rng, system16, base, 3)
     mixed = [first.states[2], fresh[0], fresh[0], first.states[0], fresh[1]]
     batch = est.evaluate_many(mixed)
-    assert batch[0] is first[2] and batch[3] is first[0]
-    assert batch[1] is batch[2]
-    for j in range(len(mixed)):
-        assert batch.epi[j] == batch[j].epi
-        assert batch.peak_c[j] == batch[j].peak_temp_c
+    # (row of ``batch``, the batch and row holding the same state)
+    for row, (other, k) in ((0, (first, 2)), (1, (batch, 2)), (3, (first, 0))):
+        for name, _ in BATCH_SCORES:
+            assert getattr(batch, name)[row] == getattr(other, name)[k]
+        assert np.array_equal(batch[row].t_nodes_k, other[k].t_nodes_k)
+    for b in (first, batch):
+        for j in range(len(b)):
+            for name, attr in BATCH_SCORES:
+                assert getattr(b, name)[j] == getattr(b[j], attr)
 
 
 def test_out_of_range_level_raises(system2, base_state2):
@@ -493,11 +499,10 @@ def test_pickled_estimator_holds_no_caches(system16):
     cands = _random_candidates(rng, system16, base, 8)
     want = est.evaluate_many(cands)
     state = est.__getstate__()
-    assert state["_cache"] == {}
     for name in _CACHE_FIELDS:
         assert name not in state
     clone = pickle.loads(pickle.dumps(est))
-    assert clone._cache == {} and len(clone._patterns) == 0
+    assert len(clone._patterns) == 0
     assert not clone._have.any() and not clone._static_ctx
     # The clone rebuilds what it needs and answers bit for bit.
     got = clone.evaluate_many(cands)
@@ -512,13 +517,13 @@ def test_pickled_estimator_holds_no_caches(system16):
 
 
 def test_older_payload_with_cache_keys_loads(system16):
-    """A payload from before the caches were dropped (memo of Estimates,
+    """A payload from before the caches were dropped (the candidate memo,
     per-field contexts, a row table without summaries) still loads."""
     est, base, rng = _primed_banded(system16, seed=13)
     cands = _random_candidates(rng, system16, base, 5)
     legacy = dict(est.__dict__)
     legacy.update(
-        _cache={cands[0].key(): object()},
+        _cache={("tec", "dvfs", 1): object()},
         _ctx_cache={(0, 0): (np.eye(2), np.zeros(2), np.ones(2))},
         _table=np.zeros((7, 18)),
         _have=np.ones(7, dtype=bool),
@@ -528,7 +533,8 @@ def test_older_payload_with_cache_keys_loads(system16):
     del legacy["_base_row_max"], legacy["_base_dev_w"], legacy["_row_max"]
     loaded = LocalBandedEstimator.__new__(LocalBandedEstimator)
     loaded.__setstate__(legacy)
-    assert "_ctx_cache" not in loaded.__dict__ and loaded._cache == {}
+    assert "_ctx_cache" not in loaded.__dict__
+    assert "_cache" not in loaded.__dict__
     n_comp = system16.nodes.n_components
     args = (
         70.0 + 5.0 * rng.random(n_comp), 0.5 + rng.random(n_comp),

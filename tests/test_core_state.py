@@ -87,12 +87,6 @@ def test_derived_copies_share_validated_tec(state):
         state.with_fan(0)
 
 
-def test_key_identity(state):
-    assert state.key() == state.with_fan(1).key()
-    assert state.key() != state.with_fan(2).key()
-    assert state.key() != state.with_tec(0, 1.0).key()
-
-
 def test_tec_on_mask_fractional():
     s = ActuatorState(
         tec=np.array([0.0, 0.4, 0.6, 1.0]),

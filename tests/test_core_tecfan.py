@@ -28,6 +28,27 @@ def primed_estimator(system, state, temps_c, p_dyn_scale=1.0, ips=1.2e9):
     return est
 
 
+def record_states(est):
+    """Wrap ``est``'s ``evaluate``/``evaluate_many``; the returned list
+    collects every state passed, as (tec bytes, dvfs bytes, fan) values."""
+    seen: list = []
+    evaluate, evaluate_many = est.evaluate, est.evaluate_many
+
+    def ident(s):
+        return s.tec.tobytes(), s.dvfs.tobytes(), s.fan_level
+
+    def one(state):
+        seen.append(ident(state))
+        return evaluate(state)
+
+    def many(states):
+        seen.extend(map(ident, states))
+        return evaluate_many(states)
+
+    est.evaluate, est.evaluate_many = one, many
+    return seen
+
+
 @pytest.fixture()
 def controller():
     # Full-model estimator keeps these unit tests deterministic & fast.
@@ -53,6 +74,7 @@ def test_hot_iteration_turns_tecs_on_first(system2, base_state2, controller):
     # Threshold just below the predicted peak: mild violation
     # (slightly beyond the 0.5 degC guard band).
     problem = EnergyProblem(t_threshold_c=e0.peak_temp_c - 0.7)
+    scored = record_states(est)
     out = controller.decide(
         base_state2,
         np.full(system2.nodes.n_components, 70.0),
@@ -60,6 +82,8 @@ def test_hot_iteration_turns_tecs_on_first(system2, base_state2, controller):
         problem,
     )
     assert out.tec_on_count > 0
+    # The hot walk carries each move's estimate: no state is scored twice.
+    assert len(scored) == len(set(scored))
     # TECs engage before any deep throttling: at most one DVFS step.
     assert np.mean(system2.dvfs.max_level - out.dvfs) <= 1.0
 
@@ -70,6 +94,7 @@ def test_hot_iteration_falls_back_to_dvfs(system2, base_state2, controller):
                            p_dyn_scale=4.0)
     e0 = est.evaluate(base_state2)
     problem = EnergyProblem(t_threshold_c=e0.peak_temp_c - 12.0)
+    scored = record_states(est)
     out = controller.decide(
         base_state2,
         np.full(system2.nodes.n_components, 80.0),
@@ -77,6 +102,8 @@ def test_hot_iteration_falls_back_to_dvfs(system2, base_state2, controller):
         problem,
     )
     assert np.any(out.dvfs < system2.dvfs.max_level)
+    # Each DVFS lowering's batch row is the next step's estimate.
+    assert len(scored) == len(set(scored))
     e1 = est.evaluate(out)
     assert e1.peak_temp_c < e0.peak_temp_c
 
@@ -228,5 +255,5 @@ def test_equal_epi_candidates_pick_first_minimum(system16, epi):
     ok = (batch.ips_chip > 1e9) & (batch.peak_c <= 79.5)
     want = _scan(batch, ok)
     got = ctl._best_raise(state, cur, stub, problem, system16)
-    assert got.state.key() == cands[want].key()
+    assert np.array_equal(got.state.dvfs, cands[want].dvfs)
     assert _first_min(batch.epi) == _scan(batch, np.ones(len(batch), bool))

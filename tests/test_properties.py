@@ -6,8 +6,7 @@ These cover the algebraic backbone the controllers rely on:
   TEC activation;
 * Eq. (5) interpolation stays within the [T_prev, T_steady] envelope;
 * Eq. (7)/(11) ratio algebra composes;
-* the energy-balance identity holds for arbitrary inputs;
-* ActuatorState key/equality semantics.
+* the energy-balance identity holds for arbitrary inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.problem import EnergyProblem
-from repro.core.state import ActuatorState
 from repro.core.system import build_system
 from repro.power.dvfs import SCC_DVFS
 from repro.power.leakage import LinearLeakage
@@ -136,17 +134,6 @@ def test_linear_leakage_monotone_and_additive(t):
     hotter = lk.per_component_w(t + 5.0)
     assert np.all(hotter >= base)
     assert np.all(base >= 0.0)
-
-
-@given(
-    fan=st.integers(1, 6),
-    dev=st.integers(0, N_DEV - 1),
-    val=st.floats(0.0, 1.0, allow_nan=False),
-)
-def test_actuator_state_key_roundtrip(fan, dev, val):
-    s = ActuatorState.initial(N_DEV, 2, 5, fan).with_tec(dev, val)
-    s2 = ActuatorState.initial(N_DEV, 2, 5, fan).with_tec(dev, val)
-    assert s.key() == s2.key()
 
 
 @given(
