@@ -2,9 +2,11 @@
 
 Measures the fleet tentpole (docs/FLEET.md): advancing N servers per
 control interval with one multi-RHS ``solve_many`` per actuation class
-instead of N independent solve chains. Fast-forwarding is disabled so
-the timing isolates stepping throughput; equivalence is asserted via
-shard digests — the two runs must be bit-identical, not merely close.
+instead of N independent solve chains. The sequential side is the same
+run with ``BatchedStepper.advance`` swapped for the per-node reference
+loop (``SequentialStepper``). Fast-forwarding is disabled so the timing
+isolates stepping throughput; equivalence is asserted via shard
+digests — the two runs must be bit-identical, not merely close.
 
 Three measurements:
 
@@ -36,6 +38,7 @@ printed speedups, no timing gate and no baseline rewrite.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
 import sys
@@ -47,7 +50,7 @@ BASELINE = RESULTS_DIR / "BENCH_fleet.json"
 SPEEDUP_GATE = 4.0
 
 
-def _cfg(n_nodes: int, duration_s: int, stepper: str, shards: int = 1):
+def _cfg(n_nodes: int, duration_s: int, shards: int = 1):
     from repro.fleet import FleetConfig
 
     return FleetConfig(
@@ -55,10 +58,25 @@ def _cfg(n_nodes: int, duration_s: int, stepper: str, shards: int = 1):
         duration_s=duration_s,
         trace="diurnal",
         router="round-robin",
-        stepper=stepper,
         fast_forward=False,
         shards=shards,
     )
+
+
+@contextlib.contextmanager
+def _plant(stepper: str):
+    """Run the fleet on the batched kernel or on the per-node reference."""
+    from repro.fleet.stepper import BatchedStepper, SequentialStepper
+
+    batched_advance = BatchedStepper.advance
+    if stepper == "sequential":
+        BatchedStepper.advance = (
+            lambda self, *a, **k: SequentialStepper(self.system).advance(*a, **k)
+        )
+    try:
+        yield
+    finally:
+        BatchedStepper.advance = batched_advance
 
 
 def bench_steppers(platform, n_nodes: int, duration_s: int) -> dict:
@@ -68,9 +86,10 @@ def bench_steppers(platform, n_nodes: int, duration_s: int) -> dict:
     timings = {}
     digests = {}
     for stepper in ("sequential", "batched"):
-        t0 = time.perf_counter()
-        result = run_fleet(_cfg(n_nodes, duration_s, stepper), platform=platform)
-        timings[stepper] = time.perf_counter() - t0
+        with _plant(stepper):
+            t0 = time.perf_counter()
+            result = run_fleet(_cfg(n_nodes, duration_s), platform=platform)
+            timings[stepper] = time.perf_counter() - t0
         digests[stepper] = result.digest
     batched = result  # the loop's last run
 
@@ -106,7 +125,7 @@ def bench_sharded(platform, n_nodes: int, duration_s: int, jobs: int) -> dict:
 
     t0 = time.perf_counter()
     serial = run_fleet(
-        _cfg(n_nodes, duration_s, "batched", shards=jobs), platform=platform, jobs=1
+        _cfg(n_nodes, duration_s, shards=jobs), platform=platform, jobs=1
     )
     t_serial = time.perf_counter() - t0
 
@@ -114,7 +133,7 @@ def bench_sharded(platform, n_nodes: int, duration_s: int, jobs: int) -> dict:
         pool.prime()
         t0 = time.perf_counter()
         pooled = run_fleet(
-            _cfg(n_nodes, duration_s, "batched", shards=jobs),
+            _cfg(n_nodes, duration_s, shards=jobs),
             platform=platform,
             pool=pool,
         )

@@ -36,7 +36,7 @@ from repro.core.engine import (
 )
 from repro.core.problem import EnergyProblem
 from repro.core.state import ActuatorState
-from repro.core.system import CMPSystem, build_system
+from repro.core.system import CMPSystem
 from repro.core.tecfan import TECfanController
 from repro.exceptions import ConfigurationError
 from repro.perf.splash2 import REF_FREQ_GHZ, splash2_workload
@@ -347,8 +347,3 @@ def fan_level_feasible_with_tec_assist(
         if not turned_on:
             return False
     return False
-
-
-def default_system() -> CMPSystem:
-    """The paper's 16-core platform with calibrated defaults."""
-    return build_system()

@@ -315,7 +315,6 @@ def _cmd_fleet(args) -> int:
             seed=args.seed,
             scale=args.scale,
             router=args.router,
-            stepper=args.stepper,
             fast_forward=not args.no_fast_forward,
             shards=args.shards,
         )
@@ -714,13 +713,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=("identity", "round-robin", "least-loaded", "thermal"),
         default="round-robin",
         help="request routing policy",
-    )
-    fleetp.add_argument(
-        "--stepper",
-        choices=("batched", "sequential"),
-        default="batched",
-        help="plant stepper: class-grouped batched kernel or the "
-        "reference per-node loop (bit-identical results)",
     )
     fleetp.add_argument(
         "--scale",

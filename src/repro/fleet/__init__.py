@@ -1,7 +1,7 @@
 """Fleet-scale server simulation (see docs/FLEET.md).
 
 Public surface: :class:`FleetConfig`/:func:`run_fleet` for the batched
-N-node simulation, routers and steppers for composition, and the
+N-node simulation, routers and the stepper for composition, and the
 memoized trace sources shared with the server analysis layer.
 """
 
@@ -16,12 +16,7 @@ from repro.fleet.sim import (
     merge_shard_results,
     run_fleet,
 )
-from repro.fleet.stepper import (
-    BatchedStepper,
-    SequentialStepper,
-    StepResult,
-    make_stepper,
-)
+from repro.fleet.stepper import BatchedStepper, StepResult
 from repro.fleet.traces import (
     TRACE_KINDS,
     cached_wikipedia_trace,
@@ -41,7 +36,6 @@ __all__ = [
     "ROUTER_POLICIES",
     "Router",
     "RouterView",
-    "SequentialStepper",
     "StepResult",
     "TRACE_KINDS",
     "cached_wikipedia_trace",
@@ -50,7 +44,6 @@ __all__ = [
     "fleet_demand",
     "latency_quantile",
     "make_router",
-    "make_stepper",
     "merge_shard_results",
     "run_fleet",
     "trace_cache_size",

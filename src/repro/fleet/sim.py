@@ -2,11 +2,10 @@
 
 :class:`FleetSim` and :func:`run_fleet` keep all per-node state in
 ``(n_nodes, ...)`` arrays; each control interval routes the arrival
-stream, advances every node's plant through a pluggable stepper (the
-class-grouped batched kernel or the reference per-node loop,
-:mod:`repro.fleet.stepper`), and applies the vectorized per-node TECfan
-policy (:mod:`repro.fleet.control`). Node groups shard across the
-persistent :class:`~repro.parallel.WorkerPool` using the
+stream, advances every node's plant through the class-grouped batched
+kernel (:mod:`repro.fleet.stepper`), and applies the vectorized
+per-node TECfan policy (:mod:`repro.fleet.control`). Node groups shard
+across the persistent :class:`~repro.parallel.WorkerPool` using the
 :func:`~repro.parallel.plan_shards` plan, with journal resume and
 live-status heartbeats riding the existing ``parallel_map`` plumbing.
 
@@ -37,7 +36,7 @@ from repro.core.problem import EnergyProblem
 from repro.exceptions import ConfigurationError
 from repro.fleet.control import FleetPolicy
 from repro.fleet.router import RouterView, make_router
-from repro.fleet.stepper import make_stepper
+from repro.fleet.stepper import BatchedStepper
 from repro.fleet.traces import fleet_demand
 from repro.obs import telemetry as obs
 from repro.parallel import parallel_map, plan_shards, resolve_jobs
@@ -64,7 +63,6 @@ class FleetConfig:
     scale: float = 1.0
     block_s: int = 60
     router: str = "round-robin"
-    stepper: str = "batched"
     #: Hard stop at ``duration_s * drain_factor`` while backlogs drain.
     drain_factor: float = 1.5
     fast_forward: bool = True
@@ -109,7 +107,6 @@ class FleetShardResult:
     violation_node_intervals: int
     throttled_node_intervals: int
     node_intervals: int
-    batched_steps: int
     class_groups: int
     solved_rows: int
     final_t_nodes_k: np.ndarray
@@ -157,7 +154,6 @@ class FleetResult:
     n_nodes: int
     shards: int
     router: str
-    stepper: str
     sim_time_s: float
     intervals: int
     ff_intervals: int
@@ -183,7 +179,6 @@ class FleetResult:
             "n_nodes": self.n_nodes,
             "shards": self.shards,
             "router": self.router,
-            "stepper": self.stepper,
             "sim_time_s": self.sim_time_s,
             "intervals": self.intervals,
             "ff_intervals": self.ff_intervals,
@@ -220,8 +215,8 @@ class FleetSim:
     ``demand`` is the fleet-wide per-second utilization stream; the
     shard offers ``u * peak_ips * n_cores * n_nodes`` of it per second
     (its proportional share). Temperatures, actuators, and backlogs for
-    all shard nodes live in arrays; the stepper choice decides whether
-    the plant advance is the batched kernel or the per-node loop.
+    all shard nodes live in arrays, and the plant advances through the
+    batched kernel.
     """
 
     def __init__(
@@ -248,7 +243,7 @@ class FleetSim:
             peak_ips=platform.params.peak_ips,
         )
         self.router = make_router(cfg.router, self.n_nodes, dt_s=cfg.dt_s)
-        self.stepper = make_stepper(cfg.stepper, sys)
+        self.stepper = BatchedStepper(sys)
         self.inst_per_request = (
             platform.params.peak_ips / cfg.requests_per_core_s
         )
@@ -263,7 +258,7 @@ class FleetSim:
                 status_path,
                 "fleet",
                 every_s=status_every_s,
-                label=f"fleet x{self.n_nodes} {cfg.router}/{cfg.stepper}",
+                label=f"fleet x{self.n_nodes} {cfg.router}",
                 total=cfg.duration_s * cfg.drain_factor,
                 t_threshold_c=platform.t_threshold_c,
             )
@@ -358,7 +353,7 @@ class FleetSim:
                 utilization=u,
                 intervals=intervals,
                 ff_intervals=ff_intervals,
-                class_groups=getattr(self.stepper, "class_groups", 0),
+                class_groups=self.stepper.class_groups,
             )
 
         while True:
@@ -514,9 +509,8 @@ class FleetSim:
             violation_node_intervals=viol_node_iv,
             throttled_node_intervals=throttle_node_iv,
             node_intervals=node_iv,
-            batched_steps=getattr(self.stepper, "batched_steps", 0),
-            class_groups=getattr(self.stepper, "class_groups", 0),
-            solved_rows=getattr(self.stepper, "solved_rows", 0),
+            class_groups=self.stepper.class_groups,
+            solved_rows=self.stepper.solved_rows,
             final_t_nodes_k=t_rows,
             final_backlog_inst=backlog,
             final_fan=fan_arr,
@@ -562,7 +556,7 @@ def merge_shard_results(
         routed += r.requests_routed
         intervals = max(intervals, r.intervals)
         ff += r.ff_intervals
-        bsteps += r.batched_steps
+        bsteps += r.intervals  # one stepper advance per executed interval
         groups += r.class_groups
         solved += r.solved_rows
         viol += r.violation_node_intervals
@@ -580,7 +574,6 @@ def merge_shard_results(
         n_nodes=sum(r.n_nodes for r in shard_results),
         shards=len(shard_results),
         router=cfg.router,
-        stepper=cfg.stepper,
         sim_time_s=sim_time,
         intervals=intervals,
         ff_intervals=ff,
@@ -669,12 +662,7 @@ def run_fleet(
             journal=journal,
             status_path=status_path,
             status_every_s=status_every_s,
-            status_meta={
-                "label": (
-                    f"fleet:{cfg.trace} x{cfg.n_nodes} "
-                    f"{cfg.router}/{cfg.stepper}"
-                ),
-            },
+            status_meta={"label": f"fleet:{cfg.trace} x{cfg.n_nodes} {cfg.router}"},
         )
     result = merge_shard_results(cfg, shard_results)
     inst_per_request = platform.params.peak_ips / cfg.requests_per_core_s

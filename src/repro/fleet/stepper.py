@@ -1,18 +1,20 @@
-"""Fleet plant steppers: per-node loop vs batched class-grouped kernel.
+"""Fleet plant stepper: the batched class-grouped kernel.
 
 Advancing a fleet one control interval means, for every node: dynamic
 power from (activity, DVFS), the temperature-leakage fixed point at the
 node's actuators, one transient relaxation step, and the TEC electrical
-power at the new temperatures. The two steppers here compute exactly
-that — :class:`SequentialStepper` as N independent per-node calls (the
-baseline an engine-per-node design would pay), :class:`BatchedStepper`
-as a handful of NumPy-batched operations.
+power at the new temperatures. :class:`BatchedStepper` computes that as
+a handful of NumPy-batched operations; it is the fleet's one plant
+path. :class:`SequentialStepper` is the per-node reference loop (the
+chain an engine-per-node design would pay): the equivalence tests and
+``benchmarks/bench_fleet.py`` compare against it, and the end-to-end
+tracer times it by name, so it stays here rather than in the tests.
 
-The batched kernel exploits the same structure as the PR 2/PR 5 solver
-work: nodes sharing an actuator setting ``(fan_level, tec)`` share a
-conductance matrix, so their steady states are one multi-RHS
-:meth:`~repro.thermal.steady_state.SteadyStateSolver.solve_many` call
-against a single cached LU, and their relaxation factors are one cached
+Nodes sharing an actuator setting ``(fan_level, tec)`` share a
+conductance matrix, so their leakage fixed points are one
+:meth:`~repro.thermal.leakage_loop.LeakageCoupledSolver.solve_many`
+call (multi-RHS solves against a single cached LU), and their
+relaxation factors are one cached
 :meth:`~repro.thermal.transient.PaperTransient.betas` lookup broadcast
 over the rows. Nodes are grouped by
 :func:`repro.thermal.keys.exact_actuator_key` — exact, not quantized,
@@ -34,11 +36,9 @@ all nodes.
 
 Equivalence contract (test-enforced to <= 1e-9 K, in practice exact):
 every row the batched stepper produces is bit-identical to the
-sequential stepper's output for that node. The batched leakage fixed
-point reproduces :meth:`repro.thermal.leakage_loop.LeakageCoupledSolver.
-solve` row by row — converged rows are frozen (masked out) while the
-rest keep iterating, so each node sees exactly the iteration sequence
-it would have seen alone.
+reference loop's output for that node, because ``solve_many``
+reproduces :meth:`~repro.thermal.leakage_loop.LeakageCoupledSolver.solve`
+row by row.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from functools import lru_cache
 import numpy as np
 
 from repro.core.system import CMPSystem
-from repro.exceptions import ConvergenceError
 from repro.obs import telemetry as obs
 from repro.thermal.keys import exact_actuator_key
 
@@ -105,9 +104,11 @@ def distinct_rows(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SequentialStepper:
-    """Reference per-node loop: one engine-style solve chain per node."""
+    """Per-node reference loop: one engine-style solve chain per node.
 
-    name = "sequential"
+    Not a plant path of the fleet; the tests and ``bench_fleet.py``
+    check :class:`BatchedStepper` against it.
+    """
 
     def __init__(self, system: CMPSystem):
         self.system = system
@@ -147,62 +148,10 @@ class SequentialStepper:
 class BatchedStepper:
     """Distinct-row, class-grouped kernel: one solve_many per class."""
 
-    name = "batched"
-
     def __init__(self, system: CMPSystem):
         self.system = system
-        self.batched_steps = 0
         self.class_groups = 0
         self.solved_rows = 0
-
-    def _solve_class(
-        self,
-        p_dyn: np.ndarray,
-        fan: int,
-        tec_row: np.ndarray,
-        t_guess_comp: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Masked batched mirror of ``LeakageCoupledSolver.solve``.
-
-        Rows converge independently: a converged row is frozen with the
-        iteration's outputs while the remaining rows continue, so row
-        ``b``'s (t_nodes, p_leak) match a solo solve of that node
-        exactly — same leakage inputs, same RHS, same stopping pass.
-        The class's factorization is looked up once, outside the loop.
-        """
-        plant = self.system.plant_thermal
-        solver = plant.solver
-        factored = solver.factorization(fan, tec_row)
-        comp = self.system.nodes.component_slice
-        b = p_dyn.shape[0]
-        t_out = np.empty((b, self.system.nodes.n_nodes))
-        p_leak_out = np.empty_like(p_dyn)
-        t_comp = t_guess_comp.copy()
-        prev_peak = np.full(b, np.inf)
-        active = np.arange(b)
-        for _ in range(plant.max_iterations):
-            p_leak = plant.leakage_fn(t_comp[active])
-            t_nodes = solver.solve_many(
-                p_dyn[active] + p_leak, fan, tec_row, factorization=factored
-            )
-            t_comp_a = t_nodes[:, comp]
-            peak = t_comp_a.max(axis=1)
-            residual = np.abs(peak - prev_peak[active])
-            done = residual < plant.tolerance_k
-            if np.any(done):
-                idx = active[done]
-                t_out[idx] = t_nodes[done]
-                p_leak_out[idx] = p_leak[done]
-            t_comp[active] = t_comp_a
-            prev_peak[active] = peak
-            active = active[~done]
-            if active.size == 0:
-                return t_out, p_leak_out
-        raise ConvergenceError(
-            "fleet temperature-leakage loop did not converge",
-            iterations=plant.max_iterations,
-            residual=float(residual[~done].max()),
-        )
 
     def _advance_rows(
         self,
@@ -234,7 +183,7 @@ class BatchedStepper:
             idx = np.asarray(members, dtype=np.intp)
             fan = int(fan_levels[idx[0]])
             tec_row = tec[idx[0]]
-            t_s, p_l = self._solve_class(
+            t_s, p_l = sys.plant_thermal.solve_many(
                 p_dyn[idx], fan, tec_row, t_nodes_k[idx][:, comp]
             )
             beta = sys.transient.betas(dt_s, fan, tec_row)
@@ -266,19 +215,9 @@ class BatchedStepper:
                 *(getattr(res, f.name)[inverse] for f in fields(StepResult))
             )
 
-        self.batched_steps += 1
         self.class_groups += n_groups
         self.solved_rows += reps.size
         obs.incr("fleet.batched_steps")
         obs.incr("fleet.class_groups", n_groups)
         obs.incr("fleet.solved_rows", reps.size)
         return res
-
-
-def make_stepper(kind: str, system: CMPSystem):
-    """Instantiate a stepper by CLI name (``batched`` / ``sequential``)."""
-    if kind == "batched":
-        return BatchedStepper(system)
-    if kind == "sequential":
-        return SequentialStepper(system)
-    raise ValueError(f"unknown stepper kind {kind!r}")

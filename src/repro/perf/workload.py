@@ -120,11 +120,6 @@ class Workload:
                 f"{self.name}: spin activity fraction must lie in [0, 1]"
             )
 
-    @property
-    def instructions_per_thread(self) -> int:
-        """Mean instruction budget per worker thread."""
-        return self.total_instructions // self.threads
-
     def thread_budget(self, slot: int) -> float:
         """Instruction budget of the ``slot``-th thread (weighted)."""
         base = self.total_instructions / self.threads
@@ -191,13 +186,6 @@ class WorkloadRun:
         )
 
     # ------------------------------------------------------------------
-    @property
-    def active_mask(self) -> np.ndarray:
-        """Boolean per-tile mask of cores hosting threads."""
-        mask = np.zeros(self.chip.n_tiles, dtype=bool)
-        mask[list(self.workload.active_tiles)] = True
-        return mask
-
     def _progress_fraction(self) -> float:
         """Instruction progress of the least-advanced active thread."""
         return min(

@@ -128,11 +128,6 @@ class QuadraticLeakage:
             areas_mm2=linear.areas_mm2,
         )
 
-    @property
-    def t_ref_k(self) -> float:
-        """Reference temperature [K]."""
-        return self._t_ref_k
-
     def per_component_w(self, t_components_k: np.ndarray) -> np.ndarray:
         """Per-component leakage [W]."""
         t = np.asarray(t_components_k, dtype=float)

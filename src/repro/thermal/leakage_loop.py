@@ -5,7 +5,10 @@ raises leakage — the paper modifies HotSpot 5.02's transient routine to
 iterate this loop at run time until the peak temperature moves by less
 than 0.5 degC between consecutive passes (Sec. IV-B). This module
 implements that coupling for any leakage model of signature
-``leakage(T_components_K) -> per-component leakage [W]``.
+``leakage(T_components_K) -> per-component leakage [W]``, for one row
+(:meth:`LeakageCoupledSolver.solve`) or for many rows under one
+actuator setting (:meth:`LeakageCoupledSolver.solve_many`, the fleet's
+path), with one convergence policy for both.
 """
 
 from __future__ import annotations
@@ -83,4 +86,59 @@ class LeakageCoupledSolver:
             "temperature-leakage loop did not converge",
             iterations=self.max_iterations,
             residual=residual,
+        )
+
+    def solve_many(
+        self,
+        p_dynamic_w: np.ndarray,
+        fan_level: int,
+        tec_activation: np.ndarray,
+        t_guess_k: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Row-batched :meth:`solve` under one shared actuator setting.
+
+        ``p_dynamic_w`` and the warm start ``t_guess_k`` are
+        ``(batch, n_components)`` rows; returns ``(T_nodes, P_leak)`` as
+        ``(batch, n_nodes)`` and ``(batch, n_components)``. Rows converge
+        independently: a converged row is frozen with the iteration's
+        outputs while the remaining rows continue, so row ``b`` matches
+        a solo :meth:`solve` of that row exactly — same leakage inputs,
+        same RHS, same stopping pass. The factorization is looked up
+        once, outside the loop.
+        """
+        solver = self.solver
+        nd = solver.model.nodes
+        factored = solver.factorization(fan_level, tec_activation)
+        comp = nd.component_slice
+        b = p_dynamic_w.shape[0]
+        t_out = np.empty((b, nd.n_nodes))
+        p_leak_out = np.empty_like(p_dynamic_w)
+        t_comp = np.array(t_guess_k, dtype=float)
+        prev_peak = np.full(b, np.inf)
+        active = np.arange(b)
+        for _ in range(self.max_iterations):
+            p_leak = self.leakage_fn(t_comp[active])
+            t_nodes = solver.solve_many(
+                p_dynamic_w[active] + p_leak,
+                fan_level,
+                tec_activation,
+                factorization=factored,
+            )
+            t_comp_a = t_nodes[:, comp]
+            peak = t_comp_a.max(axis=1)
+            residual = np.abs(peak - prev_peak[active])
+            done = residual < self.tolerance_k
+            if np.any(done):
+                idx = active[done]
+                t_out[idx] = t_nodes[done]
+                p_leak_out[idx] = p_leak[done]
+            t_comp[active] = t_comp_a
+            prev_peak[active] = peak
+            active = active[~done]
+            if active.size == 0:
+                return t_out, p_leak_out
+        raise ConvergenceError(
+            "temperature-leakage loop did not converge",
+            iterations=self.max_iterations,
+            residual=float(residual[~done].max()),
         )

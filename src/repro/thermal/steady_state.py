@@ -203,7 +203,3 @@ class SteadyStateSolver:
         if not np.all(np.isfinite(t)):
             raise ThermalModelError("non-finite steady-state temperatures")
         return np.ascontiguousarray(t.T)
-
-    def clear_cache(self) -> None:
-        """Drop all cached factorizations."""
-        self._lu_cache.clear()

@@ -189,19 +189,22 @@ def test_hash_collisions_never_merge_different_rows(platform, monkeypatch):
 
 
 @pytest.mark.parametrize("router", ["identity", "round-robin", "thermal"])
-def test_full_sim_digest_matches_sequential(platform, router):
-    def cfg(stepper):
-        return FleetConfig(
-            n_nodes=6,
-            duration_s=180,
-            trace="diurnal",
-            router=router,
-            stepper=stepper,
-            shards=1,
-        )
-
-    batched = run_fleet(cfg("batched"), platform=platform)
-    sequential = run_fleet(cfg("sequential"), platform=platform)
+def test_full_sim_digest_matches_sequential(platform, router, monkeypatch):
+    cfg = FleetConfig(
+        n_nodes=6,
+        duration_s=180,
+        trace="diurnal",
+        router=router,
+        shards=1,
+    )
+    batched = run_fleet(cfg, platform=platform)
+    # The same run with the per-node reference loop as the plant.
+    monkeypatch.setattr(
+        BatchedStepper,
+        "advance",
+        lambda self, *a, **k: SequentialStepper(self.system).advance(*a, **k),
+    )
+    sequential = run_fleet(cfg, platform=platform)
     assert batched.digest == sequential.digest
     assert batched.summary()["energy_j"] == sequential.summary()["energy_j"]
 
@@ -221,7 +224,6 @@ def test_fast_forward_preserves_physics(platform):
             duration_s=240,
             trace="diurnal",
             router="round-robin",
-            stepper="batched",
             fast_forward=ff,
             shards=1,
         )

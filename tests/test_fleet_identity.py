@@ -9,8 +9,9 @@ import pytest
 
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.fleet import FleetConfig, run_fleet
+from repro.fleet.sim import _fleet_shard_task
 from repro.server.platform import build_server_system
-from repro.parallel import WorkerPool
+from repro.parallel import WorkerPool, plan_shards
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +27,6 @@ def test_fleet_shards_pooled_matches_serial(platform):
         duration_s=120,
         trace="diurnal",
         router="round-robin",
-        stepper="batched",
         shards=2,
     )
     serial = run_fleet(cfg, platform=platform, jobs=1)
@@ -35,6 +35,13 @@ def test_fleet_shards_pooled_matches_serial(platform):
         pooled = run_fleet(cfg, platform=platform, pool=pool)
     assert serial.shard_digests == pooled.shard_digests
     assert serial.digest == pooled.digest
+    # One stepper advance per executed interval of each shard.
+    shards = [
+        _fleet_shard_task((platform, cfg), (idx, a, b))
+        for idx, (a, b) in enumerate(plan_shards(cfg.n_nodes, cfg.shards))
+    ]
+    assert [s.digest() for s in shards] == serial.shard_digests
+    assert serial.batched_steps == sum(s.intervals for s in shards)
 
 
 def test_fleet_default_shards_ignore_jobs(platform):

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConvergenceError
-from repro.fleet.stepper import BatchedStepper
+from repro.server.platform import build_server_system
 from repro.thermal.leakage_loop import LeakageCoupledSolver
+
+
+@pytest.fixture(scope="module")
+def server4():
+    """The 4-core server plant (its own leakage calibration)."""
+    return build_server_system().system
 
 
 def test_fixed_point_self_consistent(system2):
@@ -78,21 +84,64 @@ def test_divergent_leakage_raises(system2):
     assert err.value.residual > 0.0
 
 
-def test_batched_divergence_reports_the_unconverged_rows_residual(
-    system2, monkeypatch
-):
+@pytest.mark.parametrize("plant_fixture", ["system16", "server4"])
+def test_solve_many_rows_match_solo_solves_bit_for_bit(plant_fixture, request):
+    """Each row of the batched fixed point is a solo ``solve`` of that
+    row: the rows below converge on different passes (warm, nudged and
+    cold starts at two power levels), and repeated rows stay equal."""
+    system = request.getfixturevalue(plant_fixture)
+    plant = system.plant_thermal
+    nd = system.nodes
+    comp = nd.component_slice
+    rng = np.random.default_rng(5)
+    fan = 2
+    tec = np.zeros(system.n_tec_devices)
+    tec[: system.n_tec_devices // 2] = 1.0
+    lv = np.full(system.n_cores, system.dvfs.max_level)
+    p_lo = system.power.component_power.dynamic_power_w(
+        rng.uniform(0.1, 0.4, system.n_cores), lv
+    )
+    p_hi = system.power.component_power.dynamic_power_w(
+        np.ones(system.n_cores), lv
+    )
+    t_fix, _ = plant.solve(p_hi, fan, tec)
+    ambient = np.full(nd.n_components, system.solver.model.package.ambient_k)
+    p_dyn = np.stack([p_hi, p_hi, p_lo, p_hi, p_lo, p_hi])
+    t_guess = np.stack([
+        t_fix[comp],
+        t_fix[comp] + 3.0,
+        ambient,
+        t_fix[comp],  # a repeat of row 0
+        ambient,  # a repeat of row 2
+        ambient,
+    ])
+
+    t_many, p_many = plant.solve_many(p_dyn, fan, tec, t_guess)
+    passes = set()
+    for b in range(len(p_dyn)):
+        n0 = system.solver.n_solves
+        t_one, p_one = plant.solve(p_dyn[b], fan, tec, t_guess_k=t_guess[b])
+        passes.add(system.solver.n_solves - n0)
+        assert np.array_equal(t_many[b], t_one), b
+        assert np.array_equal(p_many[b], p_one), b
+    assert len(passes) > 1  # rows really froze on different passes
+    assert np.array_equal(t_many[3], t_many[0])
+    assert np.array_equal(t_many[4], t_many[2])
+
+
+def test_batched_divergence_reports_the_unconverged_rows_residual(system2):
     """Batched twin, mixed convergence: with a two-pass budget the two
     warm-started rows converge on the last pass and the cold one does
     not. The residual is the cold row's own last peak move, exactly what
     the scalar loop reports for that row alone."""
     nd = system2.nodes
     comp = nd.component_slice
-    act = np.ones((3, system2.n_cores))
-    lv = np.full((3, system2.n_cores), system2.dvfs.max_level)
-    fan = np.ones(3, dtype=int)
-    tec = np.zeros((3, system2.n_tec_devices))
-    p_dyn = system2.power.component_power.dynamic_power_w(act[0], lv[0])
-    t_fix, _ = system2.plant_thermal.solve(p_dyn, 1, tec[0])
+    lv = np.full(system2.n_cores, system2.dvfs.max_level)
+    tec = np.zeros(system2.n_tec_devices)
+    p_dyn = system2.power.component_power.dynamic_power_w(
+        np.ones(system2.n_cores), lv
+    )
+    t_fix, _ = system2.plant_thermal.solve(p_dyn, 1, tec)
     t_rows = np.stack([t_fix, t_fix + 0.01, np.full(nd.n_nodes, 300.0)])
 
     scalar = LeakageCoupledSolver(
@@ -101,13 +150,12 @@ def test_batched_divergence_reports_the_unconverged_rows_residual(
         max_iterations=2,
     )
     for warm in t_rows[:2]:
-        scalar.solve(p_dyn, 1, tec[0], t_guess_k=warm[comp])
+        scalar.solve(p_dyn, 1, tec, t_guess_k=warm[comp])
     with pytest.raises(ConvergenceError) as alone:
-        scalar.solve(p_dyn, 1, tec[0], t_guess_k=t_rows[2][comp])
+        scalar.solve(p_dyn, 1, tec, t_guess_k=t_rows[2][comp])
 
-    monkeypatch.setattr(system2.plant_thermal, "max_iterations", 2)
     with pytest.raises(ConvergenceError) as batched:
-        BatchedStepper(system2).advance(act, lv, fan, tec, t_rows, dt_s=1.0)
+        scalar.solve_many(np.tile(p_dyn, (3, 1)), 1, tec, t_rows[:, comp])
     assert batched.value.iterations == 2
     assert batched.value.residual == alone.value.residual
     assert batched.value.residual > system2.plant_thermal.tolerance_k
