@@ -124,11 +124,6 @@ class FaultMatrixReport:
         raise KeyError(f"{scenario}/{'hardened' if hardened else 'raw'}")
 
     @property
-    def hardened_all_contained(self) -> bool:
-        """Acceptance gate 1: every hardened run stays in envelope."""
-        return all(oc.contained for oc in self.outcomes if oc.hardened)
-
-    @property
     def unhardened_failures(self) -> list:
         """Scenario names where the plain controller crashed or
         escaped the envelope (excludes the no-fault control row)."""

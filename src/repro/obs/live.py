@@ -61,7 +61,7 @@ __all__ = [
 
 #: Version of the status-record layout. Bump on any incompatible change
 #: to the keys or their meaning; :func:`read_status` rejects others.
-STATUS_SCHEMA = 2
+STATUS_SCHEMA = 3
 
 #: Snapshots retained in the in-file history ring (the watch sparkline
 #: and anomaly scan read these, so consumers stay stateless).
@@ -372,7 +372,6 @@ def _pool_section(rep: StatusReporter, *, in_flight: int = 0, queued: int = 0):
         "timeouts": tasks["timeouts"],
         "in_flight": int(in_flight),
         "queued": int(queued),
-        "shm_bytes": tasks["shm_bytes"],
         "workers": [dict(rep._workers[pid]) for pid in sorted(rep._workers)],
         "replayed_indices": replayed[:HISTORY_LEN],
         "journal": rep.context.get("journal"),
@@ -528,8 +527,7 @@ def _pool_lines(section: dict, status: dict) -> list:
         f"in-flight {section.get('in_flight', 0)}  "
         f"queued {section.get('queued', 0)}  "
         f"retries {section.get('retries', 0)}  "
-        f"timeouts {section.get('timeouts', 0)}  "
-        f"shm {section.get('shm_bytes', 0) / 2**20:.2f} MiB"
+        f"timeouts {section.get('timeouts', 0)}"
     ]
     workers = section.get("workers") or []
     if workers:
@@ -668,7 +666,6 @@ _KIND_GAUGES = {
                         "queued")
         },
         "pool_workers": "workers",
-        "pool_shm_bytes": "shm_bytes",
     },
 }
 

@@ -3,16 +3,8 @@
 Sweeps, policy suites and fault matrices run many *independent*
 simulations — one per fan level, one per policy, one per scenario. Each
 is CPU-bound in LAPACK/SuperLU calls, so processes (not threads) are the
-right isolation. Historically every ``parallel_map`` call paid the full
-cold-start bill: spawned interpreters re-imported numpy/scipy, every
-task received its own pickled engine whose ``PropagatorCache`` and LU
-caches arrive empty (SuperLU objects cannot pickle), and
-full temperature/power traces were pickled back through a pipe. For
-sub-second tasks that made ``--jobs`` a *slowdown* (the recorded 0.086x
-fan-sweep baseline).
-
-The runtime here is a **persistent process pool** (:class:`WorkerPool`)
-with a different lifecycle and cache-reuse contract:
+right isolation. The runtime is a **persistent process pool**
+(:class:`WorkerPool`) with one contract:
 
 * **Workers live across a whole sweep** (and across ``map`` calls when
   the pool is shared): one spawn + import per worker, amortized over
@@ -29,30 +21,25 @@ with a different lifecycle and cache-reuse contract:
   result-invariant (memoization only); that is the same contract the
   serial path already imposes, which shares one context object across
   all tasks.
-* **Shared-memory results**: workers serialize results with pickle
-  protocol 5; the out-of-band numpy buffers (temperature/power traces)
-  travel through :mod:`multiprocessing.shared_memory` blocks instead of
-  being pickled through the pipe when they exceed
-  :data:`SHM_MIN_BYTES`. The parent copies them out into writable
-  buffers and unlinks the block, so reconstructed results are
-  bit-identical and fully owned. ``parallel.shm_bytes`` accounts the
-  bytes moved this way.
+* **Results ride the pipe**: a worker pickles its result inside the
+  task's ``try`` (so an unpicklable result fails that task, not the
+  worker) and the parent unpickles it into arrays it owns and may
+  write.
 * Results come back **in payload order** regardless of completion
   order, and serial (``jobs=1``) results are bit-identical to pooled
   results — the drop-in-replacement contract every driver relies on.
-* Worker exceptions are captured as formatted tracebacks and re-raised
-  in the parent as one :class:`ParallelExecutionError` naming every
-  failing task — a custom exception type from a worker may itself fail
-  to unpickle, a traceback string never does.
+* **Failures raise**: ``timeout_s`` kills an attempt at its deadline and
+  replaces the worker (the pool keeps its capacity; other tasks are
+  unaffected), ``retries`` re-dispatches failed or timed-out attempts
+  with exponential backoff, and once every task has settled the pool
+  raises one :class:`ParallelExecutionError` naming each task that
+  exhausted its attempts, with its worker traceback (a custom exception
+  type may fail to unpickle in the parent; a traceback string never
+  does). ``parallel.retries`` and ``parallel.timeouts`` count the
+  degraded attempts.
 * ``jobs=None`` or ``jobs=1`` runs serially in-process (no pool, no
-  pickling) so the flag can be threaded through unconditionally.
-* Resilience is built into the pool scheduler: ``timeout_s`` kills an
-  attempt at its deadline and **replaces the worker** (the pool keeps
-  its capacity; other tasks are unaffected), ``retries`` re-dispatches
-  failed/timed-out attempts with exponential backoff, and
-  ``on_error="collect"`` returns :class:`TaskFailure` placeholders so a
-  100-run sweep survives one bad point. ``parallel.retries`` and
-  ``parallel.timeouts`` counters make degraded sweeps observable.
+  pickling) so the flag can be threaded through unconditionally; there
+  a task whose attempts run out re-raises its original exception.
 
 Telemetry: when the parent has an active session, each worker keeps one
 long-lived session object reused across tasks
@@ -64,9 +51,9 @@ equal the serial run's exactly for every deterministic counter. Worker
 *events* are not shipped (aggregates only); they are accounted in
 ``parallel.worker_events_dropped``, and each merged capture increments
 ``parallel.worker_sessions``. The pool itself counts
-``parallel.pool_tasks`` (tasks settled by a pool),
+``parallel.pool_tasks`` (tasks settled by a pool) and
 ``parallel.worker_cache_warm_hits`` (tasks that found their context
-already materialized on the worker) and ``parallel.shm_bytes``.
+already materialized on the worker).
 """
 
 from __future__ import annotations
@@ -87,7 +74,6 @@ from repro.obs import telemetry as obs
 
 __all__ = [
     "ParallelExecutionError",
-    "TaskFailure",
     "WorkerPool",
     "parallel_map",
     "plan_shards",
@@ -105,9 +91,8 @@ JOBS_ENV_VAR = "TECFAN_JOBS"
 TIMEOUT_ENV_VAR = "TECFAN_JOB_TIMEOUT_S"
 RETRIES_ENV_VAR = "TECFAN_JOB_RETRIES"
 
-#: Results whose out-of-band numpy payload reaches this many bytes move
-#: through a shared-memory block instead of the result pipe.
-SHM_MIN_BYTES = 1 << 16
+#: Delay before a task's first retry [s]; each later retry doubles it.
+BACKOFF_S = 0.1
 
 #: The pool scheduler's clock: every deadline and backoff read in
 #: :meth:`WorkerPool.map` goes through it, so tests can substitute a
@@ -115,42 +100,33 @@ SHM_MIN_BYTES = 1 << 16
 _clock = time.monotonic
 
 
-@dataclass(frozen=True)
-class TaskFailure:
-    """Terminal failure of one task under ``on_error="collect"``.
-
-    Placed at the task's index in the result list so callers can keep
-    the surviving results and report the rest. ``kind`` is ``"error"``
-    (the task raised), ``"timeout"`` (every attempt exceeded the
-    deadline) or ``"died"`` (the worker process vanished mid-task).
-    """
-
-    index: int
-    kind: str
-    detail: str
-    attempts: int
-
-    def __bool__(self) -> bool:  # `.filter`-style truthiness: failed
-        return False
+def _env_number(name: str, cast, minimum=None):
+    """Environment variable ``name`` as a ``cast`` number, or ``None``
+    when unset or blank. A value that does not parse, or lies below
+    ``minimum``, is a configuration error naming the variable."""
+    raw = os.environ.get(name)
+    if raw is None or not raw.strip():
+        return None
+    try:
+        value = cast(raw)
+    except ValueError:
+        value = None
+    if value is None or (minimum is not None and value < minimum):
+        raise ParallelExecutionError([(-1, f"invalid {name}={raw!r}")])
+    return value
 
 
 def _resolve_timeout(timeout_s: float | None) -> float | None:
     if timeout_s is not None:
         return float(timeout_s)
-    env = os.environ.get(TIMEOUT_ENV_VAR)
-    if env is not None and env.strip():
-        value = float(env)
-        return value if value > 0 else None
-    return None
+    value = _env_number(TIMEOUT_ENV_VAR, float)
+    return value if value is not None and value > 0 else None
 
 
 def _resolve_retries(retries: int | None) -> int:
     if retries is not None:
         return max(0, int(retries))
-    env = os.environ.get(RETRIES_ENV_VAR)
-    if env is not None and env.strip():
-        return max(0, int(env))
-    return 0
+    return _env_number(RETRIES_ENV_VAR, int, minimum=0) or 0
 
 
 def available_cpus() -> int:
@@ -170,7 +146,8 @@ def resolve_jobs(jobs: int | None) -> int:
     ``TECFAN_JOBS`` environment variable if set, else the process's CPU
     affinity mask (:func:`available_cpus` — not raw ``os.cpu_count()``,
     so a cgroup-limited container never oversubscribes the pool).
-    Negative values are a configuration error.
+    Negative values, in the argument or in ``TECFAN_JOBS``, are a
+    configuration error.
     """
     if jobs is None:
         return 1
@@ -178,10 +155,8 @@ def resolve_jobs(jobs: int | None) -> int:
     if jobs < 0:
         raise ParallelExecutionError([(-1, f"invalid jobs value {jobs}")])
     if jobs == 0:
-        env = os.environ.get(JOBS_ENV_VAR)
-        if env is not None and env.strip():
-            return max(1, int(env))
-        return available_cpus()
+        env = _env_number(JOBS_ENV_VAR, int, minimum=0)
+        return available_cpus() if env is None else max(1, env)
     return jobs
 
 
@@ -223,144 +198,6 @@ def plan_shards(n_items: int, n_shards: int) -> list[tuple[int, int]]:
 
 
 # ----------------------------------------------------------------------
-# Result transport: pickle-5 out-of-band buffers, shared memory for bulk
-# ----------------------------------------------------------------------
-def _encode_result(value) -> tuple[tuple, int]:
-    """Worker-side: serialize ``value``; bulk arrays go to shared memory.
-
-    Returns ``(descriptor, shm_bytes)``. The descriptor is either
-    ``("inline", data, [raw bytes...])`` or
-    ``("shm", name, [lengths...], data)`` where ``data`` is the
-    protocol-5 pickle whose out-of-band buffers were extracted.
-    """
-    buffers: list = []
-    data = pickle.dumps(value, protocol=5, buffer_callback=buffers.append)
-    raws = [b.raw() for b in buffers]
-    total = sum(len(r) for r in raws)
-    if total >= SHM_MIN_BYTES:
-        shm = _create_shm(total)
-        if shm is not None:
-            offset = 0
-            lengths = []
-            for r in raws:
-                n = len(r)
-                shm.buf[offset : offset + n] = r
-                lengths.append(n)
-                offset += n
-            name = shm.name
-            shm.close()
-            return ("shm", name, lengths, data), total
-    return ("inline", data, [bytes(r) for r in raws]), 0
-
-
-def _create_shm(size: int):
-    """Create a shared-memory block the *parent* will own and unlink.
-
-    Returns ``None`` when shared memory is unavailable (the caller
-    falls back to inline pipe transport). The creating worker
-    unregisters the block from its resource tracker — ownership
-    transfers to the parent, which unlinks after copying out.
-    """
-    try:
-        from multiprocessing import shared_memory
-    except ImportError:  # pragma: no cover - always present on CPython
-        return None
-    try:
-        shm = shared_memory.SharedMemory(create=True, size=max(1, size))
-    except OSError:  # /dev/shm missing or full: degrade gracefully
-        return None
-    try:  # the parent takes ownership; silence this process's tracker
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
-    return shm
-
-
-def _unlink_shm(name: str) -> bool:
-    """Best-effort unlink of a shared-memory block by name.
-
-    Used on the leak-window paths: a worker whose reply could not be
-    sent, or a parent retiring a worker whose reply (with its shm
-    descriptor) was never read. Returns True when a block was actually
-    reclaimed.
-    """
-    try:
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=name)
-    except Exception:
-        return False
-    shm.close()
-    try:
-        shm.unlink()
-    except FileNotFoundError:  # pragma: no cover - raced another unlink
-        return False
-    return True
-
-
-def _drain_and_reclaim(conn) -> int:
-    """Read unconsumed replies off a worker pipe; unlink their blocks.
-
-    A worker that finished a task the parent never collected (retired
-    on timeout-kill of a *different* in-flight attempt, pool shutdown,
-    KeyboardInterrupt mid-``map``) leaves its reply — possibly carrying
-    a shared-memory descriptor the parent was supposed to own — sitting
-    in the pipe. Draining before close turns that orphaned segment back
-    into accounted cleanup (``parallel.shm_leaks_reclaimed``).
-    """
-    reclaimed = 0
-    try:
-        while conn.poll(0):
-            msg = conn.recv()
-            if (
-                isinstance(msg, tuple)
-                and msg
-                and msg[0] == "ok"
-                and isinstance(msg[2], tuple)
-                and msg[2][0] == "shm"
-                and _unlink_shm(msg[2][1])
-            ):
-                reclaimed += 1
-    except (EOFError, OSError):
-        pass
-    if reclaimed:
-        obs.incr("parallel.shm_leaks_reclaimed", reclaimed)
-    return reclaimed
-
-
-def _decode_result(desc: tuple):
-    """Parent-side inverse of :func:`_encode_result`.
-
-    Out-of-band buffers are copied into parent-owned ``bytearray``
-    storage before unpickling, so reconstructed arrays are writable and
-    independent of the (immediately unlinked) shared-memory block.
-    """
-    kind = desc[0]
-    if kind == "inline":
-        _, data, raws = desc
-        return pickle.loads(data, buffers=[bytearray(r) for r in raws])
-    _, name, lengths, data = desc
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        buffers = []
-        offset = 0
-        for n in lengths:
-            buffers.append(bytearray(shm.buf[offset : offset + n]))
-            offset += n
-        return pickle.loads(data, buffers=buffers)
-    finally:
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
-# ----------------------------------------------------------------------
 # Worker process body
 # ----------------------------------------------------------------------
 def _worker_main(conn) -> None:
@@ -377,7 +214,7 @@ def _worker_main(conn) -> None:
 
     Worker -> parent:
 
-    - ``("ok", task_id, descriptor, wtel, warm, shm_bytes)``;
+    - ``("ok", task_id, pickled_result, wtel, warm)``;
     - ``("err", task_id, traceback_text, warm)``.
     """
     from repro.obs.merge import PersistentWorkerSession
@@ -419,18 +256,13 @@ def _worker_main(conn) -> None:
                 result, wtel = session.run(call)
             else:
                 result, wtel = call(), None
-            desc, shm_bytes = _encode_result(result)
-            reply = ("ok", task_id, desc, wtel, warm, shm_bytes)
+            blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+            reply = ("ok", task_id, blob, wtel, warm)
         except BaseException:
             reply = ("err", task_id, traceback.format_exc(), warm)
         try:
             conn.send(reply)
-        except BaseException:
-            # Parent went away (or the reply is unsendable): the shm
-            # block whose ownership was about to transfer would be
-            # orphaned — reclaim it here, where its name is still known.
-            if reply[0] == "ok" and reply[2][0] == "shm":
-                _unlink_shm(reply[2][1])
+        except BaseException:  # parent went away
             break
     conn.close()
 
@@ -484,7 +316,7 @@ class WorkerPool:
     """
 
     def __init__(self, jobs: int = 0):
-        self.jobs = resolve_jobs(jobs if jobs != 1 else 1)
+        self.jobs = resolve_jobs(jobs)
         self._mp = mp.get_context("spawn")
         self._idle: list[_PoolWorker] = []
         self._busy: list[_PoolWorker] = []
@@ -518,13 +350,7 @@ class WorkerPool:
             self._idle.append(self._spawn())
 
     def _retire(self, worker: _PoolWorker, kill: bool = False) -> None:
-        """Remove a worker from the pool (killing it if asked).
-
-        A reply sitting unread in the pipe may carry a shared-memory
-        descriptor whose block the parent now owns; it is drained and
-        unlinked before the pipe closes, so retiring a worker never
-        strands a segment.
-        """
+        """Remove a worker from the pool (killing it if asked)."""
         if worker in self._busy:
             self._busy.remove(worker)
         if worker in self._idle:
@@ -533,7 +359,6 @@ class WorkerPool:
             worker.proc.kill()
         worker.proc.join()
         if not worker.conn.closed:
-            _drain_and_reclaim(worker.conn)
             worker.conn.close()
 
     def prime(self) -> int:
@@ -547,11 +372,9 @@ class WorkerPool:
     def close(self) -> None:
         """Stop every worker. Idle workers get a polite stop and a
         join-with-timeout; stragglers (and any still-busy worker) are
-        killed. Pending replies are drained and their shared-memory
-        blocks unlinked, and each pipe closes exactly once — so a
-        mid-sweep ``KeyboardInterrupt`` arriving through ``__exit__``
-        leaves no orphaned segments and no ``resource_tracker``
-        warnings. Idempotent.
+        killed, and each pipe closes exactly once — so a mid-sweep
+        ``KeyboardInterrupt`` arriving through ``__exit__`` leaves no
+        worker behind. Idempotent.
         """
         if self._closed:
             return
@@ -573,7 +396,6 @@ class WorkerPool:
                 worker.proc.kill()
                 worker.proc.join()
             if not worker.conn.closed:
-                _drain_and_reclaim(worker.conn)
                 worker.conn.close()
 
     # -- scheduling ----------------------------------------------------
@@ -585,8 +407,6 @@ class WorkerPool:
         context=None,
         timeout_s: float | None = None,
         retries: int | None = None,
-        backoff_s: float = 0.1,
-        on_error: str = "raise",
         capture: bool | None = None,
         on_result: Callable | None = None,
         status=None,
@@ -611,10 +431,6 @@ class WorkerPool:
         """
         if self._closed:
             raise ParallelExecutionError([(-1, "pool is closed")])
-        if on_error not in ("raise", "collect"):
-            raise ParallelExecutionError(
-                [(-1, f"invalid on_error value {on_error!r}")]
-            )
         payloads = list(payloads)
         timeout_s = _resolve_timeout(timeout_s)
         retries = _resolve_retries(retries)
@@ -643,22 +459,14 @@ class WorkerPool:
                 obs.incr("parallel.retries")
                 if status is not None:
                     status.tasks["retries"] += 1
-                not_before = _clock() + backoff_s * (2.0**attempt)
+                not_before = _clock() + BACKOFF_S * (2.0**attempt)
                 queue.append((index, attempt + 1, not_before))
                 return
             pending -= 1
             obs.incr("parallel.pool_tasks")
             if status is not None:
                 status.tasks["failed"] += 1
-            if on_error == "collect":
-                results[index] = TaskFailure(
-                    index=index,
-                    kind=kind,
-                    detail=detail,
-                    attempts=attempt + 1,
-                )
-            else:
-                failures.append((index, f"[{kind}] {detail}"))
+            failures.append((index, f"[{kind}] {detail}"))
 
         def dispatch(worker: _PoolWorker, index: int, attempt: int) -> bool:
             """Send one task; False (and re-queue) if the worker died."""
@@ -711,20 +519,10 @@ class WorkerPool:
                     time.sleep(max(0.0, next_up - _clock()))
                     continue
 
-                deadlines = [
-                    w.task[3] for w in self._busy if w.task[3] is not None
-                ]
-                holds = [
-                    nb for _, _, nb in queue if nb > _clock()
-                ]
-                wake = (
-                    min(deadlines + holds) if (deadlines or holds) else None
-                )
-                wait_s = (
-                    max(0.0, wake - _clock())
-                    if wake is not None
-                    else None
-                )
+                # Wake at the next deadline or the end of the next hold.
+                wake = [w.task[3] for w in self._busy if w.task[3] is not None]
+                wake += [nb for _, _, nb in queue if nb > now]
+                wait_s = max(0.0, min(wake) - _clock()) if wake else None
                 if status is not None:
                     # Cap the block so a heartbeat still lands while
                     # every worker is deep inside a long task.
@@ -764,19 +562,16 @@ class WorkerPool:
                         if status is not None:
                             status.worker_reply(worker.proc.pid)
                         if msg[0] == "ok":
-                            _, _, desc, wtel, warm, shm_bytes = msg
-                            results[index] = _decode_result(desc)
+                            _, _, blob, wtel, warm = msg
+                            results[index] = pickle.loads(blob)
                             if on_result is not None:
                                 on_result(index, results[index])
                             pending -= 1
                             obs.incr("parallel.pool_tasks")
                             if status is not None:
                                 status.tasks["done"] += 1
-                                status.tasks["shm_bytes"] += shm_bytes or 0
                             if warm:
                                 obs.incr("parallel.worker_cache_warm_hits")
-                            if shm_bytes:
-                                obs.incr("parallel.shm_bytes", shm_bytes)
                             if wtel is not None:
                                 captured[index] = wtel
                         else:
@@ -819,10 +614,7 @@ def parallel_map(
     context=None,
     timeout_s: float | None = None,
     retries: int | None = None,
-    backoff_s: float = 0.1,
-    on_error: str = "raise",
     pool: WorkerPool | None = None,
-    on_result: Callable | None = None,
     journal=None,
     status_path=None,
     status_every_s: float = 1.0,
@@ -855,42 +647,29 @@ def parallel_map(
         interrupted, so the deadline only applies with ``jobs > 1``.
     retries:
         Extra attempts per task after the first fails or times out, with
-        exponential backoff (``backoff_s * 2**attempt``); each
+        exponential backoff (:data:`BACKOFF_S` ``* 2**attempt``); each
         re-dispatch increments ``parallel.retries``. ``None`` defers to
         ``TECFAN_JOB_RETRIES`` (default 0).
-    backoff_s:
-        Base delay before a retry attempt [s].
-    on_error:
-        ``"raise"`` (default): raise :class:`ParallelExecutionError`
-        naming every task that exhausted its attempts, after all other
-        tasks finish. ``"collect"``: never raise; terminally-failed
-        tasks yield a :class:`TaskFailure` (falsy) at their index so the
-        surviving results are usable.
     pool:
         An existing :class:`WorkerPool` to run on (kept open, so its
         workers — and their warm contexts — survive for the next call).
         Without one, a private pool is created and closed around this
         call.
-    on_result:
-        ``on_result(index, value)`` callback fired as each task
-        *succeeds* (completion order). Failures never fire it.
     journal:
         A :class:`repro.journal.TaskJournal`. Payload indices already
         present in the journal are skipped (their journaled results are
         returned directly, ``journal.tasks_skipped`` counts them) and
         every fresh success is journaled the moment it lands — so a
-        driver killed mid-sweep re-runs only the missing tasks, and a
-        worker that died mid-task simply never journaled it. Only
-        successful results are journaled; :class:`TaskFailure` partials
-        are not, and re-run on resume.
+        driver killed mid-sweep, or a fan-out that raised, re-runs only
+        the missing tasks on resume.
     status_path:
         Optional live-status sidecar for ``tecfan top``
         (:mod:`repro.obs.live`): the fan-out writes heartbeat snapshots
         there every ``status_every_s`` wall-seconds — per-worker rows,
-        settled/in-flight/queued counts, shm bytes, and (with a
-        journal) which cells were replayed rather than re-run.
-        ``status_meta`` annotates the snapshot: its ``label`` is the
-        display name and its ``journal`` the journal path shown.
+        settled/in-flight/queued counts, and (with a journal) which
+        cells were replayed rather than re-run. ``status_meta``
+        annotates the snapshot: its ``label`` is the display name and
+        its ``journal`` the journal path shown.
 
     Returns
     -------
@@ -899,15 +678,14 @@ def parallel_map(
     Raises
     ------
     ParallelExecutionError
-        If any task exhausted its attempts and ``on_error="raise"``.
+        Pooled: after every task settled, if any task exhausted its
+        attempts; it names each such task with its traceback. Serial: a
+        task whose attempts run out re-raises its original exception.
     """
-    if on_error not in ("raise", "collect"):
-        raise ParallelExecutionError(
-            [(-1, f"invalid on_error value {on_error!r}")]
-        )
     payloads = list(payloads)
     todo = range(len(payloads))
     done: dict = {}
+    on_result = None
     if journal is not None:
         done = {
             k: v
@@ -916,13 +694,9 @@ def parallel_map(
         }
         todo = [i for i in todo if i not in done]
         obs.incr("journal.tasks_skipped", len(done))
-        caller_on_result = on_result
 
         def on_result(sub_index: int, value) -> None:
-            index = todo[sub_index]
-            journal.record_task(index, value)
-            if caller_on_result is not None:
-                caller_on_result(index, value)
+            journal.record_task(todo[sub_index], value)
 
     status = None
     if status_path is not None:
@@ -948,17 +722,12 @@ def parallel_map(
 
     try:
         if n <= 1 or len(batch) <= 1:
-            ran = _serial_map(
-                fn, batch, retries, backoff_s, on_error, context,
-                on_result, status,
-            )
+            ran = _serial_map(fn, batch, retries, context, on_result, status)
         else:
             kwargs = dict(
                 context=context,
                 timeout_s=timeout_s,
                 retries=retries,
-                backoff_s=backoff_s,
-                on_error=on_error,
                 on_result=on_result,
                 status=status,
             )
@@ -984,13 +753,12 @@ def _serial_map(
     fn: Callable,
     payloads: list,
     retries: int,
-    backoff_s: float,
-    on_error: str,
     context=None,
     on_result: Callable | None = None,
     status=None,
 ) -> list:
-    """In-process execution: retries apply, deadlines cannot.
+    """In-process execution: retries apply, deadlines cannot. A task
+    whose attempts run out re-raises its original exception.
 
     With a ``status`` reporter the parent process itself shows up as
     the single "worker" row, so ``tecfan top`` works identically on
@@ -998,7 +766,6 @@ def _serial_map(
     """
     pid = os.getpid()
     results: list = []
-    failures: list = []
     for i, p in enumerate(payloads):
         if status is not None:
             status.worker_dispatch(pid, i)
@@ -1006,41 +773,22 @@ def _serial_map(
                 status.report(in_flight=1, queued=len(payloads) - i - 1)
         for attempt in range(retries + 1):
             try:
-                results.append(
-                    fn(p) if context is None else fn(context, p)
-                )
-                if status is not None:
-                    status.worker_reply(pid)
-                    status.tasks["done"] += 1
-                if on_result is not None:
-                    on_result(i, results[-1])
+                value = fn(p) if context is None else fn(context, p)
                 break
             except Exception:
-                if attempt < retries:
-                    obs.incr("parallel.retries")
+                if attempt == retries:
                     if status is not None:
-                        status.tasks["retries"] += 1
-                    time.sleep(backoff_s * (2.0**attempt))
-                    continue
+                        status.worker_reply(pid)
+                        status.tasks["failed"] += 1
+                    raise
+                obs.incr("parallel.retries")
                 if status is not None:
-                    status.worker_reply(pid)
-                    status.tasks["failed"] += 1
-                if on_error == "raise" and retries == 0:
-                    raise  # classic serial contract: original exception
-                detail = traceback.format_exc()
-                if on_error == "raise":
-                    failures.append((i, detail))
-                    results.append(None)
-                else:
-                    results.append(
-                        TaskFailure(
-                            index=i,
-                            kind="error",
-                            detail=detail,
-                            attempts=retries + 1,
-                        )
-                    )
-                break
-    if failures:
-        raise ParallelExecutionError(failures)
+                    status.tasks["retries"] += 1
+                time.sleep(BACKOFF_S * (2.0**attempt))
+        results.append(value)
+        if status is not None:
+            status.worker_reply(pid)
+            status.tasks["done"] += 1
+        if on_result is not None:
+            on_result(i, value)
     return results

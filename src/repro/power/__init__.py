@@ -3,7 +3,7 @@
 Public API
 ----------
 - :class:`~repro.power.dvfs.DVFSTable`, :data:`~repro.power.dvfs.SCC_DVFS`,
-  :data:`~repro.power.dvfs.I7_DVFS`, :class:`~repro.power.dvfs.PerCoreDVFS`
+  :data:`~repro.power.dvfs.I7_DVFS`
 - :class:`~repro.power.leakage.LinearLeakage` (Eq. 6, controller side),
   :class:`~repro.power.leakage.QuadraticLeakage` (plant side)
 - :class:`~repro.power.component_power.ComponentPowerModel`
@@ -20,7 +20,7 @@ from repro.power.calibration import (
     build_power_models,
 )
 from repro.power.component_power import ComponentPowerModel
-from repro.power.dvfs import DVFSTable, I7_DVFS, PerCoreDVFS, SCC_DVFS
+from repro.power.dvfs import DVFSTable, I7_DVFS, SCC_DVFS
 from repro.power.dynamic import DynamicPowerTracker
 from repro.power.leakage import LinearLeakage, QuadraticLeakage
 
@@ -34,7 +34,6 @@ __all__ = [
     "ComponentPowerModel",
     "DVFSTable",
     "I7_DVFS",
-    "PerCoreDVFS",
     "SCC_DVFS",
     "DynamicPowerTracker",
     "LinearLeakage",

@@ -17,7 +17,7 @@ Two default tables are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,40 +111,3 @@ I7_DVFS = DVFSTable(
     vdd_v=(0.85, 0.90, 0.95, 1.00, 1.05, 1.10),
 )
 
-
-@dataclass
-class PerCoreDVFS:
-    """Mutable per-core DVFS state over a shared table."""
-
-    table: DVFSTable
-    n_cores: int
-    levels: np.ndarray = field(default=None)
-
-    def __post_init__(self) -> None:
-        if self.levels is None:
-            self.levels = np.full(self.n_cores, self.table.max_level, dtype=int)
-        else:
-            self.levels = np.asarray(self.levels, dtype=int).copy()
-            self._check(self.levels)
-
-    def _check(self, levels: np.ndarray) -> None:
-        if levels.shape != (self.n_cores,):
-            raise ConfigurationError(
-                f"levels shape {levels.shape} != ({self.n_cores},)"
-            )
-        if np.any(levels < 0) or np.any(levels >= self.table.n_levels):
-            raise ConfigurationError("DVFS level out of table range")
-
-    def set_level(self, core: int, level: int) -> None:
-        """Set one core's operating point."""
-        if not 0 <= level < self.table.n_levels:
-            raise ConfigurationError(f"DVFS level {level} out of range")
-        self.levels[core] = level
-
-    def frequencies_ghz(self) -> np.ndarray:
-        """Per-core frequency vector [GHz]."""
-        return self.table.frequency_ghz(self.levels)
-
-    def dynamic_scales(self) -> np.ndarray:
-        """Per-core ``f V^2`` scale relative to the max level."""
-        return self.table.dynamic_scale(self.levels)

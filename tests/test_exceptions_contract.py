@@ -114,8 +114,9 @@ def test_sensor_bank_validation_is_repro_error():
         TemperatureSensorBank(bits=0)
 
 
-def test_parallel_entry_points_raise_repro_errors():
+def test_parallel_entry_points_raise_repro_errors(monkeypatch):
     with pytest.raises(ParallelExecutionError):
         resolve_jobs(-1)
+    monkeypatch.setenv("TECFAN_JOB_RETRIES", "sometimes")
     with pytest.raises(ParallelExecutionError):
-        parallel_map(len, [[1]], jobs=2, on_error="sometimes")
+        parallel_map(len, [[1]], jobs=2)

@@ -220,7 +220,6 @@ def _reporter(kind, path, **kw):
         rep.worker_reply(101)
         rep.tasks["done"] += 1
         rep.tasks["retries"] += 1
-        rep.tasks["shm_bytes"] += 4096
         return rep
     return StatusReporter(path, kind, label="fleet x3", total=60.0, **kw)
 
@@ -272,7 +271,7 @@ def test_snapshot_envelope_is_shared(tmp_path, kind):
     assert heartbeats == (1 if kind == "pool" else None)
     assert not rep.due()  # throttled for every_s of wall time
     status = read_status(path)
-    assert status["schema"] == STATUS_SCHEMA == 2
+    assert status["schema"] == STATUS_SCHEMA == 3
     assert (status["kind"], status["seq"], status["done"]) == (kind, 0, False)
     assert status["label"] == rep.label
     assert status["t_threshold_c"] == 85.0
@@ -365,7 +364,7 @@ def test_pool_reporter_snapshot_fields(tmp_path):
     workers = {w["pid"]: w for w in pool.pop("workers")}
     assert pool == {
         "total": 6, "replayed": 2, "done": 1, "failed": 0, "retries": 1,
-        "timeouts": 0, "in_flight": 1, "queued": 2, "shm_bytes": 4096,
+        "timeouts": 0, "in_flight": 1, "queued": 2,
         "replayed_indices": [0, 3], "journal": "j.tfj",
     }
     assert workers[101]["state"] == "idle"
@@ -530,7 +529,7 @@ def test_prometheus_text_pool_gauges(tmp_path):
     text = prometheus_text(None, status)
     assert "tecfan_pool_tasks_total 6" in text
     assert "tecfan_pool_tasks_replayed 2" in text
-    assert "tecfan_pool_shm_bytes 4096" in text
+    assert "tecfan_pool_workers 2" in text
     assert "tecfan_live_done 1" in text
 
 

@@ -21,8 +21,8 @@ from repro.core.state import ActuatorState
 from repro.core.system import build_system
 from repro.core.tecfan import TECfanController
 from repro.exceptions import ParallelExecutionError
-from repro.obs import telemetry as obs
-from repro.parallel import TaskFailure, WorkerPool, parallel_map, resolve_jobs
+from repro.obs import Telemetry, telemetry_session
+from repro.parallel import WorkerPool, parallel_map, resolve_jobs
 from repro.perf import splash2_workload
 from repro.perf.splash2 import REF_FREQ_GHZ
 from repro.perf.workload import WorkloadRun
@@ -55,6 +55,36 @@ def test_resolve_jobs_env_override(monkeypatch):
     assert resolve_jobs(0) == 5
     # Explicit counts beat the environment.
     assert resolve_jobs(2) == 2
+
+
+@pytest.mark.parametrize("raw", ["abc", "2.5", "-3"])
+def test_malformed_jobs_env_names_the_variable(monkeypatch, raw):
+    monkeypatch.setenv("TECFAN_JOBS", raw)
+    with pytest.raises(ParallelExecutionError, match="TECFAN_JOBS"):
+        resolve_jobs(0)
+    # An explicit count never reads the environment.
+    assert resolve_jobs(2) == 2
+
+
+@pytest.mark.parametrize("raw", ["x", "1.5", "-1"])
+def test_malformed_retries_env_names_the_variable(monkeypatch, raw):
+    monkeypatch.setenv("TECFAN_JOB_RETRIES", raw)
+    with pytest.raises(ParallelExecutionError, match="TECFAN_JOB_RETRIES"):
+        parallel_map(_square, [1, 2], jobs=1)
+
+
+def test_malformed_timeout_env_names_the_variable(monkeypatch):
+    monkeypatch.setenv("TECFAN_JOB_TIMEOUT_S", "soon")
+    with pytest.raises(ParallelExecutionError, match="TECFAN_JOB_TIMEOUT_S"):
+        parallel_map(_square, [1, 2], jobs=1)
+
+
+@pytest.mark.parametrize("raw", ["0", "-5", " "])
+def test_non_positive_timeout_env_means_no_deadline(monkeypatch, raw):
+    from repro.parallel import _resolve_timeout
+
+    monkeypatch.setenv("TECFAN_JOB_TIMEOUT_S", raw)
+    assert _resolve_timeout(None) is None
 
 
 def test_resolve_jobs_auto_honors_cpu_affinity(monkeypatch):
@@ -107,7 +137,7 @@ def test_serial_failure_raises_original_exception():
 
 
 # ----------------------------------------------------------------------
-# Resilience: timeouts, retries, partial results
+# Resilience: timeouts and retries
 # ----------------------------------------------------------------------
 def _hang_or_square(payload):
     x, hang_s = payload
@@ -131,47 +161,20 @@ def _flaky(payload):
     return x * x
 
 
-def test_hung_worker_killed_at_deadline_collect(pool_clock):
-    from repro.obs import Telemetry, telemetry_session
-
-    payloads = [(0, 0.0), (1, 600.0), (2, 0.0)]
-    tel = Telemetry()
-    with telemetry_session(tel):
-        out = parallel_map(
-            _hang_or_square,
-            payloads,
-            jobs=2,
-            timeout_s=10.0,
-            on_error="collect",
-            on_result=pool_clock.advance_after(2, 60.0),
-        )
-    assert out[0] == 0 and out[2] == 4
-    failure = out[1]
-    assert isinstance(failure, TaskFailure)
-    assert not failure  # falsy, filterable
-    assert failure.kind == "timeout"
-    assert failure.index == 1 and failure.attempts == 1
-    counters = tel.metrics.snapshot()["counters"]
-    assert counters["parallel.timeouts"] == 1
-
-
 def test_hung_worker_raises_by_default(pool_clock):
-    with pytest.raises(ParallelExecutionError) as err:
-        parallel_map(
+    with WorkerPool(2) as pool, pytest.raises(ParallelExecutionError) as err:
+        pool.map(
             _hang_or_square,
             [(0, 0.0), (1, 600.0)],
-            jobs=2,
             timeout_s=10.0,
             on_result=pool_clock.advance_after(1, 60.0),
         )
     failed = [index for index, _ in err.value.failures]
     assert failed == [1]
-    assert "timeout" in str(err.value)
+    assert "[timeout]" in str(err.value)
 
 
 def test_transient_failure_retried_to_success(tmp_path):
-    from repro.obs import Telemetry, telemetry_session
-
     payloads = [
         (3, str(tmp_path / "a.sentinel")),
         (4, str(tmp_path / "b.sentinel")),
@@ -184,27 +187,36 @@ def test_transient_failure_retried_to_success(tmp_path):
     assert counters["parallel.retries"] == 2
 
 
-def test_retries_exhausted_collects_traceback():
-    out = parallel_map(
-        _fail_on_odd, [0, 1, 2], jobs=2, retries=1, on_error="collect",
-        backoff_s=0.01,
-    )
-    assert out[0] == 0 and out[2] == 2
-    assert isinstance(out[1], TaskFailure)
-    assert out[1].kind == "error"
-    assert out[1].attempts == 2
-    assert "odd payload 1" in out[1].detail
-    # Surviving results are directly usable after filtering.
-    assert [r for r in out if r or r == 0] == [0, 2]
+def test_retries_exhausted_collects_traceback(monkeypatch):
+    import repro.parallel
+
+    monkeypatch.setattr(repro.parallel, "BACKOFF_S", 0.01)
+    tel = Telemetry()
+    with telemetry_session(tel), pytest.raises(ParallelExecutionError) as err:
+        parallel_map(_fail_on_odd, [0, 1, 2, 3], jobs=2, retries=1)
+    # The error names every task that ran out of attempts, each with
+    # the traceback of its last attempt.
+    assert [index for index, _ in err.value.failures] == [1, 3]
+    for index, detail in err.value.failures:
+        assert detail.startswith("[error] Traceback")
+        assert f"ValueError: odd payload {index}" in detail
+    counters = tel.metrics.snapshot()["counters"]
+    assert counters["parallel.retries"] == 2
+    assert counters["parallel.pool_tasks"] == 4
 
 
-def test_serial_retry_and_collect(tmp_path):
+def test_serial_retry_then_original_exception(monkeypatch, tmp_path):
+    import repro.parallel
+
+    monkeypatch.setattr(repro.parallel, "BACKOFF_S", 0.01)
     payloads = [(5, str(tmp_path / "serial.sentinel"))]
     assert parallel_map(_flaky, payloads, jobs=1, retries=1) == [25]
-    out = parallel_map(
-        _fail_on_odd, [1], jobs=1, on_error="collect"
-    )
-    assert isinstance(out[0], TaskFailure)
+    # Once the retries run out, the serial path re-raises the task's
+    # own exception, whatever ``retries`` is.
+    tel = Telemetry()
+    with telemetry_session(tel), pytest.raises(ValueError, match="odd payload 1"):
+        parallel_map(_fail_on_odd, [0, 1, 2], jobs=1, retries=2)
+    assert tel.metrics.counter("parallel.retries").value == 2
 
 
 def test_env_defaults_for_resilience(monkeypatch, tmp_path):

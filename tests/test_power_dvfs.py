@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.power.dvfs import DVFSTable, I7_DVFS, PerCoreDVFS, SCC_DVFS
+from repro.power.dvfs import DVFSTable, I7_DVFS, SCC_DVFS
 
 
 def test_scc_table_shape():
@@ -63,22 +63,3 @@ def test_bad_tables_rejected():
     with pytest.raises(ConfigurationError):
         DVFSTable(freq_ghz=(1.0, 1.2), vdd_v=(0.8,))  # length mismatch
 
-
-def test_per_core_state_defaults_to_max():
-    pc = PerCoreDVFS(table=SCC_DVFS, n_cores=4)
-    assert np.all(pc.levels == SCC_DVFS.max_level)
-    np.testing.assert_allclose(pc.frequencies_ghz(), 2.0)
-    np.testing.assert_allclose(pc.dynamic_scales(), 1.0)
-
-
-def test_per_core_set_level_bounds():
-    pc = PerCoreDVFS(table=SCC_DVFS, n_cores=4)
-    pc.set_level(2, 0)
-    assert pc.levels[2] == 0
-    with pytest.raises(ConfigurationError):
-        pc.set_level(0, 99)
-
-
-def test_per_core_bad_initial_levels():
-    with pytest.raises(ConfigurationError):
-        PerCoreDVFS(table=SCC_DVFS, n_cores=2, levels=np.array([0, 99]))

@@ -14,6 +14,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from repro.analysis.faultmatrix import run_fault_matrix
 from repro.core.baselines import FanTECController
@@ -22,7 +23,8 @@ from repro.core.problem import EnergyProblem
 from repro.core.system import build_system
 from repro.journal import TaskJournal, scan_journal
 from repro.obs import Telemetry, telemetry_session
-from repro.parallel import TaskFailure, WorkerPool, parallel_map
+from repro.exceptions import ParallelExecutionError
+from repro.parallel import WorkerPool, parallel_map
 from repro.perf import splash2_workload
 from repro.perf.splash2 import REF_FREQ_GHZ
 from repro.perf.workload import WorkloadRun
@@ -129,27 +131,58 @@ def _hang_or_square(payload):
 
 
 def test_timeout_kills_task_and_replaces_worker(pool_clock):
+    done = {}
+    cue = pool_clock.advance_after(5, 60.0)
+
+    def on_result(index, value):
+        done[index] = value
+        cue(index, value)
+
     tel = Telemetry()
-    with telemetry_session(tel):
-        out = parallel_map(
-            _hang_or_square,
-            [1, "hang", 2, 3, 4, 5],
-            jobs=2,
-            timeout_s=10.0,
-            on_error="collect",
-            on_result=pool_clock.advance_after(5, 60.0),
-        )
-    # The hung task settles as a timeout failure at its own index...
-    failure = out[1]
-    assert isinstance(failure, TaskFailure)
-    assert failure.kind == "timeout"
-    assert failure.attempts == 1
-    assert not failure
-    # ...and the pool replaced the killed worker: every other task —
-    # including those queued behind the hang — still completed.
-    assert out[0] == 1 and out[2:] == [4, 9, 16, 25]
+    with telemetry_session(tel), WorkerPool(2) as pool:
+        with pytest.raises(ParallelExecutionError) as err:
+            pool.map(
+                _hang_or_square,
+                [1, "hang", 2, 3, 4, 5],
+                timeout_s=10.0,
+                on_result=on_result,
+            )
+        # The killed worker was replaced: the pool keeps its capacity
+        # and serves the next batch.
+        assert pool.map(_hang_or_square, [6, 7]) == [36, 49]
+        assert pool.n_workers == 2
+    # The hung task is the one failure, named as a timeout...
+    assert [index for index, _ in err.value.failures] == [1]
+    assert err.value.failures[0][1].startswith("[timeout]")
+    # ...and every other task, including those queued behind the hang,
+    # still completed.
+    assert done == {0: 1, 2: 4, 3: 9, 4: 16, 5: 25}
     assert tel.metrics.counter("parallel.timeouts").value == 1
-    assert tel.metrics.counter("parallel.pool_tasks").value == 6
+    assert tel.metrics.counter("parallel.pool_tasks").value == 8
+
+
+def _pid_or_lambda(x):
+    if x == 1:
+        return lambda: x  # a local function cannot be pickled
+    return os.getpid()
+
+
+def test_unpicklable_result_fails_only_its_task():
+    done = {}
+    with WorkerPool(2) as pool:
+        pool.prime()
+        pids = {w.proc.pid for w in pool._idle}
+        with pytest.raises(ParallelExecutionError) as err:
+            pool.map(_pid_or_lambda, list(range(6)), on_result=done.__setitem__)
+        # No worker died or was replaced over it.
+        assert {w.proc.pid for w in pool._idle + pool._busy} == pids
+    assert [index for index, _ in err.value.failures] == [1]
+    detail = err.value.failures[0][1]
+    assert detail.startswith("[error] Traceback")
+    assert "pickle.dumps" in detail
+    assert "Can't pickle local object" in detail
+    assert sorted(done) == [0, 2, 3, 4, 5]
+    assert set(done.values()) <= pids
 
 
 # ----------------------------------------------------------------------
@@ -210,22 +243,19 @@ def test_counter_conservation_with_warm_workers():
 
 
 # ----------------------------------------------------------------------
-# shared-memory result transport
+# result transport
 # ----------------------------------------------------------------------
 def _big_trace(n):
     return np.arange(float(n)), {"n": n}
 
 
-def test_bulk_results_ride_shared_memory():
-    tel = Telemetry()
-    with telemetry_session(tel):
-        out = parallel_map(_big_trace, [50_000, 60_000], jobs=2)
+def test_bulk_results_come_back_equal_and_writable():
+    out = parallel_map(_big_trace, [50_000, 60_000], jobs=2)
     for arr, meta in out:
         assert arr.shape == (meta["n"],)
         assert np.array_equal(arr, np.arange(float(meta["n"])))
-        arr[0] = -1.0  # parent owns the memory: writable, no shm backing
-    # 2 float64 arrays >= 64 KiB each moved out-of-band.
-    assert tel.metrics.counter("parallel.shm_bytes").value >= 2 * 50_000 * 8
+        assert arr.flags.writeable
+        arr[0] = -1.0  # the parent owns the memory
 
 
 def _worker_pid(_payload):
@@ -262,13 +292,10 @@ def test_worker_sigkill_then_journal_resume_completes(tmp_path):
     # Completed siblings land in the journal; the dead task does not
     # (only successes are ever journaled).
     with TaskJournal(journal_path, header={"kind": "sq"}) as j:
-        out = parallel_map(
-            _die_if_marker, payloads, jobs=2, journal=j,
-            on_error="collect",
-        )
-    failed = [i for i, r in enumerate(out) if isinstance(r, TaskFailure)]
-    assert failed == [3]
-    assert out[3].kind == "died"
+        with pytest.raises(ParallelExecutionError) as err:
+            parallel_map(_die_if_marker, payloads, jobs=2, journal=j)
+    assert [index for index, _ in err.value.failures] == [3]
+    assert err.value.failures[0][1].startswith("[died]")
     _, _, tasks, _ = scan_journal(journal_path)
     assert set(tasks) == {0, 1, 2, 4, 5}
 
@@ -352,23 +379,8 @@ def test_driver_sigkill_mid_fault_matrix_resumes_bit_identical(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# shared-memory leak windows: retire and close reclaim unread results
+# shutdown
 # ----------------------------------------------------------------------
-def test_retire_reclaims_unread_shm_result():
-    tel = Telemetry()
-    with telemetry_session(tel):
-        with WorkerPool(2) as pool:
-            pool._ensure_workers(1)
-            worker = pool._idle[0]
-            # Bypass map(): park a completed bulk result in the pipe,
-            # unread — the window where a parent crash used to strand
-            # the segment.
-            worker.conn.send(("task", 0, _big_trace, 70_000, None, False))
-            assert worker.conn.poll(30.0)
-            pool._retire(worker, kill=True)
-    assert tel.metrics.counter("parallel.shm_leaks_reclaimed").value == 1
-
-
 def _sleep_long(seconds):
     time.sleep(seconds)
     return seconds
