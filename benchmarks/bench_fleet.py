@@ -1,8 +1,9 @@
 """Benchmark: batched fleet stepper vs the sequential per-node loop.
 
 Measures the fleet tentpole (docs/FLEET.md): advancing N servers per
-control interval with one multi-RHS ``solve_many`` per actuation class
-instead of N independent solve chains. The sequential side is the same
+control interval with one lockstep leakage fixed point over every
+actuation class (one multi-RHS solve per class and pass) instead of N
+independent solve chains. The sequential side is the same
 run with ``BatchedStepper.advance`` swapped for the per-node reference
 loop (``SequentialStepper``). Fast-forwarding is disabled so the timing
 isolates stepping throughput; equivalence is asserted via shard

@@ -244,14 +244,16 @@ class TECArray:
         t_cold_rows_k: np.ndarray,
         t_hot_rows_k: np.ndarray,
     ) -> np.ndarray:
-        """:meth:`electrical_power_w` for one activation vector against
-        ``(batch, n_devices)`` temperature rows; row ``b`` is
-        bit-identical to the per-row call (the Eq. (9) arithmetic is
-        elementwise, so broadcasting changes nothing)."""
+        """:meth:`electrical_power_w` against ``(batch, n_devices)``
+        temperature rows; ``state`` is one activation vector shared by
+        every row or a ``(batch, n_devices)`` matrix, one per row. Row
+        ``b`` is bit-identical to the per-row call (the Eq. (9)
+        arithmetic is elementwise, so broadcasting changes nothing)."""
         state = np.asarray(state, dtype=float)
-        if state.shape != (self.n_devices,):
+        if state.ndim not in (1, 2) or state.shape[-1] != self.n_devices:
             raise ConfigurationError(
                 f"state has shape {state.shape}, expected ({self.n_devices},)"
+                f" or (batch, {self.n_devices})"
             )
         if not np.all((state >= 0.0) & (state <= 1.0)):
             raise ConfigurationError("TEC activations must lie in [0, 1]")

@@ -318,8 +318,8 @@ class NextIntervalEstimator:
         and transient Eq. (5). One multi-RHS solve per distinct (fan, TEC)
         setting shares the LU factorization and transient betas; grouping
         is exact (not the caches' quantized keying) because members share
-        one factorization. TEC power is one cold-side scatter per distinct
-        activation vector.
+        one factorization. TEC power is one cold-side scatter over every
+        row, each against its own activation vector.
         """
         system = self.system
         comp = system.nodes.component_slice
@@ -342,14 +342,7 @@ class NextIntervalEstimator:
             )
         peak_c = units.k_to_c(t_rows[:, comp]).max(axis=1)
         p_cores = np.ascontiguousarray(p_dyn_many).sum(axis=1) + p_leak.sum()
-        p_tec = np.empty(len(states))
-        tec_groups: dict = {}
-        for j, state in enumerate(states):
-            tec_groups.setdefault(state.tec.tobytes(), []).append(j)
-        for members in tec_groups.values():
-            p_tec[members] = system.tec_power_many(
-                states[members[0]].tec, t_rows[members]
-            )
+        p_tec = system.tec_power_many(np.array([s.tec for s in states]), t_rows)
         return peak_c, p_cores, p_tec, t_rows.__getitem__
 
     # ------------------------------------------------------------------

@@ -11,16 +11,19 @@ chain an engine-per-node design would pay): the equivalence tests and
 tracer times it by name, so it stays here rather than in the tests.
 
 Nodes sharing an actuator setting ``(fan_level, tec)`` share a
-conductance matrix, so their leakage fixed points are one
-:meth:`~repro.thermal.leakage_loop.LeakageCoupledSolver.solve_many`
-call (multi-RHS solves against a single cached LU), and their
-relaxation factors are one cached
-:meth:`~repro.thermal.transient.PaperTransient.betas` lookup broadcast
-over the rows. Nodes are grouped by
-:func:`repro.thermal.keys.exact_actuator_key` — exact, not quantized,
-because the fleet policy emits binary TEC activations, so within-class
-vectors are *equal* and the shared-actuator precondition of
-``solve_many`` holds bit-for-bit.
+conductance matrix and so one cached LU factorization; they form an
+actuation class. The leakage fixed points of every class of a step are
+one :meth:`~repro.thermal.leakage_loop.LeakageCoupledSolver.solve_many`
+call that iterates all rows in lockstep: each pass is one leakage call
+over the rows still iterating and one multi-RHS triangular solve per
+class that still has such rows. The relaxation factors are one cached
+:meth:`~repro.thermal.transient.PaperTransient.betas` lookup per class,
+spread over that class's rows, so the transient blend and the TEC
+power (per-row activations) are each one expression over all rows.
+Nodes are grouped by :func:`repro.thermal.keys.exact_actuator_key` —
+exact, not quantized, because the fleet policy emits binary TEC
+activations, so within-class vectors are *equal* and share one
+factorization bit-for-bit.
 
 Before any of that, the batched stepper advances each *distinct* node
 row once. A row is the node's (activity, DVFS levels, fan level, TEC
@@ -146,7 +149,7 @@ class SequentialStepper:
 
 
 class BatchedStepper:
-    """Distinct-row, class-grouped kernel: one solve_many per class."""
+    """Distinct-row, class-grouped kernel: one lockstep fixed point per step."""
 
     def __init__(self, system: CMPSystem):
         self.system = system
@@ -164,34 +167,28 @@ class BatchedStepper:
     ) -> tuple[StepResult, int]:
         """The class-grouped kernel over the given rows, and its class count."""
         sys = self.system
-        comp = sys.nodes.component_slice
-        n = t_nodes_k.shape[0]
+        plant = sys.plant_thermal
         p_dyn = sys.power.component_power.dynamic_power_many(
             activity, dvfs_levels
         )
-        t_new = np.empty_like(t_nodes_k)
-        t_steady = np.empty_like(t_nodes_k)
-        p_leak = np.empty_like(p_dyn)
-        p_tec = np.empty(n)
-
         groups: dict[tuple, list[int]] = {}
-        for i in range(n):
+        for i in range(t_nodes_k.shape[0]):
             key = exact_actuator_key(int(fan_levels[i]), tec[i])
             groups.setdefault(key, []).append(i)
 
+        classes = []
+        beta = np.empty_like(t_nodes_k)
         for members in groups.values():
             idx = np.asarray(members, dtype=np.intp)
-            fan = int(fan_levels[idx[0]])
-            tec_row = tec[idx[0]]
-            t_s, p_l = sys.plant_thermal.solve_many(
-                p_dyn[idx], fan, tec_row, t_nodes_k[idx][:, comp]
-            )
-            beta = sys.transient.betas(dt_s, fan, tec_row)
-            t_n = (1.0 - beta) * t_s + beta * t_nodes_k[idx]
-            t_steady[idx] = t_s
-            p_leak[idx] = p_l
-            t_new[idx] = t_n
-            p_tec[idx] = sys.tec_power_many(tec_row, t_n)
+            fan = int(fan_levels[members[0]])
+            tec_row = tec[members[0]]
+            classes.append((idx, plant.solver.factorization(fan, tec_row)))
+            beta[idx] = sys.transient.betas(dt_s, fan, tec_row)
+        t_steady, p_leak = plant.solve_many(
+            p_dyn, classes, t_nodes_k[:, sys.nodes.component_slice]
+        )
+        t_new = (1.0 - beta) * t_steady + beta * t_nodes_k
+        p_tec = sys.tec_power_many(tec, t_new)
         return StepResult(t_new, p_dyn, p_leak, p_tec, t_steady), len(groups)
 
     def advance(

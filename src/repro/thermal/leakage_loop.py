@@ -6,20 +6,30 @@ iterate this loop at run time until the peak temperature moves by less
 than 0.5 degC between consecutive passes (Sec. IV-B). This module
 implements that coupling for any leakage model of signature
 ``leakage(T_components_K) -> per-component leakage [W]``, for one row
-(:meth:`LeakageCoupledSolver.solve`) or for many rows under one
-actuator setting (:meth:`LeakageCoupledSolver.solve_many`, the fleet's
-path), with one convergence policy for both.
+(:meth:`LeakageCoupledSolver.solve`) or for many rows under any number
+of actuator settings (:meth:`LeakageCoupledSolver.solve_many`, the
+fleet's path), with one convergence policy for both.
+
+The batched loop runs every row of a fleet step in lockstep, whatever
+its actuation class: each pass is one leakage call over the rows still
+iterating, one multi-RHS triangular solve per class against that
+class's cached LU, and one vectorized peak/residual test. Rows that
+converge leave with that pass's outputs, so each row is bit-identical
+to its own :meth:`~LeakageCoupledSolver.solve`. Every pass of either
+loop counts ``thermal.leakage_passes``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import accumulate
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.exceptions import ConvergenceError
-from repro.thermal.steady_state import SteadyStateSolver
+from repro.exceptions import ConfigurationError, ConvergenceError, ThermalModelError
+from repro.obs import telemetry as obs
+from repro.thermal.steady_state import Factorization, SteadyStateSolver
 
 #: The paper's convergence criterion on peak temperature [degC == K delta].
 PEAK_TOLERANCE_K: float = 0.5
@@ -45,6 +55,16 @@ class LeakageCoupledSolver:
     leakage_fn: Callable[[np.ndarray], np.ndarray]
     tolerance_k: float = PEAK_TOLERANCE_K
     max_iterations: int = MAX_ITERATIONS
+
+    def __post_init__(self) -> None:
+        if self.max_iterations < 1:
+            raise ConfigurationError(
+                f"max_iterations must be >= 1, got {self.max_iterations}"
+            )
+        if not self.tolerance_k > 0.0:
+            raise ConfigurationError(
+                f"tolerance_k must be > 0, got {self.tolerance_k}"
+            )
 
     def solve(
         self,
@@ -72,6 +92,7 @@ class LeakageCoupledSolver:
 
         prev_peak = np.inf
         for _ in range(self.max_iterations):
+            obs.incr("thermal.leakage_passes")
             p_leak = self.leakage_fn(t_comp)
             t_nodes = self.solver.solve(
                 p_dynamic_w + p_leak, fan_level, tec_activation
@@ -91,47 +112,72 @@ class LeakageCoupledSolver:
     def solve_many(
         self,
         p_dynamic_w: np.ndarray,
-        fan_level: int,
-        tec_activation: np.ndarray,
+        classes: Sequence[tuple[np.ndarray, Factorization]],
         t_guess_k: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Row-batched :meth:`solve` under one shared actuator setting.
+        """Row-batched :meth:`solve` over actuation classes, in lockstep.
 
         ``p_dynamic_w`` and the warm start ``t_guess_k`` are
-        ``(batch, n_components)`` rows; returns ``(T_nodes, P_leak)`` as
-        ``(batch, n_nodes)`` and ``(batch, n_components)``. Rows converge
-        independently: a converged row is frozen with the iteration's
-        outputs while the remaining rows continue, so row ``b`` matches
-        a solo :meth:`solve` of that row exactly — same leakage inputs,
-        same RHS, same stopping pass. The factorization is looked up
-        once, outside the loop.
+        ``(batch, n_components)`` rows. ``classes`` partitions the rows:
+        each ``(rows, factorization)`` pair holds the indices of the rows
+        under one actuator setting and that setting's
+        :meth:`SteadyStateSolver.factorization`. Returns
+        ``(T_nodes, P_leak)`` as ``(batch, n_nodes)`` and
+        ``(batch, n_components)``.
+
+        Each pass makes one leakage call over the active rows, one
+        :meth:`SteadyStateSolver.solve_many` per class that still has
+        active rows, and one vectorized peak/residual test over all of
+        them. A converged row is frozen with that pass's outputs while
+        the rest continue, so row ``b`` matches a solo :meth:`solve` of
+        that row exactly — same leakage inputs, same RHS, same stopping
+        pass.
         """
         solver = self.solver
         nd = solver.model.nodes
-        factored = solver.factorization(fan_level, tec_activation)
         comp = nd.component_slice
         b = p_dynamic_w.shape[0]
+        # Position j of the loop holds row order[j]: class c owns the
+        # positions bounds[c]:bounds[c + 1], so its active rows are one
+        # run of the ascending active positions.
+        order = np.concatenate([rows for rows, _ in classes])
+        if order.size != b:
+            raise ThermalModelError(
+                f"classes cover {order.size} rows of a batch of {b}"
+            )
+        factors = [f for _, f in classes]
+        bounds = [0, *accumulate(len(rows) for rows, _ in classes)]
+        p_dyn = p_dynamic_w[order]
+        t_comp = np.asarray(t_guess_k, dtype=float)[order]
         t_out = np.empty((b, nd.n_nodes))
-        p_leak_out = np.empty_like(p_dynamic_w)
-        t_comp = np.array(t_guess_k, dtype=float)
+        p_leak_out = np.empty_like(p_dyn)
         prev_peak = np.full(b, np.inf)
         active = np.arange(b)
         for _ in range(self.max_iterations):
+            obs.incr("thermal.leakage_passes")
             p_leak = self.leakage_fn(t_comp[active])
-            t_nodes = solver.solve_many(
-                p_dynamic_w[active] + p_leak,
-                fan_level,
-                tec_activation,
-                factorization=factored,
+            p_total = p_dyn[active] + p_leak
+            cuts = (
+                np.searchsorted(active, bounds).tolist()
+                if len(factors) > 1
+                else [0, active.size]
             )
+            parts = [
+                solver.solve_many(
+                    p_total[lo:hi], f.fan_level, f.activation, factorization=f
+                )
+                for f, lo, hi in zip(factors, cuts, cuts[1:])
+                if hi > lo
+            ]
+            t_nodes = parts[0] if len(parts) == 1 else np.concatenate(parts)
             t_comp_a = t_nodes[:, comp]
             peak = t_comp_a.max(axis=1)
             residual = np.abs(peak - prev_peak[active])
             done = residual < self.tolerance_k
-            if np.any(done):
-                idx = active[done]
-                t_out[idx] = t_nodes[done]
-                p_leak_out[idx] = p_leak[done]
+            if done.any():
+                rows = order[active[done]]
+                t_out[rows] = t_nodes[done]
+                p_leak_out[rows] = p_leak[done]
             t_comp[active] = t_comp_a
             prev_peak[active] = peak
             active = active[~done]

@@ -51,6 +51,7 @@ class Factorization:
     entries start from the same Joule term and addition commutes.
     """
 
+    fan_level: int
     activation: np.ndarray
     lu: spla.SuperLU
     base_rhs: np.ndarray
@@ -113,6 +114,7 @@ class SteadyStateSolver:
             ) from exc
         activation = np.array(tec_activation, dtype=float)
         entry = Factorization(
+            fan_level=fan_level,
             activation=activation,
             lu=lu,
             base_rhs=self.model.rhs(
@@ -194,12 +196,16 @@ class SteadyStateSolver:
             if f is None:
                 f = self.factorization(fan_level, tec_activation)
             # The Joule + ambient pieces of the RHS are shared by every
-            # candidate; only the component power differs per column.
-            rhs = np.repeat(f.base_rhs[:, None], p.shape[0], axis=1)
-            rhs[self.model.nodes.component_slice, :] += p.T
+            # candidate; only the component power differs per row.
+            # SuperLU wants F-ordered columns: the rows' transpose is one
+            # as it stands, and the F-ordered answer's transpose is
+            # C-ordered rows again, so neither side is reordered.
+            rhs = np.empty((p.shape[0], f.base_rhs.size))
+            rhs[:] = f.base_rhs
+            rhs[:, self.model.nodes.component_slice] += p
             self.n_solves += p.shape[0]
             obs.incr("thermal.batch_solves")
-            t = f.lu.solve(rhs)
-        if not np.all(np.isfinite(t)):
+            t = f.lu.solve(rhs.T).T
+        if not np.isfinite(t).all():
             raise ThermalModelError("non-finite steady-state temperatures")
-        return np.ascontiguousarray(t.T)
+        return t

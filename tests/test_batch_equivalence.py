@@ -102,6 +102,20 @@ def test_solve_many_matches_solve_bitwise(system):
         assert np.array_equal(batched[b], single)
 
 
+def test_tec_power_many_per_row_activations_bitwise(system):
+    """With a ``(batch, n_devices)`` activation matrix, entry ``b`` is
+    ``tec_power_w`` of row ``b``'s own activation and field."""
+    rng = np.random.default_rng(4)
+    n = 6
+    tec = rng.integers(0, 2, size=(n, system.n_tec_devices)).astype(float)
+    tec[1] = rng.random(system.n_tec_devices)  # a fractional row
+    tec[3] = tec[0]
+    t = 310.0 + 30.0 * rng.random((n, system.nodes.n_nodes))
+    batched = system.tec_power_many(tec, t)
+    for b in range(n):
+        assert batched[b] == system.tec_power_w(tec[b], t[b]), b
+
+
 def test_solve_many_rejects_vector_input(system):
     from repro.exceptions import ThermalModelError
 

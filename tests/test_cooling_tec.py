@@ -124,3 +124,15 @@ def test_electrical_power_rejects_out_of_range_activation(tec, bad):
         tec.electrical_power_w(state, t, t)
     with pytest.raises(ConfigurationError):
         tec.electrical_power_many(state, t[None, :], t[None, :])
+
+
+def test_electrical_power_many_rejects_a_bad_activation_row(tec):
+    """A per-row activation matrix is range-checked on every row."""
+    states = np.zeros((3, tec.n_devices))
+    states[0, :] = 1.0
+    states[2, 4] = 1.5
+    t = np.full((3, tec.n_devices), 330.0)
+    with pytest.raises(ConfigurationError):
+        tec.electrical_power_many(states, t, t)
+    with pytest.raises(ConfigurationError):  # one device short per row
+        tec.electrical_power_many(states[:, 1:], t[:, 1:], t[:, 1:])
