@@ -1,24 +1,27 @@
-"""Benchmark: batched fleet stepper vs the sequential per-node loop.
+"""Benchmark: the grouped, batched fleet loop vs the per-node loop.
 
 Measures the fleet tentpole (docs/FLEET.md): advancing N servers per
-control interval with one lockstep leakage fixed point over every
-actuation class (one multi-RHS solve per class and pass) instead of N
-independent solve chains. The sequential side is the same
-run with ``BatchedStepper.advance`` swapped for the per-node reference
-loop (``SequentialStepper``). Fast-forwarding is disabled so the timing
+control interval as one row per group of bit-equal nodes, with one
+lockstep leakage fixed point over every actuation class (one multi-RHS
+solve per class and pass), instead of N independent solve chains. The
+sequential side is the same run as an engine-per-node loop: every node
+its own group (``PerNodeGroups`` in place of ``NodeGroups``) and
+``BatchedStepper.advance`` swapped for the per-node reference
+(``SequentialStepper``). Fast-forwarding is disabled so the timing
 isolates stepping throughput; equivalence is asserted via shard
 digests — the two runs must be bit-identical, not merely close.
 
 Three measurements:
 
 1. **Batched vs sequential at 64 nodes** — the acceptance gate: the
-   batched stepper must be >= 4x faster on the full run. Round-robin
+   batched loop must be >= 4x faster on the full run. Round-robin
    splits its 64 quanta evenly over 64 nodes, so every node stays in
-   lockstep and the batched stepper advances one distinct row per
-   interval (``solved_rows``).
+   lockstep and the loop carries one group, one row per interval
+   (``solved_rows``).
 2. **The same at 63 nodes** — one node fewer, so the quanta no longer
-   divide evenly and node rows diverge: the class kernel solves many
-   distinct rows per class. Digest-asserted and reported, not gated.
+   divide evenly: groups split and merge, and the class kernel solves
+   many distinct rows in more than one actuation class per step.
+   Digest-asserted and reported, not gated.
 3. **Sharded scaling** — the lockstep fleet split across worker-pool
    shards (reported, not gated: the win depends on core count and
    node/shard ratio).
@@ -30,10 +33,11 @@ Run directly (no pytest-benchmark dependency)::
 
 The full run writes ``benchmarks/results/BENCH_fleet.json`` — the
 tracked perf baseline; refresh it whenever the fleet stepper changes.
-``--smoke`` is the CI configuration: small lockstep (8 nodes) and
-diverging (7 nodes) fleets, digest equivalence asserted on both, the
-diverging one required to solve a class of more than one distinct row,
-printed speedups, no timing gate and no baseline rewrite.
+``--smoke`` is the CI configuration: the same lockstep (64 nodes) and
+diverging (63 nodes) fleets over 60 s, digest equivalence asserted on
+both, printed speedups, no timing gate and no baseline rewrite. In both
+modes the diverging fleet must solve a class of more than one distinct
+row and step more than one actuation class per interval on average.
 """
 
 from __future__ import annotations
@@ -66,17 +70,21 @@ def _cfg(n_nodes: int, duration_s: int, shards: int = 1):
 
 @contextlib.contextmanager
 def _plant(stepper: str):
-    """Run the fleet on the batched kernel or on the per-node reference."""
+    """Run the fleet grouped and batched, or as the per-node reference."""
+    import repro.fleet.sim as sim_mod
+    from repro.fleet.groups import NodeGroups, PerNodeGroups
     from repro.fleet.stepper import BatchedStepper, SequentialStepper
 
     batched_advance = BatchedStepper.advance
     if stepper == "sequential":
+        sim_mod.NodeGroups = PerNodeGroups
         BatchedStepper.advance = (
             lambda self, *a, **k: SequentialStepper(self.system).advance(*a, **k)
         )
     try:
         yield
     finally:
+        sim_mod.NodeGroups = NodeGroups
         BatchedStepper.advance = batched_advance
 
 
@@ -169,7 +177,7 @@ def main(argv=None) -> int:
 
     platform = build_server_system()
     if args.smoke:
-        n_nodes = args.nodes or 8
+        n_nodes = args.nodes or 64
         duration_s = args.sim_time or 60
     else:
         n_nodes = args.nodes or 64
@@ -195,6 +203,9 @@ def main(argv=None) -> int:
     div = report["steppers_diverging"]
     if div["solved_rows"] <= div["class_groups"]:
         print("FAIL: the diverging fleet never solved a multi-row class")
+        ok = False
+    if div["class_groups"] <= div["batched_steps"]:
+        print("FAIL: the diverging fleet stepped one actuation class per step")
         ok = False
 
     if not args.smoke:

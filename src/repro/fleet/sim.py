@@ -1,11 +1,28 @@
 """Fleet-scale datacenter simulation of S8-style TECfan servers.
 
-:class:`FleetSim` and :func:`run_fleet` keep all per-node state in
-``(n_nodes, ...)`` arrays; each control interval routes the arrival
-stream, advances every node's plant through the class-grouped batched
-kernel (:mod:`repro.fleet.stepper`), and applies the vectorized
-per-node TECfan policy (:mod:`repro.fleet.control`). Node groups shard
-across the persistent :class:`~repro.parallel.WorkerPool` using the
+:class:`FleetSim` and :func:`run_fleet` keep the fleet's state in
+arrays with one row per **node group**: nodes whose state rows are
+byte-equal share one row, and a ``group_of`` index maps every node to
+its group (:class:`~repro.fleet.groups.NodeGroups`). Each control
+interval routes the arrival stream over per-node views gathered from the
+group rows, splits a group only where its members were routed different
+shares, advances one plant row per group through the class-grouped
+batched kernel (:mod:`repro.fleet.stepper`), applies the vectorized
+TECfan policy (:mod:`repro.fleet.control`) once per group, and merges
+groups whose full state rows (temperatures, backlog, fan, TEC, DVFS)
+became byte-equal. A homogeneous fleet in lockstep thus costs one row
+per interval whatever its size.
+
+Accounting stays bit-identical to a per-node loop. Integer tallies
+(latency bucket counts, violation and throttle node-intervals) add each
+group's member count. Float reductions across nodes (power, served
+work, the status backlog) sum the node-order expansion
+``x[group_of]``, because ``n`` equal doubles do not always sum to
+exactly ``n`` times one of them. Outputs and live-status node tables
+expand to nodes.
+
+Shards of nodes run across the persistent
+:class:`~repro.parallel.WorkerPool` using the
 :func:`~repro.parallel.plan_shards` plan, with journal resume and
 live-status heartbeats riding the existing ``parallel_map`` plumbing.
 
@@ -35,6 +52,7 @@ from repro import units
 from repro.core.problem import EnergyProblem
 from repro.exceptions import ConfigurationError
 from repro.fleet.control import FleetPolicy
+from repro.fleet.groups import NodeGroups
 from repro.fleet.router import RouterView, make_router
 from repro.fleet.stepper import BatchedStepper
 from repro.fleet.traces import fleet_demand
@@ -214,9 +232,9 @@ class FleetSim:
 
     ``demand`` is the fleet-wide per-second utilization stream; the
     shard offers ``u * peak_ips * n_cores * n_nodes`` of it per second
-    (its proportional share). Temperatures, actuators, and backlogs for
-    all shard nodes live in arrays, and the plant advances through the
-    batched kernel.
+    (its proportional share). Temperatures, actuators, and backlogs
+    live in arrays with one row per group of bit-equal nodes, and the
+    plant advances through the batched kernel.
     """
 
     def __init__(
@@ -265,7 +283,7 @@ class FleetSim:
 
     # ------------------------------------------------------------------
     def _initial_temps(self) -> np.ndarray:
-        """Idle-power warm start, one solve broadcast to every node."""
+        """Idle-power warm start: one solve, the row every node starts from."""
         sys = self.system
         n_cores = sys.n_cores
         act0 = np.zeros(n_cores)
@@ -273,7 +291,7 @@ class FleetSim:
         p0 = sys.power.component_power.dynamic_power_w(act0, lv0)
         tec0 = np.zeros(sys.n_tec_devices)
         t0, _ = sys.plant_thermal.solve(p0, sys.fan.n_levels, tec0)
-        return np.tile(t0, (self.n_nodes, 1))
+        return t0
 
     def _next_demand_change(self, idx: int) -> int:
         """First second index > ``idx`` where the stream value changes."""
@@ -292,7 +310,6 @@ class FleetSim:
         comp = sys.nodes.component_slice
         dt = cfg.dt_s
         peak_ips = self.platform.params.peak_ips
-        perf = self.policy  # capacity table lives on the policy
         fan_every = max(1, int(round(cfg.fan_period_s / dt)))
         max_time_s = cfg.duration_s * cfg.drain_factor
         thr_c = self.platform.t_threshold_c
@@ -303,12 +320,16 @@ class FleetSim:
 
         obs.incr("fleet.nodes", n)
 
-        # Per-node state arrays.
-        t_rows = self._initial_temps()
-        backlog = np.zeros((n, n_cores))
-        fan_arr = np.full(n, sys.fan.n_levels, dtype=int)
-        tec_rows = np.zeros((n, sys.n_tec_devices))
-        dvfs_rows = np.full((n, n_cores), sys.dvfs.max_level, dtype=int)
+        # Per-group state arrays: one row per group of bit-equal nodes;
+        # ``groups`` maps nodes to rows.
+        groups = NodeGroups(n)
+        expand = groups.expand
+        g = groups.n_groups
+        t_rows = np.tile(self._initial_temps(), (g, 1))
+        backlog = np.zeros((g, n_cores))
+        fan_arr = np.full(g, sys.fan.n_levels, dtype=int)
+        tec_rows = np.zeros((g, sys.n_tec_devices))
+        dvfs_rows = np.full((g, n_cores), sys.dvfs.max_level, dtype=int)
 
         # Accumulators.
         counts = np.zeros(len(LATENCY_EDGES_S), dtype=np.int64)
@@ -335,7 +356,7 @@ class FleetSim:
 
         # Peaks of the current field: computed once after each step and
         # reused by the next interval's router (fast-forward holds them).
-        tile_peak, node_peak = peaks(t_rows)
+        _, node_peak = peaks(t_rows)
 
         def status_fields() -> dict:
             """Live-status fields: run totals so far, and the state of
@@ -345,10 +366,10 @@ class FleetSim:
                 energy_j=energy_j,
                 power_w=p_total,
                 run_peak_c=peak_run_c,
-                node_peak_c=node_peak,
-                fan_levels=fan_arr,
-                tec_rows=tec_rows,
-                backlog_inst=float(backlog.sum()),
+                node_peak_c=expand(node_peak),
+                fan_levels=expand(fan_arr),
+                tec_rows=expand(tec_rows),
+                backlog_inst=float(expand(backlog).sum()),
                 p99_s=latency_quantile(counts, 0.99),
                 utilization=u,
                 intervals=intervals,
@@ -368,12 +389,11 @@ class FleetSim:
             offered_inst = u * peak_ips * n_cores * n * dt
 
             cap = cap_per_level[dvfs_rows]
-            node_cap_ips = cap.sum(axis=1)
 
             view = RouterView(
-                backlog_inst=backlog.sum(axis=1),
-                peak_temp_c=node_peak,
-                capacity_ips=node_cap_ips,
+                backlog_inst=expand(backlog.sum(axis=1)),
+                peak_temp_c=expand(node_peak),
+                capacity_ips=expand(cap.sum(axis=1)),
                 t_threshold_c=thr_c,
             )
             if offered_inst > 0.0:
@@ -385,8 +405,14 @@ class FleetSim:
                 "fleet.requests_routed",
                 int(round(offered_inst / self.inst_per_request)),
             )
+            parent = groups.split(shares)
+            if parent is not None:
+                t_rows, backlog, fan_arr, tec_rows, dvfs_rows, cap = (
+                    a[parent]
+                    for a in (t_rows, backlog, fan_arr, tec_rows, dvfs_rows, cap)
+                )
 
-            arriving = shares[:, None] / n_cores
+            arriving = shares[groups.first][:, None] / n_cores
             work = backlog + arriving
             offered_rate = work / dt
             activity = np.clip(offered_rate / cap, 0.0, 1.0)
@@ -398,20 +424,23 @@ class FleetSim:
 
             served = np.minimum(work, cap * dt)
             backlog = work - served
-            inst_served += float(served.sum())
+            # Float sums across nodes run over the node-order expansion:
+            # n equal doubles do not always sum to exactly n times one.
+            served_inst = float(expand(served).sum())
+            inst_served += served_inst
 
             lat = (backlog / cap).max(axis=1)
             bucket = np.searchsorted(LATENCY_EDGES_S, lat, side="right") - 1
-            np.add.at(counts, np.clip(bucket, 0, len(counts) - 1), 1)
+            np.add.at(counts, np.clip(bucket, 0, len(counts) - 1), groups.sizes)
 
             p_cores = res.p_dyn_w.sum(axis=1) + res.p_leak_w.sum(axis=1)
             p_node = p_cores + res.p_tec_w + self._fan_power[fan_arr - 1]
-            p_total = float(p_node.sum())
+            p_total = float(expand(p_node).sum())
             energy_j += p_total * dt
 
             tile_peak, node_peak = peaks(t_rows)
             peak_run_c = max(peak_run_c, float(node_peak.max()))
-            n_viol = int(np.count_nonzero(node_peak > viol_c))
+            n_viol = groups.count(node_peak > viol_c)
             viol_node_iv += n_viol
             node_iv += n
 
@@ -419,7 +448,7 @@ class FleetSim:
             dvfs_new, throttled = self.policy.decide_dvfs(
                 offered_rate, tile_peak
             )
-            n_throttled = int(np.count_nonzero(throttled.any(axis=1)))
+            n_throttled = groups.count(throttled.any(axis=1))
             throttle_node_iv += n_throttled
             fan_boundary = (i + 1) % fan_every == 0
             fan_new = (
@@ -440,7 +469,7 @@ class FleetSim:
                 float(np.max(np.abs(t_rows - res.t_steady_k)))
                 <= cfg.ff_temp_tol_k
             )
-            drained = float(backlog.sum()) == 0.0
+            drained = not backlog.any()  # backlogs are never negative
             quiet = (
                 quiet + 1
                 if (unchanged and same_arrivals and settled and drained)
@@ -453,6 +482,15 @@ class FleetSim:
             prev_shares = shares
             intervals += 1
             i += 1
+
+            keep = groups.merge(t_rows, backlog, fan_arr, tec_rows, dvfs_rows)
+            if keep is not None:
+                t_rows, backlog, fan_arr, tec_rows, dvfs_rows, node_peak = (
+                    a[keep]
+                    for a in (
+                        t_rows, backlog, fan_arr, tec_rows, dvfs_rows, node_peak
+                    )
+                )
 
             if status is not None and status.due():
                 status.report(**status_fields())
@@ -479,7 +517,7 @@ class FleetSim:
             if k <= 0:
                 continue
             energy_j += p_total * dt * k
-            inst_served += float(served.sum()) * k
+            inst_served += served_inst * k
             requests_routed += (offered_inst / self.inst_per_request) * k
             counts[0] += k * n
             viol_node_iv += n_viol * k
@@ -511,11 +549,11 @@ class FleetSim:
             node_intervals=node_iv,
             class_groups=self.stepper.class_groups,
             solved_rows=self.stepper.solved_rows,
-            final_t_nodes_k=t_rows,
-            final_backlog_inst=backlog,
-            final_fan=fan_arr,
-            final_tec=tec_rows,
-            final_dvfs=dvfs_rows,
+            final_t_nodes_k=expand(t_rows),
+            final_backlog_inst=expand(backlog),
+            final_fan=expand(fan_arr),
+            final_tec=expand(tec_rows),
+            final_dvfs=expand(dvfs_rows),
         )
 
 

@@ -25,17 +25,19 @@ exact, not quantized, because the fleet policy emits binary TEC
 activations, so within-class vectors are *equal* and share one
 factorization bit-for-bit.
 
-Before any of that, the batched stepper advances each *distinct* node
-row once. A row is the node's (activity, DVFS levels, fan level, TEC
-row, temperatures); every output of the step is a function of that row
-alone, so byte-identical rows give byte-identical results. A
-homogeneous fleet starts every node from one tiled state and the
-routers split work equally between equal nodes, so whole cohorts stay
-bit-identical in lockstep: the 64-node diurnal day steps 1 distinct row
-per interval, the 56-node overload hour 7. :func:`distinct_rows` finds
-the representatives (a hash proposes, one compare verifies), the class
-kernel runs on them, and the inverse index expands every output back to
-all nodes.
+Lockstep across nodes is carried by the fleet loop, not found here:
+:class:`~repro.fleet.sim.FleetSim` keeps one state row per group of
+bit-equal nodes (:mod:`repro.fleet.groups`) and hands the stepper one
+row per group, so the 64-node diurnal day is a one-row call on every
+interval. Within a multi-row call the stepper still advances each
+*distinct* row once. A row is the node's (activity, DVFS levels, fan
+level, TEC row, temperatures); every output of the step is a function
+of that row alone, so byte-identical rows give byte-identical results,
+and groups that differ only in backlog can share a row (two saturated
+groups both run at activity 1). :func:`distinct_rows` finds the
+representatives (a hash proposes, one compare verifies), the class
+kernel runs on them, and the inverse index expands every output back
+to all rows. A one-row call skips the search.
 
 Equivalence contract (test-enforced to <= 1e-9 K, in practice exact):
 every row the batched stepper produces is bit-identical to the
@@ -85,7 +87,9 @@ def distinct_rows(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``reps[inverse[i]]`` of every array byte for byte. A multiplicative
     hash over each row's ``uint64`` words proposes the groups and one
     vectorized compare verifies every row against its representative,
-    so a hash collision costs a missed merge, never a wrong one.
+    so a hash collision costs a missed merge, never a wrong one. Equal
+    rows hash equal, so when every hash is distinct so is every row,
+    and the compare is skipped.
     """
     n = len(arrays[0])
     raw = np.concatenate(
@@ -96,9 +100,16 @@ def distinct_rows(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if pad:
         raw = np.concatenate([raw, np.zeros((n, pad), np.uint8)], axis=1)
     words = raw.view(np.uint64)
-    h = words @ _hash_weights(words.shape[1])
-    _, first, inverse = np.unique(h, return_index=True, return_inverse=True)
-    rep = first[inverse]  # each row's first row with the same hash
+    # Fold each word's high half into its low half first: a round float
+    # (1.0, 0.5, ...) has all-zero low bits, and a product modulo 2**64
+    # keeps only the low bits of its factors.
+    h = (words ^ (words >> np.uint64(32))) @ _hash_weights(words.shape[1])
+    first: dict[int, int] = {}
+    # Each row's first row with the same hash.
+    rep = [first.setdefault(x, j) for j, x in enumerate(h.tolist())]
+    if len(first) == n:
+        return np.arange(n), np.arange(n)
+    rep = np.array(rep)
     same = (words == words[rep]).all(axis=1)
     if not same.all():  # a collision: unverified rows stand alone
         rep = np.where(same, rep, np.arange(n))
@@ -201,20 +212,21 @@ class BatchedStepper:
         dt_s: float,
     ) -> StepResult:
         rows = (activity, dvfs_levels, fan_levels, tec, t_nodes_k)
-        reps, inverse = distinct_rows(*rows)
-        if reps.size == t_nodes_k.shape[0]:
-            res, n_groups = self._advance_rows(*rows, dt_s)
-        else:
-            res, n_groups = self._advance_rows(
-                *(np.asarray(a)[reps] for a in rows), dt_s
-            )
+        n_solved = t_nodes_k.shape[0]
+        if n_solved > 1:  # one row is distinct by itself
+            reps, inverse = distinct_rows(*rows)
+            if reps.size < n_solved:
+                n_solved = reps.size
+                rows = tuple(np.asarray(a)[reps] for a in rows)
+        res, n_groups = self._advance_rows(*rows, dt_s)
+        if n_solved < t_nodes_k.shape[0]:
             res = StepResult(
                 *(getattr(res, f.name)[inverse] for f in fields(StepResult))
             )
 
         self.class_groups += n_groups
-        self.solved_rows += reps.size
+        self.solved_rows += n_solved
         obs.incr("fleet.batched_steps")
         obs.incr("fleet.class_groups", n_groups)
-        obs.incr("fleet.solved_rows", reps.size)
+        obs.incr("fleet.solved_rows", n_solved)
         return res

@@ -94,3 +94,25 @@ def pool_clock(monkeypatch):
     clock = FakePoolClock()
     monkeypatch.setattr(repro.parallel, "_clock", clock)
     return clock
+
+
+@pytest.fixture()
+def per_node_fleet(monkeypatch):
+    """Call to make later fleet runs the engine-per-node reference loop:
+    every node its own group, never merged, stepped by the sequential
+    per-node stepper."""
+    import repro.fleet.sim
+    from repro.fleet.groups import PerNodeGroups
+    from repro.fleet.stepper import BatchedStepper, SequentialStepper
+
+    def use() -> None:
+        monkeypatch.setattr(repro.fleet.sim, "NodeGroups", PerNodeGroups)
+        monkeypatch.setattr(
+            BatchedStepper,
+            "advance",
+            lambda self, *a, **k: SequentialStepper(self.system).advance(
+                *a, **k
+            ),
+        )
+
+    return use

@@ -188,8 +188,10 @@ def test_hash_collisions_never_merge_different_rows(platform, monkeypatch):
     _assert_same_step(bat, SequentialStepper(system).advance(dt_s=1.0, **state))
 
 
-@pytest.mark.parametrize("router", ["identity", "round-robin", "thermal"])
-def test_full_sim_digest_matches_sequential(platform, router, monkeypatch):
+@pytest.mark.parametrize(
+    "router", ["identity", "round-robin", "least-loaded", "thermal"]
+)
+def test_full_sim_digest_matches_sequential(platform, router, per_node_fleet):
     cfg = FleetConfig(
         n_nodes=6,
         duration_s=180,
@@ -198,15 +200,27 @@ def test_full_sim_digest_matches_sequential(platform, router, monkeypatch):
         shards=1,
     )
     batched = run_fleet(cfg, platform=platform)
-    # The same run with the per-node reference loop as the plant.
-    monkeypatch.setattr(
-        BatchedStepper,
-        "advance",
-        lambda self, *a, **k: SequentialStepper(self.system).advance(*a, **k),
-    )
+    per_node_fleet()
     sequential = run_fleet(cfg, platform=platform)
     assert batched.digest == sequential.digest
     assert batched.summary()["energy_j"] == sequential.summary()["energy_j"]
+
+
+def test_diverging_sim_digest_matches_sequential(platform, per_node_fleet):
+    # Round-robin's 64 quanta do not divide over 7 nodes: the remainder
+    # splits the starting group until every node stands alone, and the
+    # nodes step several actuation classes (the run pinned in
+    # benchmarks/results/fleet_small.txt).
+    cfg = FleetConfig(
+        n_nodes=7, duration_s=600, trace="wikipedia", scale=1.3, shards=1
+    )
+    batched = run_fleet(cfg, platform=platform)
+    assert batched.class_groups > batched.batched_steps
+    per_node_fleet()
+    sequential = run_fleet(cfg, platform=platform)
+    assert batched.digest == sequential.digest
+    assert batched.energy_j == sequential.energy_j
+    assert batched.requests_served == sequential.requests_served
 
 
 def test_fast_forward_preserves_physics(platform):

@@ -711,6 +711,62 @@ def test_fleet_final_snapshot_keeps_last_interval(tmp_path, platform):
     )
 
 
+@pytest.mark.parametrize(
+    "drain_factor", [1.5, 1.0], ids=["drained-tec-on", "stopped-queued"]
+)
+def test_lockstep_fleet_status_lists_every_node(tmp_path, platform, drain_factor):
+    """A fleet stepped as one group of bit-equal nodes still reports
+    every node: peak, fan level and TEC row expanded from the group,
+    and the backlog summed over nodes."""
+    from repro import units
+    from repro.fleet.sim import FleetSim
+    from repro.fleet.traces import fleet_demand
+
+    # 64 round-robin quanta over 8 nodes: one group for the whole run.
+    # At x4 demand the drained run ends with every TEC on; stopped at
+    # the horizon, every node still has queued work.
+    cfg = FleetConfig(
+        n_nodes=8, duration_s=120, trace="wikipedia", scale=4.0,
+        drain_factor=drain_factor,
+    )
+    baseline = run_fleet(cfg, platform=platform)
+    assert baseline.solved_rows == baseline.batched_steps
+    path = tmp_path / "f.json"
+    with_status = run_fleet(
+        cfg, platform=platform, status_path=str(path), status_every_s=0.001,
+    )
+    assert with_status.digest == baseline.digest
+
+    demand = fleet_demand(
+        cfg.trace, cfg.duration_s, seed=cfg.seed, scale=cfg.scale,
+        block_s=cfg.block_s,
+    )
+    sim = FleetSim(platform, cfg, n_nodes=cfg.n_nodes, demand=demand)
+    shard = sim.run()
+    comp = sim.system.nodes.component_slice
+    node_peak = sim.policy.tile_peaks_c(
+        units.k_to_c(shard.final_t_nodes_k[:, comp])
+    ).max(axis=1)
+    if drain_factor > 1.0:
+        assert shard.final_tec.sum() > 0
+    else:
+        assert shard.final_backlog_inst.min() > 0
+
+    status = read_status(path)
+    fleet = status["fleet"]
+    assert status["done"] is True
+    assert fleet["n_nodes"] == cfg.n_nodes
+    assert sorted(nd["node"] for nd in fleet["nodes"]) == list(range(cfg.n_nodes))
+    for nd in fleet["nodes"]:
+        i = nd["node"]
+        assert nd["peak_temp_c"] == round(float(node_peak[i]), 3)
+        assert nd["fan_level"] == int(shard.final_fan[i])
+        assert nd["tec_on"] == float(shard.final_tec[i].sum())
+    assert fleet["backlog_inst"] == float(shard.final_backlog_inst.sum())
+    assert status["history"][-1]["tec_on"] == float(shard.final_tec.sum())
+    assert status["history"][-1]["fan_level"] == float(shard.final_fan.mean())
+
+
 # ----------------------------------------------------------------------
 # CLI: watch/top --once against live and resumed runs
 # ----------------------------------------------------------------------
