@@ -8,10 +8,10 @@ sequential side is the same run as an engine-per-node loop: every node
 its own group (``PerNodeGroups`` in place of ``NodeGroups``) and
 ``BatchedStepper.advance`` swapped for the per-node reference
 (``SequentialStepper``). Fast-forwarding is disabled so the timing
-isolates stepping throughput; equivalence is asserted via shard
+isolates stepping throughput; equivalence is asserted via the run
 digests — the two runs must be bit-identical, not merely close.
 
-Three measurements:
+Two measurements:
 
 1. **Batched vs sequential at 64 nodes** — the acceptance gate: the
    batched loop must be >= 4x faster on the full run. Round-robin
@@ -22,9 +22,6 @@ Three measurements:
    divide evenly: groups split and merge, and the class kernel solves
    many distinct rows in more than one actuation class per step.
    Digest-asserted and reported, not gated.
-3. **Sharded scaling** — the lockstep fleet split across worker-pool
-   shards (reported, not gated: the win depends on core count and
-   node/shard ratio).
 
 Run directly (no pytest-benchmark dependency)::
 
@@ -55,7 +52,7 @@ BASELINE = RESULTS_DIR / "BENCH_fleet.json"
 SPEEDUP_GATE = 4.0
 
 
-def _cfg(n_nodes: int, duration_s: int, shards: int = 1):
+def _cfg(n_nodes: int, duration_s: int):
     from repro.fleet import FleetConfig
 
     return FleetConfig(
@@ -64,7 +61,6 @@ def _cfg(n_nodes: int, duration_s: int, shards: int = 1):
         trace="diurnal",
         router="round-robin",
         fast_forward=False,
-        shards=shards,
     )
 
 
@@ -123,44 +119,6 @@ def bench_steppers(platform, n_nodes: int, duration_s: int) -> dict:
     }
 
 
-def bench_sharded(platform, n_nodes: int, duration_s: int, jobs: int) -> dict:
-    """Batched fleet split across warm pool shards (scaling, not gated).
-
-    Uses a primed :class:`~repro.parallel.WorkerPool` so the timing
-    reflects the intended warm-cache usage, not process spawn + import.
-    """
-    from repro.fleet import run_fleet
-    from repro.parallel import WorkerPool
-
-    t0 = time.perf_counter()
-    serial = run_fleet(
-        _cfg(n_nodes, duration_s, shards=jobs), platform=platform, jobs=1
-    )
-    t_serial = time.perf_counter() - t0
-
-    with WorkerPool(jobs) as pool:
-        pool.prime()
-        t0 = time.perf_counter()
-        pooled = run_fleet(
-            _cfg(n_nodes, duration_s, shards=jobs),
-            platform=platform,
-            pool=pool,
-        )
-        t_pooled = time.perf_counter() - t0
-
-    assert serial.digest == pooled.digest, (
-        "pooled shard run diverged from serial shard run"
-    )
-    return {
-        "n_nodes": n_nodes,
-        "sim_time_s": duration_s,
-        "shards": jobs,
-        "serial_s": t_serial,
-        "pooled_s": t_pooled,
-        "speedup": t_serial / t_pooled if t_pooled > 0 else float("inf"),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -170,7 +128,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--nodes", type=int, default=None)
     parser.add_argument("--sim-time", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=4)
     args = parser.parse_args(argv)
 
     from repro.server.platform import build_server_system
@@ -207,25 +164,6 @@ def main(argv=None) -> int:
     if div["class_groups"] <= div["batched_steps"]:
         print("FAIL: the diverging fleet stepped one actuation class per step")
         ok = False
-
-    if not args.smoke:
-        from repro.parallel import resolve_jobs
-
-        cores = resolve_jobs(0)
-        report["effective_cores"] = cores
-        if cores >= 2:
-            sh = bench_sharded(platform, n_nodes * 4, duration_s, args.jobs)
-            report["sharded"] = sh
-            print(
-                f"sharded: {sh['n_nodes']} nodes over {sh['shards']} shards, "
-                f"serial {sh['serial_s']:.2f} s, pooled {sh['pooled_s']:.2f} s "
-                f"-> {sh['speedup']:.2f}x"
-            )
-        else:
-            # Workers would timeshare a single core; the number would
-            # measure the scheduler, not the sharding.
-            report["sharded"] = None
-            print("sharded: skipped (1 effective core)")
 
     if not args.smoke and ok:
         RESULTS_DIR.mkdir(exist_ok=True)

@@ -297,16 +297,10 @@ def _cmd_fleet(args) -> int:
     """N-node fleet simulation with the batched interval kernel."""
     import time as _time
 
-    from repro.exceptions import CheckpointError, ConfigurationError
+    from repro.exceptions import ConfigurationError
     from repro.fleet import FleetConfig, run_fleet
 
-    if args.nodes < 1:
-        print("tecfan fleet: --nodes must be >= 1", file=sys.stderr)
-        return 2
     duration_s = int(round(args.hours * 3600)) if args.hours else args.seconds
-    if duration_s < 1:
-        print("tecfan fleet: duration must be >= 1 s", file=sys.stderr)
-        return 2
     try:
         cfg = FleetConfig(
             n_nodes=args.nodes,
@@ -316,23 +310,16 @@ def _cmd_fleet(args) -> int:
             scale=args.scale,
             router=args.router,
             fast_forward=not args.no_fast_forward,
-            shards=args.shards,
         )
     except ConfigurationError as exc:
         print(f"tecfan fleet: {exc}", file=sys.stderr)
         return 2
     t0 = _time.monotonic()
-    try:
-        result = run_fleet(
-            cfg,
-            jobs=args.jobs,
-            journal_path=args.journal,
-            status_path=args.status_file,
-            status_every_s=args.status_every_s,
-        )
-    except CheckpointError as exc:
-        print(f"tecfan fleet: journal mismatch: {exc}", file=sys.stderr)
-        return 2
+    result = run_fleet(
+        cfg,
+        status_path=args.status_file,
+        status_every_s=args.status_every_s,
+    )
     wall_s = _time.monotonic() - t0
     for key, value in result.summary().items():
         print(f"{key}: {value!r}")
@@ -680,9 +667,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     fleetp = sub.add_parser(
         "fleet",
-        parents=[common, jobs_parent, status_parent],
+        parents=[common, status_parent],
         help="N-node datacenter fleet simulation (batched interval "
-        "kernel; crash-recoverable with --journal)",
+        "kernel, one serial loop)",
     )
     fleetp.add_argument(
         "--nodes", type=int, default=64, help="number of S8-style servers"
@@ -722,23 +709,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     fleetp.add_argument("--seed", type=int, default=2009)
     fleetp.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="shard count (default 1); part of the experiment config — "
-        "results depend on it, never on --jobs",
-    )
-    fleetp.add_argument(
         "--no-fast-forward",
         action="store_true",
         help="disable quiescent fleet fast-forwarding",
-    )
-    fleetp.add_argument(
-        "--journal",
-        metavar="PATH",
-        default=None,
-        help="append completed shards to this crash-recovery journal; "
-        "re-running with the same path redoes only missing shards",
     )
     watchp = sub.add_parser(
         "watch",

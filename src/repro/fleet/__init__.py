@@ -10,10 +10,8 @@ from repro.fleet.router import ROUTER_POLICIES, Router, RouterView, make_router
 from repro.fleet.sim import (
     FleetConfig,
     FleetResult,
-    FleetShardResult,
     FleetSim,
     latency_quantile,
-    merge_shard_results,
     run_fleet,
 )
 from repro.fleet.stepper import BatchedStepper, StepResult
@@ -31,7 +29,6 @@ __all__ = [
     "FleetConfig",
     "FleetPolicy",
     "FleetResult",
-    "FleetShardResult",
     "FleetSim",
     "ROUTER_POLICIES",
     "Router",
@@ -44,7 +41,6 @@ __all__ = [
     "fleet_demand",
     "latency_quantile",
     "make_router",
-    "merge_shard_results",
     "run_fleet",
     "trace_cache_size",
 ]

@@ -21,11 +21,6 @@ work, the status backlog) sum the node-order expansion
 exactly ``n`` times one of them. Outputs and live-status node tables
 expand to nodes.
 
-Shards of nodes run across the persistent
-:class:`~repro.parallel.WorkerPool` using the
-:func:`~repro.parallel.plan_shards` plan, with journal resume and
-live-status heartbeats riding the existing ``parallel_map`` plumbing.
-
 Fleet-level quiescent fast-forward: when every node is settled (no
 actuator changes, identical routed arrivals, drained backlogs, and
 ``|T - T_steady|`` within tolerance) the loop jumps whole blocks of
@@ -34,17 +29,17 @@ next fan decision — accounting energy, served work, and latency
 analytically. With the piecewise-constant diurnal stream this is what
 makes 1000-node multi-day runs tractable.
 
-Determinism: a fleet run is a pure function of (platform, config,
-shard plan). Shards are independent sub-fleets — each routes its own
-proportional share of the stream — so results are invariant to worker
-count for a fixed shard count, and the merged
-:class:`FleetResult` digest is reproducible across processes.
+Determinism: a fleet run is one in-process loop and a pure function of
+(platform, config), so the :class:`FleetResult` digest is reproducible
+across processes.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -57,15 +52,16 @@ from repro.fleet.router import RouterView, make_router
 from repro.fleet.stepper import BatchedStepper
 from repro.fleet.traces import fleet_demand
 from repro.obs import telemetry as obs
-from repro.parallel import parallel_map, plan_shards, resolve_jobs
 
 #: Latency histogram bucket edges [s]: an exact-zero bucket plus 50
-#: log-spaced buckets from 1 ms to 100 s. Fixed edges make shard merges
-#: a vector add and the p99 deterministic.
+#: log-spaced buckets from 1 ms to 100 s. Fixed edges make the bucket
+#: counts integer tallies and the p99 deterministic.
 LATENCY_EDGES_S: np.ndarray = np.concatenate(
     ([0.0], np.logspace(-3.0, 2.0, 51))
 )
 LATENCY_EDGES_S.setflags(write=False)
+
+_NO_SHARDS = "fleet runs are one serial loop; sharding was removed"
 
 
 @dataclass
@@ -74,51 +70,53 @@ class FleetConfig:
 
     n_nodes: int = 64
     duration_s: int = 3600
-    dt_s: float = 1.0
-    fan_period_s: float = 10.0
     trace: str = "diurnal"
     seed: int = 2009
     scale: float = 1.0
-    block_s: int = 60
     router: str = "round-robin"
-    #: Hard stop at ``duration_s * drain_factor`` while backlogs drain.
-    drain_factor: float = 1.5
     fast_forward: bool = True
-    ff_quiet: int = 2
-    ff_max: int = 512
+    #: Accepted only as 1 (``_NO_SHARDS``); kept for callers that pin it.
+    shards: int = 1
+
+    # Model constants: fixed for every run, readable as ``cfg.dt_s`` etc.
+    dt_s: ClassVar[float] = 1.0
+    fan_period_s: ClassVar[float] = 10.0
+    block_s: ClassVar[int] = 60
+    #: Hard stop at ``duration_s * drain_factor`` while backlogs drain.
+    drain_factor: ClassVar[float] = 1.5
+    ff_quiet: ClassVar[int] = 2
+    ff_max: ClassVar[int] = 512
     #: Settledness bound for holding temperatures across a jump [K].
-    ff_temp_tol_k: float = 1e-4
+    ff_temp_tol_k: ClassVar[float] = 1e-4
     #: Accounting unit: a core at peak frequency serves this many
     #: requests per second (defines instructions-per-request).
-    requests_per_core_s: float = 1000.0
-    #: Shard count: part of the experiment (a router balances only
-    #: within its shard), so results never depend on the worker count.
-    shards: int = 1
+    requests_per_core_s: ClassVar[float] = 1000.0
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ConfigurationError("fleet needs at least one node")
         if self.duration_s < 1:
             raise ConfigurationError("fleet duration must be >= 1 s")
-        if self.dt_s <= 0 or self.fan_period_s < self.dt_s:
-            raise ConfigurationError("need dt > 0 and fan period >= dt")
-        if self.requests_per_core_s <= 0:
-            raise ConfigurationError("requests_per_core_s must be > 0")
-        if self.shards < 1:
-            raise ConfigurationError("fleet needs at least one shard")
+        if not (math.isfinite(self.scale) and self.scale >= 0):
+            raise ConfigurationError(
+                f"fleet scale must be finite and >= 0, got {self.scale!r}"
+            )
+        if self.shards != 1:
+            raise ConfigurationError(f"{_NO_SHARDS} (shards={self.shards!r})")
 
 
 @dataclass
-class FleetShardResult:
-    """One shard's (sub-fleet's) accumulated run outputs."""
+class FleetResult:
+    """One fleet run: run totals, derived metrics and final node state."""
 
-    shard: int
     n_nodes: int
+    router: str
     intervals: int
     ff_intervals: int
     sim_time_s: float
     energy_j: float
     inst_served: float
+    requests_served: float
     requests_routed: float
     latency_counts: np.ndarray
     peak_temp_c: float
@@ -132,14 +130,17 @@ class FleetShardResult:
     final_fan: np.ndarray
     final_tec: np.ndarray
     final_dvfs: np.ndarray
+    #: SHA-256 over the numeric outcome (bit-exact oracle).
+    digest: str = field(init=False)
 
-    def digest(self) -> str:
-        """SHA-256 over the shard's numeric outcome (bit-exact oracle)."""
+    def __post_init__(self) -> None:
+        # The literal 0 and the outer hash over the inner hex digest keep
+        # every pinned digest (e2e store, fleet_small.txt) valid.
         h = hashlib.sha256()
         h.update(
             repr(
                 (
-                    self.shard,
+                    0,
                     self.n_nodes,
                     self.intervals,
                     self.ff_intervals,
@@ -162,40 +163,40 @@ class FleetShardResult:
             self.final_dvfs,
         ):
             h.update(np.ascontiguousarray(arr).tobytes())
-        return h.hexdigest()
+        self.digest = hashlib.sha256(h.hexdigest().encode()).hexdigest()
 
+    @property
+    def batched_steps(self) -> int:
+        """Stepper advances: one per executed interval."""
+        return self.intervals
 
-@dataclass
-class FleetResult:
-    """Merged fleet metrics across all shards."""
+    @property
+    def avg_power_w(self) -> float:
+        return self.energy_j / self.sim_time_s if self.sim_time_s > 0 else 0.0
 
-    n_nodes: int
-    shards: int
-    router: str
-    sim_time_s: float
-    intervals: int
-    ff_intervals: int
-    energy_j: float
-    avg_power_w: float
-    requests_served: float
-    requests_routed: float
-    energy_per_request_j: float
-    p99_latency_s: float
-    peak_temp_c: float
-    violation_rate: float
-    throttle_rate: float
-    batched_steps: int
-    class_groups: int
-    solved_rows: int
-    digest: str
-    shard_digests: list = field(default_factory=list)
-    latency_counts: np.ndarray | None = None
+    @property
+    def energy_per_request_j(self) -> float:
+        served = self.requests_served
+        return self.energy_j / served if served > 0 else 0.0
+
+    @property
+    def p99_latency_s(self) -> float:
+        return latency_quantile(self.latency_counts, 0.99)
+
+    @property
+    def violation_rate(self) -> float:
+        n = self.node_intervals
+        return self.violation_node_intervals / n if n else 0.0
+
+    @property
+    def throttle_rate(self) -> float:
+        n = self.node_intervals
+        return self.throttled_node_intervals / n if n else 0.0
 
     def summary(self) -> dict:
         """Flat dict for the CLI / JSON output."""
         return {
             "n_nodes": self.n_nodes,
-            "shards": self.shards,
             "router": self.router,
             "sim_time_s": self.sim_time_s,
             "intervals": self.intervals,
@@ -228,30 +229,27 @@ def latency_quantile(counts: np.ndarray, q: float) -> float:
 
 
 class FleetSim:
-    """One shard's vectorized simulation loop.
+    """The fleet's vectorized simulation loop.
 
-    ``demand`` is the fleet-wide per-second utilization stream; the
-    shard offers ``u * peak_ips * n_cores * n_nodes`` of it per second
-    (its proportional share). Temperatures, actuators, and backlogs
-    live in arrays with one row per group of bit-equal nodes, and the
-    plant advances through the batched kernel.
+    ``demand`` is the per-second utilization stream; the fleet is
+    offered ``u * peak_ips * n_cores * n_nodes`` instructions per
+    second of it. Temperatures, actuators, and backlogs live in arrays
+    with one row per group of bit-equal nodes, and the plant advances
+    through the batched kernel.
     """
 
     def __init__(
         self,
         platform,
         cfg: FleetConfig,
-        n_nodes: int,
         demand: np.ndarray,
-        shard: int = 0,
         status_path=None,
         status_every_s: float = 1.0,
     ):
         self.platform = platform
         self.cfg = cfg
-        self.n_nodes = int(n_nodes)
+        self.n_nodes = cfg.n_nodes
         self.demand = demand
-        self.shard = int(shard)
         sys = platform.system
         self.system = sys
         self.problem = EnergyProblem(t_threshold_c=platform.t_threshold_c)
@@ -302,7 +300,7 @@ class FleetSim:
         j = int(np.searchsorted(changes, idx, side="right"))
         return int(changes[j]) if j < len(changes) else len(d)
 
-    def run(self) -> FleetShardResult:
+    def run(self) -> FleetResult:
         cfg = self.cfg
         sys = self.system
         n = self.n_nodes
@@ -533,14 +531,15 @@ class FleetSim:
 
         if status is not None and intervals:  # no interval: no state yet
             status.report(done=True, **status_fields())
-        return FleetShardResult(
-            shard=self.shard,
+        return FleetResult(
             n_nodes=n,
+            router=cfg.router,
             intervals=intervals,
             ff_intervals=ff_intervals,
             sim_time_s=i * dt,
             energy_j=energy_j,
             inst_served=inst_served,
+            requests_served=inst_served / self.inst_per_request,
             requests_routed=requests_routed,
             latency_counts=counts,
             peak_temp_c=peak_run_c,
@@ -557,13 +556,24 @@ class FleetSim:
         )
 
 
-# ----------------------------------------------------------------------
-# Shard fan-out across the worker pool
-# ----------------------------------------------------------------------
-def _fleet_shard_task(common, payload):
-    """Pool task: simulate one shard (module-level for spawn pickling)."""
-    platform, cfg = common
-    shard_idx, start, stop = payload
+def run_fleet(
+    cfg: FleetConfig,
+    platform=None,
+    jobs: int | None = None,
+    status_path=None,
+    status_every_s: float = 1.0,
+) -> FleetResult:
+    """Run a fleet simulation in process; a status file is ``fleet``-kind.
+
+    ``jobs`` accepts only ``None`` or ``1``: a fleet run is one serial
+    loop, and any other value is refused rather than ignored.
+    """
+    if jobs not in (None, 1):
+        raise ConfigurationError(f"{_NO_SHARDS} (jobs={jobs!r})")
+    if platform is None:
+        from repro.server.platform import build_server_system
+
+        platform = build_server_system()
     demand = fleet_demand(
         cfg.trace,
         cfg.duration_s,
@@ -571,144 +581,10 @@ def _fleet_shard_task(common, payload):
         scale=cfg.scale,
         block_s=cfg.block_s,
     )
-    sim = FleetSim(platform, cfg, n_nodes=stop - start, demand=demand,
-                   shard=shard_idx)
-    return sim.run()
-
-
-def merge_shard_results(
-    cfg: FleetConfig, shard_results: list
-) -> FleetResult:
-    """Deterministic fold of shard outputs into fleet metrics."""
-    counts = np.zeros(len(LATENCY_EDGES_S), dtype=np.int64)
-    energy = inst = routed = 0.0
-    intervals = ff = bsteps = groups = solved = 0
-    viol = thr = node_iv = 0
-    peak = float("-inf")
-    sim_time = 0.0
-    digests = []
-    for r in shard_results:
-        counts += r.latency_counts
-        energy += r.energy_j
-        inst += r.inst_served
-        routed += r.requests_routed
-        intervals = max(intervals, r.intervals)
-        ff += r.ff_intervals
-        bsteps += r.intervals  # one stepper advance per executed interval
-        groups += r.class_groups
-        solved += r.solved_rows
-        viol += r.violation_node_intervals
-        thr += r.throttled_node_intervals
-        node_iv += r.node_intervals
-        peak = max(peak, r.peak_temp_c)
-        sim_time = max(sim_time, r.sim_time_s)
-        digests.append(r.digest())
-    h = hashlib.sha256()
-    for dg in digests:
-        h.update(dg.encode())
-    # requests_served / energy_per_request are filled by run_fleet once
-    # the platform's instructions-per-request constant is known.
-    return FleetResult(
-        n_nodes=sum(r.n_nodes for r in shard_results),
-        shards=len(shard_results),
-        router=cfg.router,
-        sim_time_s=sim_time,
-        intervals=intervals,
-        ff_intervals=ff,
-        energy_j=energy,
-        avg_power_w=energy / sim_time if sim_time > 0 else 0.0,
-        requests_served=0.0,  # filled below once inst/request known
-        requests_routed=routed,
-        energy_per_request_j=0.0,
-        p99_latency_s=latency_quantile(counts, 0.99),
-        peak_temp_c=peak,
-        violation_rate=viol / node_iv if node_iv else 0.0,
-        throttle_rate=thr / node_iv if node_iv else 0.0,
-        batched_steps=bsteps,
-        class_groups=groups,
-        solved_rows=solved,
-        digest=h.hexdigest(),
-        shard_digests=digests,
-        latency_counts=counts,
-    )
-
-
-def run_fleet(
-    cfg: FleetConfig,
-    platform=None,
-    jobs: int | None = None,
-    pool=None,
-    journal_path=None,
-    status_path=None,
-    status_every_s: float = 1.0,
-) -> FleetResult:
-    """Run a fleet simulation, optionally sharded across the pool.
-
-    The shard plan is :func:`plan_shards(cfg.n_nodes, cfg.shards)
-    <repro.parallel.plan_shards>`; the worker count never changes it,
-    so ``jobs`` only sets how many shards run at once. A single-shard
-    serial run writes ``fleet``-kind live status directly; multi-shard
-    runs report pool heartbeats through ``parallel_map``.
-    """
-    if platform is None:
-        from repro.server.platform import build_server_system
-
-        platform = build_server_system()
-    n_jobs = resolve_jobs(jobs)
-    plan = plan_shards(cfg.n_nodes, cfg.shards)
-    payloads = [(idx, a, b) for idx, (a, b) in enumerate(plan)]
-
-    if len(payloads) == 1 and pool is None and n_jobs <= 1:
-        demand = fleet_demand(
-            cfg.trace,
-            cfg.duration_s,
-            seed=cfg.seed,
-            scale=cfg.scale,
-            block_s=cfg.block_s,
-        )
-        sim = FleetSim(
-            platform,
-            cfg,
-            n_nodes=cfg.n_nodes,
-            demand=demand,
-            status_path=status_path,
-            status_every_s=status_every_s,
-        )
-        shard_results = [sim.run()]
-    else:
-        journal = None
-        if journal_path is not None:
-            from repro.journal import TaskJournal
-
-            # Every knob shapes the shard results, so the whole config
-            # is the journal's identity: a resume under any other
-            # setting is refused instead of mixing cells.
-            journal = TaskJournal(
-                journal_path,
-                header={
-                    "kind": "fleet",
-                    **asdict(cfg),
-                    "tasks": len(payloads),
-                },
-            )
-        shard_results = parallel_map(
-            _fleet_shard_task,
-            payloads,
-            jobs=jobs if pool is None else None,
-            context=(platform, cfg),
-            pool=pool,
-            journal=journal,
-            status_path=status_path,
-            status_every_s=status_every_s,
-            status_meta={"label": f"fleet:{cfg.trace} x{cfg.n_nodes} {cfg.router}"},
-        )
-    result = merge_shard_results(cfg, shard_results)
-    inst_per_request = platform.params.peak_ips / cfg.requests_per_core_s
-    total_inst = sum(r.inst_served for r in shard_results)
-    result.requests_served = total_inst / inst_per_request
-    result.energy_per_request_j = (
-        result.energy_j / result.requests_served
-        if result.requests_served > 0
-        else 0.0
-    )
-    return result
+    return FleetSim(
+        platform,
+        cfg,
+        demand,
+        status_path=status_path,
+        status_every_s=status_every_s,
+    ).run()

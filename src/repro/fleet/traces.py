@@ -1,19 +1,19 @@
 """Cached arrival-stream sources for fleet simulations.
 
-A fleet run asks for the *same* demand series from many places: every
-shard task rebuilds its slice of the stream, the server experiment
-rebuilds the Wikipedia protocol workload per run, and a pooled run
-repeats all of that once per worker process. The Wikipedia synthesizer in
-particular runs two sequential-Python AR(1) loops over ``days * 86400``
-samples — several seconds for the 7-day trace — so re-parsing per task
-would dominate small fleets.
+The same demand series is asked for from several places: every fleet
+run builds its stream, the server experiment rebuilds the Wikipedia
+protocol workload per run, and a pooled policy suite repeats that once
+per worker process. The Wikipedia synthesizer in particular runs two
+sequential-Python AR(1) loops over ``days * 86400`` samples — several
+seconds for the 7-day trace — so re-synthesizing per run would dominate
+small fleets.
 
 This module memoizes trace construction behind a process-local cache
-keyed by the full parameter tuple. The cache rides the PR 6 worker-pool
-lifecycle for free: workers are persistent, module state survives
-across tasks, so the first task on each worker parses once and every
-later task is a hit (counted by ``server.trace_cache_hits``). Cached
-arrays are returned read-only and must not be mutated by callers.
+keyed by the full parameter tuple. Pool workers are persistent and
+module state survives across tasks, so the first task on each worker
+builds the series once and every later request is a hit (counted by
+``server.trace_cache_hits``). Cached arrays are returned read-only and
+must not be mutated by callers.
 
 Two stream kinds are provided:
 

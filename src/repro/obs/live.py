@@ -6,7 +6,7 @@ fact). This module is the *in-flight* plane, in three layers:
 
 1. **Status snapshots.** One :class:`StatusReporter` serves every kind
    of live run — an engine run (``engine-run``), a pool/sweep fan-out
-   (``pool``) and a serial fleet shard (``fleet``). It periodically
+   (``pool``) and a fleet run (``fleet``). It periodically
    serializes a compact, versioned record to a single sidecar file: a
    common envelope (progress, wall-clock ETA from recent throughput,
    peak temperature and headroom vs ``t_threshold_c``, a history ring,
@@ -182,7 +182,7 @@ class StatusReporter:
       the journal-replayed cells, all maintained from the dispatch and
       reply messages the scheduler already observes — workers never
       send unsolicited traffic;
-    * ``fleet`` (a serial single-shard ``FleetSim``): fleet totals and
+    * ``fleet`` (``FleetSim``, every fleet run): fleet totals and
       the eight hottest nodes.
 
     Callers poll :meth:`due` and call :meth:`report` when it is, plus

@@ -76,7 +76,6 @@ __all__ = [
     "ParallelExecutionError",
     "WorkerPool",
     "parallel_map",
-    "plan_shards",
     "resolve_jobs",
 ]
 
@@ -158,43 +157,6 @@ def resolve_jobs(jobs: int | None) -> int:
         env = _env_number(JOBS_ENV_VAR, int, minimum=0)
         return available_cpus() if env is None else max(1, env)
     return jobs
-
-
-def plan_shards(n_items: int, n_shards: int) -> list[tuple[int, int]]:
-    """Contiguous ``[start, stop)`` shard plan covering ``n_items``.
-
-    The naive ``n_items // n_shards`` split silently drops the trailing
-    remainder (or double-counts it when callers pad with a ``+1``-sized
-    last shard), which is exactly the bug class this helper removes:
-
-    * every index in ``range(n_items)`` appears in exactly one shard;
-    * shards are contiguous, in order, and never empty;
-    * shard sizes differ by at most one (the first ``n_items %
-      n_shards`` shards carry the extra item);
-    * when ``n_shards > n_items`` only ``n_items`` shards are returned —
-      never zero-length placeholders that would dispatch empty tasks.
-
-    ``n_items == 0`` yields an empty plan. The plan is a pure function
-    of its arguments, so serial and pooled fleet runs that fix the shard
-    count see identical node groupings.
-    """
-    n_items = int(n_items)
-    n_shards = int(n_shards)
-    if n_items < 0:
-        raise ParallelExecutionError([(-1, f"invalid item count {n_items}")])
-    if n_shards < 1:
-        raise ParallelExecutionError([(-1, f"invalid shard count {n_shards}")])
-    if n_items == 0:
-        return []
-    n_shards = min(n_shards, n_items)
-    base, extra = divmod(n_items, n_shards)
-    plan = []
-    start = 0
-    for shard in range(n_shards):
-        stop = start + base + (1 if shard < extra else 0)
-        plan.append((start, stop))
-        start = stop
-    return plan
 
 
 # ----------------------------------------------------------------------

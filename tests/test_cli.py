@@ -27,3 +27,18 @@ def test_quick_runs(capsys):
     out = capsys.readouterr().out
     assert "TECfan" in out
     assert "threshold" in out
+
+
+@pytest.mark.parametrize("scale", ["nan", "-1"])
+def test_fleet_rejects_bad_scale(capsys, scale):
+    assert main(["fleet", "--nodes", "2", "--seconds", "10", "--scale", scale]) == 2
+    assert "scale" in capsys.readouterr().err
+
+
+def test_fleet_has_no_shard_or_pool_flags(capsys):
+    with pytest.raises(SystemExit):
+        main(["fleet", "--help"])
+    out = capsys.readouterr().out
+    for flag in ("--shards", "--journal", "--jobs"):
+        assert flag not in out
+

@@ -1,11 +1,9 @@
-"""Fleet layer units: traces, shard plan, routers, policy, metrics."""
+"""Fleet layer units: traces, routers, policy, metrics, config."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.exceptions import ParallelExecutionError, WorkloadError
+from repro.exceptions import WorkloadError
 from repro.fleet import (
     FleetConfig,
     clear_trace_cache,
@@ -18,42 +16,6 @@ from repro.fleet import (
 from repro.fleet.router import RouterView
 from repro.fleet.sim import LATENCY_EDGES_S
 from repro.obs import telemetry_session
-from repro.parallel import plan_shards
-
-
-# ----------------------------------------------------------------------
-# Satellite: shard-plan helper (resolve_jobs x node-count interaction)
-# ----------------------------------------------------------------------
-@given(
-    n_items=st.integers(min_value=0, max_value=5000),
-    n_shards=st.integers(min_value=1, max_value=64),
-)
-@settings(max_examples=200, deadline=None)
-def test_plan_shards_partitions_exactly(n_items, n_shards):
-    plan = plan_shards(n_items, n_shards)
-    # Every index covered exactly once, in order, contiguously.
-    covered = [i for a, b in plan for i in range(a, b)]
-    assert covered == list(range(n_items))
-    # No empty shards — an empty task would be dispatched for nothing.
-    assert all(b > a for a, b in plan)
-    # Balanced: sizes differ by at most one.
-    if plan:
-        sizes = [b - a for a, b in plan]
-        assert max(sizes) - min(sizes) <= 1
-        assert len(plan) == min(n_shards, n_items)
-
-
-def test_plan_shards_rejects_bad_inputs():
-    with pytest.raises(ParallelExecutionError):
-        plan_shards(-1, 2)
-    with pytest.raises(ParallelExecutionError):
-        plan_shards(10, 0)
-
-
-def test_plan_shards_indivisible_keeps_remainder():
-    # 10 nodes over 4 workers: the naive 10//4=2 split loses 2 nodes.
-    plan = plan_shards(10, 4)
-    assert plan == [(0, 3), (3, 6), (6, 8), (8, 10)]
 
 
 # ----------------------------------------------------------------------
@@ -173,5 +135,7 @@ def test_fleet_config_validation():
         FleetConfig(n_nodes=0)
     with pytest.raises(ConfigurationError):
         FleetConfig(duration_s=0)
-    with pytest.raises(ConfigurationError):
-        FleetConfig(dt_s=2.0, fan_period_s=1.0)
+    for scale in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ConfigurationError, match="scale"):
+            FleetConfig(scale=scale)
+    assert FleetConfig(scale=0.0).scale == 0.0

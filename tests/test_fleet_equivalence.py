@@ -197,7 +197,6 @@ def test_full_sim_digest_matches_sequential(platform, router, per_node_fleet):
         duration_s=180,
         trace="diurnal",
         router=router,
-        shards=1,
     )
     batched = run_fleet(cfg, platform=platform)
     per_node_fleet()
@@ -212,7 +211,7 @@ def test_diverging_sim_digest_matches_sequential(platform, per_node_fleet):
     # nodes step several actuation classes (the run pinned in
     # benchmarks/results/fleet_small.txt).
     cfg = FleetConfig(
-        n_nodes=7, duration_s=600, trace="wikipedia", scale=1.3, shards=1
+        n_nodes=7, duration_s=600, trace="wikipedia", scale=1.3
     )
     batched = run_fleet(cfg, platform=platform)
     assert batched.class_groups > batched.batched_steps
@@ -232,26 +231,25 @@ def test_fast_forward_preserves_physics(platform):
     from repro.fleet.sim import FleetSim
     from repro.fleet.traces import fleet_demand
 
-    def shard(ff):
+    def run(ff):
         cfg = FleetConfig(
             n_nodes=4,
             duration_s=240,
             trace="diurnal",
             router="round-robin",
             fast_forward=ff,
-            shards=1,
         )
         demand = fleet_demand(cfg.trace, cfg.duration_s, seed=cfg.seed)
-        return FleetSim(platform, cfg, n_nodes=cfg.n_nodes, demand=demand).run()
+        return FleetSim(platform, cfg, demand).run()
 
-    with_ff = shard(True)
-    without = shard(False)
+    with_ff = run(True)
+    without = run(False)
     assert with_ff.ff_intervals > 0  # the skip path actually engaged
     assert without.ff_intervals == 0
     assert with_ff.sim_time_s == without.sim_time_s
     assert with_ff.node_intervals == without.node_intervals
     # Physics agreement bounded by the settle tolerance.
-    tol_k = 10 * FleetConfig().ff_temp_tol_k
+    tol_k = 10 * FleetConfig.ff_temp_tol_k
     assert np.max(np.abs(with_ff.final_t_nodes_k - without.final_t_nodes_k)) <= tol_k
     assert abs(with_ff.peak_temp_c - without.peak_temp_c) <= tol_k
     assert with_ff.energy_j == pytest.approx(without.energy_j, rel=1e-9)

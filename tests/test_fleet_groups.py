@@ -138,12 +138,12 @@ def test_grouped_walk_matches_per_node_walk(seed, n_nodes):
         assert groups.sizes.sum() == n_nodes
 
 
-def _shard(platform, cfg):
+def _run(platform, cfg):
     demand = fleet_demand(
         cfg.trace, cfg.duration_s, seed=cfg.seed, scale=cfg.scale,
         block_s=cfg.block_s,
     )
-    return FleetSim(platform, cfg, n_nodes=cfg.n_nodes, demand=demand).run()
+    return FleetSim(platform, cfg, demand).run()
 
 
 @pytest.mark.parametrize(
@@ -168,7 +168,7 @@ def _shard(platform, cfg):
 def test_split_and_merge_fleet_is_bit_equal_to_per_node(
     platform, monkeypatch, per_node_fleet, fleet, backlog_apart
 ):
-    cfg = FleetConfig(trace="wikipedia", shards=1, **fleet)
+    cfg = FleetConfig(trace="wikipedia", **fleet)
     tally = {"splits": 0, "merges": 0, "group_rows": 0}
 
     class Counted(NodeGroups):
@@ -184,16 +184,16 @@ def test_split_and_merge_fleet_is_bit_equal_to_per_node(
             return keep
 
     monkeypatch.setattr(sim_mod, "NodeGroups", Counted)
-    grouped = _shard(platform, cfg)
+    grouped = _run(platform, cfg)
     assert tally["splits"] > 0 and tally["merges"] > 0
     if backlog_apart:
         assert grouped.solved_rows < tally["group_rows"]
 
     per_node_fleet()
-    reference = _shard(platform, cfg)
+    reference = _run(platform, cfg)
     assert grouped.energy_j == reference.energy_j
     assert grouped.inst_served == reference.inst_served
-    assert grouped.digest() == reference.digest()
+    assert grouped.digest == reference.digest
 
 
 @pytest.mark.parametrize("n_nodes", [5, 12])
@@ -203,11 +203,11 @@ def test_short_fleet_float_sums_match_per_node(platform, per_node_fleet, n_nodes
     # of summed over the node-order expansion, shows in the last bit
     # before a long run's accumulators absorb it.
     cfg = FleetConfig(
-        n_nodes=n_nodes, duration_s=3, trace="wikipedia", scale=1.37, shards=1
+        n_nodes=n_nodes, duration_s=3, trace="wikipedia", scale=1.37
     )
-    grouped = _shard(platform, cfg)
+    grouped = _run(platform, cfg)
     per_node_fleet()
-    reference = _shard(platform, cfg)
+    reference = _run(platform, cfg)
     assert grouped.energy_j == reference.energy_j
     assert grouped.inst_served == reference.inst_served
-    assert grouped.digest() == reference.digest()
+    assert grouped.digest == reference.digest

@@ -687,13 +687,12 @@ def test_fleet_final_snapshot_keeps_last_interval(tmp_path, platform):
         block_s=cfg.block_s,
     )
     sim = FleetSim(
-        platform, cfg, n_nodes=cfg.n_nodes, demand=demand,
-        status_path=str(path), status_every_s=1000.0,
+        platform, cfg, demand, status_path=str(path), status_every_s=1000.0,
     )
-    shard = sim.run()
+    result = sim.run()
     comp = sim.system.nodes.component_slice
     node_peak = sim.policy.tile_peaks_c(
-        units.k_to_c(shard.final_t_nodes_k[:, comp])
+        units.k_to_c(result.final_t_nodes_k[:, comp])
     ).max(axis=1)
 
     status = read_status(path)
@@ -704,17 +703,19 @@ def test_fleet_final_snapshot_keeps_last_interval(tmp_path, platform):
         (round(float(p), 3) for p in node_peak), reverse=True
     )
     assert status["thermal"]["peak_temp_c"] == float(node_peak.max())
-    assert status["thermal"]["run_peak_c"] == shard.peak_temp_c
+    assert status["thermal"]["run_peak_c"] == result.peak_temp_c
     assert status["history"][-1]["peak_temp_c"] == float(node_peak.max())
     assert fleet["avg_power_w"] == pytest.approx(
-        shard.energy_j / shard.sim_time_s
+        result.energy_j / result.sim_time_s
     )
 
 
 @pytest.mark.parametrize(
     "drain_factor", [1.5, 1.0], ids=["drained-tec-on", "stopped-queued"]
 )
-def test_lockstep_fleet_status_lists_every_node(tmp_path, platform, drain_factor):
+def test_lockstep_fleet_status_lists_every_node(
+    tmp_path, platform, monkeypatch, drain_factor
+):
     """A fleet stepped as one group of bit-equal nodes still reports
     every node: peak, fan level and TEC row expanded from the group,
     and the backlog summed over nodes."""
@@ -725,10 +726,8 @@ def test_lockstep_fleet_status_lists_every_node(tmp_path, platform, drain_factor
     # 64 round-robin quanta over 8 nodes: one group for the whole run.
     # At x4 demand the drained run ends with every TEC on; stopped at
     # the horizon, every node still has queued work.
-    cfg = FleetConfig(
-        n_nodes=8, duration_s=120, trace="wikipedia", scale=4.0,
-        drain_factor=drain_factor,
-    )
+    monkeypatch.setattr(FleetConfig, "drain_factor", drain_factor)
+    cfg = FleetConfig(n_nodes=8, duration_s=120, trace="wikipedia", scale=4.0)
     baseline = run_fleet(cfg, platform=platform)
     assert baseline.solved_rows == baseline.batched_steps
     path = tmp_path / "f.json"
@@ -741,16 +740,16 @@ def test_lockstep_fleet_status_lists_every_node(tmp_path, platform, drain_factor
         cfg.trace, cfg.duration_s, seed=cfg.seed, scale=cfg.scale,
         block_s=cfg.block_s,
     )
-    sim = FleetSim(platform, cfg, n_nodes=cfg.n_nodes, demand=demand)
-    shard = sim.run()
+    sim = FleetSim(platform, cfg, demand)
+    result = sim.run()
     comp = sim.system.nodes.component_slice
     node_peak = sim.policy.tile_peaks_c(
-        units.k_to_c(shard.final_t_nodes_k[:, comp])
+        units.k_to_c(result.final_t_nodes_k[:, comp])
     ).max(axis=1)
     if drain_factor > 1.0:
-        assert shard.final_tec.sum() > 0
+        assert result.final_tec.sum() > 0
     else:
-        assert shard.final_backlog_inst.min() > 0
+        assert result.final_backlog_inst.min() > 0
 
     status = read_status(path)
     fleet = status["fleet"]
@@ -760,11 +759,11 @@ def test_lockstep_fleet_status_lists_every_node(tmp_path, platform, drain_factor
     for nd in fleet["nodes"]:
         i = nd["node"]
         assert nd["peak_temp_c"] == round(float(node_peak[i]), 3)
-        assert nd["fan_level"] == int(shard.final_fan[i])
-        assert nd["tec_on"] == float(shard.final_tec[i].sum())
-    assert fleet["backlog_inst"] == float(shard.final_backlog_inst.sum())
-    assert status["history"][-1]["tec_on"] == float(shard.final_tec.sum())
-    assert status["history"][-1]["fan_level"] == float(shard.final_fan.mean())
+        assert nd["fan_level"] == int(result.final_fan[i])
+        assert nd["tec_on"] == float(result.final_tec[i].sum())
+    assert fleet["backlog_inst"] == float(result.final_backlog_inst.sum())
+    assert status["history"][-1]["tec_on"] == float(result.final_tec.sum())
+    assert status["history"][-1]["fan_level"] == float(result.final_fan.mean())
 
 
 # ----------------------------------------------------------------------
