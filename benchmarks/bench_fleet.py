@@ -17,7 +17,8 @@ Two measurements:
    batched loop must be >= 4x faster on the full run. Round-robin
    splits its 64 quanta evenly over 64 nodes, so every node stays in
    lockstep and the loop carries one group, one row per interval
-   (``solved_rows``).
+   (``solved_rows``). Its microseconds per stepped interval are the
+   cost of one one-row fleet step, loop included.
 2. **The same at 63 nodes** — one node fewer, so the quanta no longer
    divide evenly: groups split and merge, and the class kernel solves
    many distinct rows in more than one actuation class per step.
@@ -113,6 +114,7 @@ def bench_steppers(platform, n_nodes: int, duration_s: int) -> dict:
         "batched_s": timings["batched"],
         "speedup": speedup,
         "node_sim_s_per_s": n_nodes * duration_s / timings["batched"],
+        "us_per_step": 1e6 * timings["batched"] / batched.batched_steps,
         "batched_steps": batched.batched_steps,
         "class_groups": batched.class_groups,
         "solved_rows": batched.solved_rows,
@@ -154,6 +156,10 @@ def main(argv=None) -> int:
             f"in {st['class_groups'] / st['batched_steps']:.2f} classes per step"
         )
     st = report["steppers"]
+    print(
+        f"one-row lockstep fleet: {st['us_per_step']:.0f} us per stepped "
+        f"interval ({st['solved_rows'] / st['batched_steps']:.2f} rows per step)"
+    )
     if not args.smoke and st["speedup"] < SPEEDUP_GATE:
         print(f"FAIL: batched speedup {st['speedup']:.2f}x < {SPEEDUP_GATE}x")
         ok = False

@@ -37,6 +37,7 @@ format and naming conventions.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 
@@ -300,7 +301,15 @@ def _cmd_fleet(args) -> int:
     from repro.exceptions import ConfigurationError
     from repro.fleet import FleetConfig, run_fleet
 
-    duration_s = int(round(args.hours * 3600)) if args.hours else args.seconds
+    # ``--hours 0`` is a zero horizon for FleetConfig to refuse, not
+    # "unset": only an absent flag falls back to --seconds.
+    duration_s = args.seconds
+    if args.hours is not None:
+        if not math.isfinite(args.hours):
+            print(f"tecfan fleet: --hours must be finite, got {args.hours!r}",
+                  file=sys.stderr)
+            return 2
+        duration_s = int(round(args.hours * 3600))
     try:
         cfg = FleetConfig(
             n_nodes=args.nodes,

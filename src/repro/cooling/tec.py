@@ -169,74 +169,77 @@ class TECArray:
             raise ConfigurationError(
                 f"state has shape {state.shape}, expected ({self.n_devices},)"
             )
-        if not np.all((state >= 0.0) & (state <= 1.0)):
-            raise ConfigurationError("TEC activations must lie in [0, 1]")
+        joule, pump = self.activation_terms(state)
         d_theta = np.asarray(t_hot_k) - np.asarray(t_cold_k)
-        return (
-            self.joule_scale(state) * self.joule_w
-            + state * self.alpha_i * d_theta
-        )
+        return joule + pump * d_theta
+
+    def _cold_gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rank-by-device component index and weight tables.
+
+        Column ``d`` lists device ``d``'s footprint entries in COO entry
+        order (a stable sort by device, so unsorted COO arrays keep each
+        device's order); row ``e`` holds every device's ``e``-th entry.
+        Devices with fewer entries are padded with weight 0.0 on their
+        own first component, so a pad adds ``+0.0`` to the device's sum.
+        """
+        table = getattr(self, "_cold_table", None)
+        if table is None:
+            order = np.argsort(self.coo_device, kind="stable")
+            dev = self.coo_device[order]
+            counts = np.bincount(dev, minlength=self.n_devices)
+            rank = np.arange(dev.size) - (np.cumsum(counts) - counts)[dev]
+            shape = (max(int(counts.max(initial=0)), 1), self.n_devices)
+            idx = np.zeros(shape, dtype=np.intp)
+            weight = np.zeros(shape)
+            real = np.zeros(shape, dtype=bool)
+            idx[rank, dev] = self.coo_component[order]
+            weight[rank, dev] = self.coo_weight[order]
+            real[rank, dev] = True
+            idx = np.where(real, idx, idx[0])
+            table = (idx, weight)
+            object.__setattr__(self, "_cold_table", table)
+        return table
 
     def cold_side_temperature_k(self, t_components_k: np.ndarray) -> np.ndarray:
-        """Footprint-weighted die temperature under each device [K]."""
-        t = np.asarray(t_components_k, dtype=float)
-        out = np.zeros(self.n_devices)
-        np.add.at(
-            out,
-            self.coo_device,
-            self.coo_weight * t[self.coo_component],
-        )
-        return out
+        """Footprint-weighted die temperature under each device [K].
 
-    def _scatter_segments(self) -> list | None:
-        """Per-entry-rank index pairs for the batched footprint scatter.
-
-        Segment ``e`` holds (device indices, coo positions) of every
-        device's ``e``-th footprint entry. Requires ``coo_device`` to be
-        sorted (the builder emits it grouped per device); returns None
-        otherwise and the batched scatter falls back to ``np.add.at``.
+        Also takes a ``(batch, n_components)`` matrix, one row per
+        field; see :meth:`cold_side_temperature_many`.
         """
-        segs = getattr(self, "_scatter_segs", None)
-        if segs is None:
-            d = self.coo_device
-            if d.size and np.any(np.diff(d) < 0):
-                segs = ()
-            else:
-                counts = np.bincount(d, minlength=self.n_devices)
-                starts = self.device_starts()
-                segs = []
-                for e in range(int(counts.max()) if counts.size else 0):
-                    mask = counts > e
-                    segs.append((np.flatnonzero(mask), starts[mask] + e))
-            object.__setattr__(self, "_scatter_segs", segs)
-        return segs or None
+        idx, weight = self._cold_gather()
+        vals = np.asarray(t_components_k, dtype=float)[..., idx] * weight
+        # Each device sums its entries in COO entry order, rank by rank.
+        out = vals[..., 0, :]
+        for e in range(1, idx.shape[0]):
+            out = out + vals[..., e, :]
+        return out
 
     def cold_side_temperature_many(
         self, t_components_rows_k: np.ndarray
     ) -> np.ndarray:
         """:meth:`cold_side_temperature_k` over a ``(batch, n_comp)``
         matrix, one row per candidate field; row ``b`` is bit-identical
-        to the single-field call.
+        to the single-field call (the same gather, products and
+        rank-ordered adds, elementwise per row)."""
+        return self.cold_side_temperature_k(t_components_rows_k)
 
-        Each device accumulates its footprint terms in the 1-D scatter's
-        entry order: one vectorized add per entry rank when the COO
-        arrays are device-sorted, an axis-0 ``np.add.at`` otherwise.
+    def activation_terms(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Eq. (9)'s activation factors ``(r I^2 scale, a I s)`` [W, W/K].
+
+        ``state`` is one ``(n_devices,)`` activation vector or a
+        ``(batch, n_devices)`` matrix, range-checked to [0, 1]. The
+        electrical power is ``joule + pump * (T_hot - T_cold)``.
         """
-        t = np.asarray(t_components_rows_k, dtype=float)
-        segs = self._scatter_segments()
-        if segs is not None:
-            vals = self.coo_weight[None, :] * t[:, self.coo_component]
-            out = np.zeros((t.shape[0], self.n_devices))
-            for devs, sel in segs:
-                out[:, devs] += vals[:, sel]
-            return out
-        acc = np.zeros((self.n_devices, t.shape[0]))
-        np.add.at(
-            acc,
-            self.coo_device,
-            self.coo_weight[:, None] * t[:, self.coo_component].T,
-        )
-        return acc.T
+        state = np.asarray(state, dtype=float)
+        if state.ndim not in (1, 2) or state.shape[-1] != self.n_devices:
+            raise ConfigurationError(
+                f"state has shape {state.shape}, expected ({self.n_devices},)"
+                f" or (batch, {self.n_devices})"
+            )
+        # NaN fails both compares: min and max propagate it.
+        if not (state.min(initial=0.0) >= 0.0 and state.max(initial=1.0) <= 1.0):
+            raise ConfigurationError("TEC activations must lie in [0, 1]")
+        return self.joule_scale(state) * self.joule_w, state * self.alpha_i
 
     def electrical_power_many(
         self,
@@ -249,19 +252,9 @@ class TECArray:
         every row or a ``(batch, n_devices)`` matrix, one per row. Row
         ``b`` is bit-identical to the per-row call (the Eq. (9)
         arithmetic is elementwise, so broadcasting changes nothing)."""
-        state = np.asarray(state, dtype=float)
-        if state.ndim not in (1, 2) or state.shape[-1] != self.n_devices:
-            raise ConfigurationError(
-                f"state has shape {state.shape}, expected ({self.n_devices},)"
-                f" or (batch, {self.n_devices})"
-            )
-        if not np.all((state >= 0.0) & (state <= 1.0)):
-            raise ConfigurationError("TEC activations must lie in [0, 1]")
+        joule, pump = self.activation_terms(state)
         d_theta = np.asarray(t_hot_rows_k) - np.asarray(t_cold_rows_k)
-        return (
-            self.joule_scale(state) * self.joule_w
-            + state * self.alpha_i * d_theta
-        )
+        return joule + pump * d_theta
 
 
 def build_tec_array(

@@ -316,9 +316,9 @@ class NextIntervalEstimator:
         The full model: Eq. (7) dynamic power and linear Eq. (6) leakage
         at the observer's component temperatures, steady state Eq. (1)
         and transient Eq. (5). One multi-RHS solve per distinct (fan, TEC)
-        setting shares the LU factorization and transient betas; grouping
-        is exact (not the caches' quantized keying) because members share
-        one factorization. TEC power is one cold-side scatter over every
+        setting shares the LU factorization and transient betas; the
+        grouping key is the caches' exact actuator key, so members share
+        one factorization. TEC power is one cold-side gather over every
         row, each against its own activation vector.
         """
         system = self.system

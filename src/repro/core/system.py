@@ -107,11 +107,12 @@ class CMPSystem:
     ) -> np.ndarray:
         """:meth:`tec_power_w` over ``(batch, n_nodes)`` field rows [W].
 
-        ``state_tec`` is one activation vector for every row or a
-        ``(batch, n_devices)`` matrix of per-row activations. Entry ``b``
-        is bit-identical to ``tec_power_w(state_tec[b], t_rows_k[b])``
-        (or ``tec_power_w(state_tec, t_rows_k[b])``): the cold-side
-        scatter keeps its 1-D accumulation order per row and each row is
+        ``state_tec`` is one activation vector for every row (its Eq. (9)
+        activation terms are computed once) or a ``(batch, n_devices)``
+        matrix of per-row activations. Entry ``b`` is bit-identical to
+        ``tec_power_w(state_tec[b], t_rows_k[b])`` (or
+        ``tec_power_w(state_tec, t_rows_k[b])``): the cold-side gather
+        keeps the 1-D accumulation order per row and each row is
         pairwise-summed on its own.
         """
         t_cold = self.tec.cold_side_temperature_many(

@@ -68,7 +68,7 @@ class NodeGroups:
         call ``shares[self.first]`` is the share of every group.
         """
         bits = shares.view(np.int64)
-        if np.array_equal(bits, bits[self.first][self.group_of]):
+        if (bits == bits[self.first][self.group_of]).all():
             return None
         # Sort nodes by (group, share bytes); a stable sort keeps each
         # run's lowest node first, and every run is one new group.

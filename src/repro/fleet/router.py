@@ -90,8 +90,9 @@ class RoundRobinRouter(Router):
         base, extra = divmod(q, self.n_nodes)
         counts = np.full(self.n_nodes, base, dtype=float)
         if extra:
+            # extra < n_nodes: the indices are distinct.
             idx = (self._cursor + np.arange(extra)) % self.n_nodes
-            np.add.at(counts, idx, 1.0)
+            counts[idx] += 1.0
             self._cursor = (self._cursor + extra) % self.n_nodes
         return offered_inst * (counts / q)
 

@@ -413,7 +413,7 @@ class FleetSim:
             arriving = shares[groups.first][:, None] / n_cores
             work = backlog + arriving
             offered_rate = work / dt
-            activity = np.clip(offered_rate / cap, 0.0, 1.0)
+            activity = np.minimum(np.maximum(offered_rate / cap, 0.0), 1.0)
 
             res = self.stepper.advance(
                 activity, dvfs_rows, fan_arr, tec_rows, t_rows, dt
@@ -428,8 +428,13 @@ class FleetSim:
             inst_served += served_inst
 
             lat = (backlog / cap).max(axis=1)
+            # Backlogs are never negative, so every bucket index is in
+            # range: the first edge is 0 and the last bucket is open.
             bucket = np.searchsorted(LATENCY_EDGES_S, lat, side="right") - 1
-            np.add.at(counts, np.clip(bucket, 0, len(counts) - 1), groups.sizes)
+            # Float weights: exact, every tally stays far below 2**53.
+            counts += np.bincount(
+                bucket, weights=groups.sizes, minlength=counts.size
+            ).astype(np.int64)
 
             p_cores = res.p_dyn_w.sum(axis=1) + res.p_leak_w.sum(axis=1)
             p_node = p_cores + res.p_tec_w + self._fan_power[fan_arr - 1]
@@ -455,17 +460,17 @@ class FleetSim:
                 else fan_arr
             )
 
+            # Same-shape compares: the policy keeps one row per group.
             unchanged = (
-                np.array_equal(tec_new, tec_rows)
-                and np.array_equal(dvfs_new, dvfs_rows)
-                and np.array_equal(fan_new, fan_arr)
+                (tec_new == tec_rows).all()
+                and (dvfs_new == dvfs_rows).all()
+                and (fan_new == fan_arr).all()
             )
-            same_arrivals = prev_shares is not None and np.array_equal(
-                shares, prev_shares
+            same_arrivals = (
+                prev_shares is not None and (shares == prev_shares).all()
             )
             settled = (
-                float(np.max(np.abs(t_rows - res.t_steady_k)))
-                <= cfg.ff_temp_tol_k
+                np.abs(t_rows - res.t_steady_k).max() <= cfg.ff_temp_tol_k
             )
             drained = not backlog.any()  # backlogs are never negative
             quiet = (

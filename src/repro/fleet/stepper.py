@@ -16,14 +16,19 @@ actuation class. The leakage fixed points of every class of a step are
 one :meth:`~repro.thermal.leakage_loop.LeakageCoupledSolver.solve_many`
 call that iterates all rows in lockstep: each pass is one leakage call
 over the rows still iterating and one multi-RHS triangular solve per
-class that still has such rows. The relaxation factors are one cached
-:meth:`~repro.thermal.transient.PaperTransient.betas` lookup per class,
-spread over that class's rows, so the transient blend and the TEC
-power (per-row activations) are each one expression over all rows.
-Nodes are grouped by :func:`repro.thermal.keys.exact_actuator_key` —
-exact, not quantized, because the fleet policy emits binary TEC
-activations, so within-class vectors are *equal* and share one
-factorization bit-for-bit.
+class that still has such rows. Each class's
+:class:`~repro.thermal.steady_state.Factorization` and cached
+:meth:`~repro.thermal.transient.PaperTransient.betas` row are resolved
+once per step. A one-class step broadcasts its beta row and its
+activation vector, so the Eq. (9) activation terms
+(:meth:`~repro.cooling.tec.TECArray.activation_terms`, which also
+range-checks the activation) are computed once; with more classes the
+beta rows are spread over each class's rows and the terms come from
+the per-row activations. Either way the transient blend and the TEC
+power are each one expression over all rows. Nodes are grouped by :func:`repro.thermal.keys.exact_actuator_key`,
+the same exact key every thermal cache uses (there is no quantization):
+within a class the activation vectors are *equal*, so the class shares
+one factorization bit for bit.
 
 Lockstep across nodes is carried by the fleet loop, not found here:
 :class:`~repro.fleet.sim.FleetSim` keeps one state row per group of
@@ -187,19 +192,29 @@ class BatchedStepper:
             key = exact_actuator_key(int(fan_levels[i]), tec[i])
             groups.setdefault(key, []).append(i)
 
+        # Each class's LU and Eq. (5) beta row, resolved once per step.
         classes = []
-        beta = np.empty_like(t_nodes_k)
-        for members in groups.values():
-            idx = np.asarray(members, dtype=np.intp)
-            fan = int(fan_levels[members[0]])
+        betas = []
+        for (fan, _), members in groups.items():
             tec_row = tec[members[0]]
-            classes.append((idx, plant.solver.factorization(fan, tec_row)))
-            beta[idx] = sys.transient.betas(dt_s, fan, tec_row)
+            classes.append(
+                (np.asarray(members), plant.solver.factorization(fan, tec_row))
+            )
+            betas.append(sys.transient.betas(dt_s, fan, tec_row))
+        if len(classes) == 1:
+            # One class: its beta row and activation vector broadcast,
+            # so the Eq. (9) activation terms are computed once.
+            beta, state = betas[0], tec_row
+        else:
+            beta = np.empty_like(t_nodes_k)
+            for (idx, _), b in zip(classes, betas):
+                beta[idx] = b
+            state = tec
         t_steady, p_leak = plant.solve_many(
             p_dyn, classes, t_nodes_k[:, sys.nodes.component_slice]
         )
         t_new = (1.0 - beta) * t_steady + beta * t_nodes_k
-        p_tec = sys.tec_power_many(tec, t_new)
+        p_tec = sys.tec_power_many(state, t_new)
         return StepResult(t_new, p_dyn, p_leak, p_tec, t_steady), len(groups)
 
     def advance(

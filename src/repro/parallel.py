@@ -13,7 +13,7 @@ right isolation. The runtime is a **persistent process pool**
   is unavailable on some platforms.
 * **Warm shared context**: a task function may be split into
   ``fn(context, payload)``. The context (typically the engine + system,
-  whose thermal caches key on the quantized actuator keys of
+  whose thermal caches key on the exact actuator keys of
   :mod:`repro.thermal.keys`) ships to each worker **once** and is
   reused, object-identical, by every subsequent task on that worker —
   so propagator and LU caches stay warm between tasks exactly as

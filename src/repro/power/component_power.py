@@ -152,7 +152,7 @@ class ComponentPowerModel:
             raise ConfigurationError(
                 "activity/levels must be (batch, n_tiles) arrays"
             )
-        if np.any(act < 0.0) or np.any(act > 1.0):
+        if act.min(initial=0.0) < 0.0 or act.max(initial=1.0) > 1.0:
             raise ConfigurationError("core activity must lie in [0, 1]")
         act = np.maximum(act, self.idle_activity)
         scale = self.dvfs.dynamic_scale(lv)

@@ -18,10 +18,21 @@ Two default tables are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+
+
+@lru_cache(maxsize=None)
+def _dynamic_scale_table(freq_ghz: tuple, vdd_v: tuple) -> np.ndarray:
+    """:meth:`DVFSTable.dynamic_scale` of every level, computed once."""
+    f = np.asarray(freq_ghz, dtype=float)
+    v = np.asarray(vdd_v, dtype=float)
+    scale = (f / f[-1]) * (v / v[-1]) ** 2
+    scale.setflags(write=False)
+    return scale
 
 
 @dataclass(frozen=True)
@@ -82,10 +93,7 @@ class DVFSTable:
         ``(f / f_max) * (V / V_max)^2`` — the per-interval form of the
         paper's Eq. (7) anchored at the top operating point.
         """
-        f = np.asarray(self.freq_ghz, dtype=float)
-        v = np.asarray(self.vdd_v, dtype=float)
-        scale = (f / f[-1]) * (v / v[-1]) ** 2
-        return scale[level]
+        return _dynamic_scale_table(self.freq_ghz, self.vdd_v)[level]
 
     def dynamic_ratio(self, level_from, level_to) -> np.ndarray:
         """Eq. (7) exactly: power ratio between two operating points."""

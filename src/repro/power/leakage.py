@@ -78,7 +78,7 @@ class LinearLeakage:
         chipwise = self.p_tdp_leak_w + self.alpha_w_per_k * (t - self.t_tdp_k)
         # Eq. (6) evaluates the chip-level expression at each component's
         # own temperature, then takes the component's area share.
-        return np.clip(chipwise, 0.0, None) * frac
+        return np.maximum(chipwise, 0.0) * frac
 
     def chip_total_w(self, t_components_k: np.ndarray) -> float:
         """Total chip leakage [W]."""
@@ -133,7 +133,7 @@ class QuadraticLeakage:
         t = np.asarray(t_components_k, dtype=float)
         dt = t - self._t_ref_k
         chipwise = self.p0_w + self.p1_w_per_k * dt + self.p2_w_per_k2 * dt**2
-        return np.clip(chipwise, 0.0, None) * self._frac
+        return np.maximum(chipwise, 0.0) * self._frac
 
     def chip_total_w(self, t_components_k: np.ndarray) -> float:
         """Total chip leakage [W]."""

@@ -3,20 +3,13 @@
 Every cache in the thermal layer — the steady-state LU cache, the
 Eq. (5) relaxation-factor (beta) cache, the dense matrix-exponential
 propagator cache — keys on the same physical fact: ``G(fan, tec)``
-depends only on the fan level and the TEC activation vector. The
-quantized key (:func:`tec_key`) collapses that pair into something
-hashable; :class:`ActuatorKeyer` adds fast paths for the two activation
-vectors that dominate real control traces (all-off during DVFS rounds,
-all-on under full TEC assist).
-
-Quantization to 1/256 is exact for on/off activations and fine for the
-fan controller's fractional "average state" — but it is a *hash
-accelerator*, not an identity. :class:`PropagatorCache` therefore
-carries an optional exact-vector guard: a hit is served only when the
-stored activation compares ``np.array_equal`` to the query, so a
-quantization collision degrades to a miss instead of silently serving a
-propagator for a different G. That is what keeps cached results
-bit-identical to the uncached computation.
+depends only on the fan level and the TEC activation vector. The key
+(:func:`exact_actuator_key`) is that pair itself: the fan level and the
+activation's float64 bytes. It is exact — there is no quantization —
+so the key is both the identity and the hash of a setting: a hit is one
+dict lookup and always serves the operator built for that very vector,
+which keeps cached results bit-identical to the uncached computation.
+Equal vectors of any numeric dtype share one key.
 """
 
 from __future__ import annotations
@@ -29,59 +22,36 @@ import numpy as np
 from repro.obs import telemetry as obs
 
 
-def tec_key(tec_activation: np.ndarray) -> bytes:
-    """Hashable quantized activation vector (1/256 resolution)."""
-    q = np.round(np.asarray(tec_activation, dtype=float) * 256.0)
-    return np.asarray(q, dtype=np.int16).tobytes()
-
-
 def exact_actuator_key(fan_level: int, tec_activation: np.ndarray) -> tuple:
-    """Exact (unquantized) grouping key for one actuator setting.
+    """The cache and grouping key of one actuator setting.
 
-    Used where correctness demands *identity*, not proximity — e.g.
-    grouping batched what-if candidates that may legally share one
-    factorization / one beta vector.
+    ``(fan_level, float64 bytes of the activation)``: two settings share
+    a key exactly when their fan levels and activation values are equal.
     """
-    return (fan_level, np.asarray(tec_activation).tobytes())
+    return (fan_level, np.asarray(tec_activation, dtype=np.float64).tobytes())
 
 
 class ActuatorKeyer:
-    """Quantized ``(fan_level, tec_key)`` keying with common-case fast paths.
+    """The thermal solvers' key function, :func:`exact_actuator_key`.
 
-    The all-off and all-on activation keys are computed once on first
-    use; those two vectors cover the overwhelming majority of control
-    decisions, and the fast path skips the round-and-tobytes
-    quantization entirely.
+    Stateless; it stays a class because solvers hold one as a field and
+    pickle it into checkpoints.
     """
 
-    def __init__(self) -> None:
-        self._all_off: bytes | None = None
-        self._all_on: bytes | None = None
-
     def key(self, fan_level: int, tec_activation: np.ndarray) -> tuple:
-        t = np.asarray(tec_activation)
-        if self._all_off is None:
-            n = t.shape[0]
-            self._all_off = tec_key(np.zeros(n))
-            self._all_on = tec_key(np.ones(n))
-        if not t.any():
-            return (fan_level, self._all_off)
-        if np.all(t == 1.0):
-            return (fan_level, self._all_on)
-        return (fan_level, tec_key(t))
+        return exact_actuator_key(fan_level, tec_activation)
 
 
 @dataclass
 class PropagatorCache:
     """LRU cache for actuator-keyed thermal operators.
 
-    Entries pair the cached value with the exact activation vector it
-    was computed for; :meth:`lookup` refuses to serve an entry whose
-    stored activation differs from the query even when the quantized
-    keys collide. Hit/miss/eviction totals are kept both as instance
-    stats and as obs counters under ``<counter_prefix>_hits`` /
-    ``_misses`` / ``_evictions`` (shared by every propagator cache in a
-    process, mirroring ``thermal.factorizations``).
+    Keys are exact (:func:`exact_actuator_key`, optionally prefixed by
+    the time step), so a hit needs no further check. Hit/miss/eviction
+    totals are kept both as instance stats and as obs counters under
+    ``<counter_prefix>_hits`` / ``_misses`` / ``_evictions`` (shared by
+    every propagator cache in a process, mirroring
+    ``thermal.factorizations``).
     """
 
     max_entries: int = 128
@@ -106,28 +76,21 @@ class PropagatorCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, key: tuple, exact: np.ndarray | None = None):
-        """Cached value for ``key``, or None on miss / guard mismatch."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            guard, value = entry
-            if (
-                exact is None
-                or guard is None
-                or np.array_equal(guard, exact)
-            ):
-                self._entries.move_to_end(key)
-                self.n_hits += 1
-                obs.incr(f"{self.counter_prefix}_hits")
-                return value
-        self.n_misses += 1
-        obs.incr(f"{self.counter_prefix}_misses")
-        return None
+    def lookup(self, key: tuple):
+        """Cached value for ``key``, or None on a miss."""
+        value = self._entries.get(key)
+        if value is None:
+            self.n_misses += 1
+            obs.incr(f"{self.counter_prefix}_misses")
+            return None
+        self._entries.move_to_end(key)
+        self.n_hits += 1
+        obs.incr(f"{self.counter_prefix}_hits")
+        return value
 
-    def insert(self, key: tuple, value, exact: np.ndarray | None = None):
-        """Store ``value``; a colliding key is overwritten (LRU refresh)."""
-        guard = None if exact is None else np.array(exact, copy=True)
-        self._entries[key] = (guard, value)
+    def insert(self, key: tuple, value):
+        """Store ``value`` under ``key`` as the most recent entry."""
+        self._entries[key] = value
         self._entries.move_to_end(key)
         if len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)

@@ -131,37 +131,47 @@ class LeakageCoupledSolver:
         them. A converged row is frozen with that pass's outputs while
         the rest continue, so row ``b`` matches a solo :meth:`solve` of
         that row exactly — same leakage inputs, same RHS, same stopping
-        pass.
+        pass. The working arrays shrink to the rows still iterating; a
+        one-class call (a fleet step of one actuation class) permutes
+        nothing and, when every row stops on the same pass, returns that
+        pass's arrays as they are.
         """
         solver = self.solver
-        nd = solver.model.nodes
-        comp = nd.component_slice
+        comp = solver.model.nodes.component_slice
         b = p_dynamic_w.shape[0]
-        # Position j of the loop holds row order[j]: class c owns the
-        # positions bounds[c]:bounds[c + 1], so its active rows are one
-        # run of the ascending active positions.
-        order = np.concatenate([rows for rows, _ in classes])
-        if order.size != b:
-            raise ThermalModelError(
-                f"classes cover {order.size} rows of a batch of {b}"
-            )
         factors = [f for _, f in classes]
-        bounds = [0, *accumulate(len(rows) for rows, _ in classes)]
-        p_dyn = p_dynamic_w[order]
-        t_comp = np.asarray(t_guess_k, dtype=float)[order]
-        t_out = np.empty((b, nd.n_nodes))
-        p_leak_out = np.empty_like(p_dyn)
-        prev_peak = np.full(b, np.inf)
-        active = np.arange(b)
+        if len(classes) == 1:
+            # One class: rows are solved independently, so the loop runs
+            # in the given row order and needs no permutation.
+            order = None
+            bounds = [0, b]
+            covered = len(classes[0][0])
+            p_dyn, t_comp = p_dynamic_w, t_guess_k
+        else:
+            # Position j of the loop holds row order[j]: class c owns
+            # positions bounds[c]:bounds[c + 1], so its live rows are one
+            # run of the ascending live positions.
+            order = np.concatenate([rows for rows, _ in classes])
+            bounds = [0, *accumulate(len(rows) for rows, _ in classes)]
+            covered = order.size
+            p_dyn, t_comp = p_dynamic_w[order], t_guess_k[order]
+        if covered != b:
+            raise ThermalModelError(
+                f"classes cover {covered} rows of a batch of {b}"
+            )
+        # The working arrays hold the live rows only; ``live`` holds
+        # their positions (None: every position, in order). Outputs are
+        # allocated once a row converges ahead of the rest.
+        live = None
+        t_out = p_leak_out = None
+        prev_peak = np.inf
         for _ in range(self.max_iterations):
             obs.incr("thermal.leakage_passes")
-            p_leak = self.leakage_fn(t_comp[active])
-            p_total = p_dyn[active] + p_leak
-            cuts = (
-                np.searchsorted(active, bounds).tolist()
-                if len(factors) > 1
-                else [0, active.size]
-            )
+            p_leak = self.leakage_fn(t_comp)
+            p_total = p_dyn + p_leak
+            cuts = bounds
+            if live is not None and len(factors) > 1:
+                cuts = np.searchsorted(live, bounds).tolist()
             parts = [
                 solver.solve_many(
                     p_total[lo:hi], f.fan_level, f.activation, factorization=f
@@ -170,19 +180,26 @@ class LeakageCoupledSolver:
                 if hi > lo
             ]
             t_nodes = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            t_comp_a = t_nodes[:, comp]
-            peak = t_comp_a.max(axis=1)
-            residual = np.abs(peak - prev_peak[active])
+            t_comp = t_nodes[:, comp]
+            peak = t_comp.max(axis=1)
+            residual = np.abs(peak - prev_peak)
             done = residual < self.tolerance_k
+            if done.all() and live is None and order is None:
+                return t_nodes, p_leak
             if done.any():
-                rows = order[active[done]]
+                if t_out is None:
+                    t_out = np.empty((b, t_nodes.shape[1]))
+                    p_leak_out = np.empty((b, p_leak.shape[1]))
+                pos = np.flatnonzero(done) if live is None else live[done]
+                rows = pos if order is None else order[pos]
                 t_out[rows] = t_nodes[done]
                 p_leak_out[rows] = p_leak[done]
-            t_comp[active] = t_comp_a
-            prev_peak[active] = peak
-            active = active[~done]
-            if active.size == 0:
-                return t_out, p_leak_out
+                if done.all():
+                    return t_out, p_leak_out
+                keep = ~done
+                live = np.flatnonzero(keep) if live is None else live[keep]
+                p_dyn, t_comp, peak = p_dyn[keep], t_comp[keep], peak[keep]
+            prev_peak = peak
         raise ConvergenceError(
             "temperature-leakage loop did not converge",
             iterations=self.max_iterations,

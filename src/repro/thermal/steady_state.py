@@ -3,12 +3,11 @@
 The solver caches sparse LU factorizations keyed by actuator setting:
 controllers evaluate many candidate DVFS levels against the *same* G (a
 DVFS change only moves the power vector), so the common case is a cached
-triangular solve rather than a refactorization. TEC activations are
-quantized to 1/256 for the cache key (see :mod:`repro.thermal.keys`),
-but a hit must also match the exact activation the entry was built
-for: two fractional "average states" that share a key are different
-matrices, and serving one for the other would make a result depend on
-the cache's history (and so on which pool worker ran a task).
+triangular solve rather than a refactorization. The cache key is exact
+(:func:`~repro.thermal.keys.exact_actuator_key`: the fan level and the
+activation's float64 bytes), so a hit is one dict lookup and always
+serves the LU of that very ``G``: no result depends on the cache's
+history (and so on which pool worker ran a task).
 
 Candidate screening goes one step further: :meth:`SteadyStateSolver.solve_many`
 pushes a whole batch of power vectors through one multi-RHS triangular
@@ -74,8 +73,7 @@ class SteadyStateSolver:
 
     model: ConductanceModel
     cache_size: int = 64
-    #: ``key -> Factorization`` in LRU order; the stored activation is
-    #: the exact-match guard behind the quantized key.
+    #: ``exact_actuator_key -> Factorization`` in LRU order.
     _lu_cache: OrderedDict = field(default_factory=OrderedDict, repr=False)
     _keyer: ActuatorKeyer = field(default_factory=ActuatorKeyer, repr=False)
     #: Statistics: factorizations performed / solves served / LRU drops.
@@ -102,7 +100,7 @@ class SteadyStateSolver:
         """The cached LU and base RHS of ``G(fan, tec)``, built on a miss."""
         key = self._keyer.key(fan_level, tec_activation)
         entry = self._lu_cache.get(key)
-        if entry is not None and np.array_equal(entry.activation, tec_activation):
+        if entry is not None:
             self._lu_cache.move_to_end(key)
             return entry
         g = self.model.matrix(fan_level, tec_activation)

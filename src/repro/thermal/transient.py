@@ -23,9 +23,9 @@ diagonal, the beta vector, and the dense ``expm`` factor are all
 functions of ``(dt, fan_level, tec)`` alone, so repeated steps reduce to
 one cached lookup plus a vector multiply. Cache hits are bit-identical
 to the uncached computation: the cached quantity is the *final* operator
-(no re-ordered floating-point arithmetic on the hit path) and the
-exact-activation guard in the cache demotes quantized-key collisions to
-misses.
+(no re-ordered floating-point arithmetic on the hit path) and the key is
+the exact actuator setting (:func:`~repro.thermal.keys.exact_actuator_key`),
+so a hit never serves another setting's operator.
 """
 
 from __future__ import annotations
@@ -62,11 +62,11 @@ class PaperTransient:
     def _diag(self, fan_level: int, tec: np.ndarray) -> np.ndarray:
         """Cached ``G_ii`` for one actuator setting (read-only view)."""
         key = self._keyer.key(fan_level, tec)
-        diag = self._diag_cache.lookup(key, exact=tec)
+        diag = self._diag_cache.lookup(key)
         if diag is None:
             diag = self.model.diag(fan_level, tec)
             diag.setflags(write=False)
-            self._diag_cache.insert(key, diag, exact=tec)
+            self._diag_cache.insert(key, diag)
         return diag
 
     def betas(
@@ -79,15 +79,14 @@ class PaperTransient:
         """
         if dt_s <= 0:
             raise ThermalModelError(f"non-positive time step {dt_s}")
-        t = np.asarray(tec_activation, dtype=float)
-        key = (dt_s, *self._keyer.key(fan_level, t))
-        beta = self._beta_cache.lookup(key, exact=t)
+        key = (dt_s, *self._keyer.key(fan_level, tec_activation))
+        beta = self._beta_cache.lookup(key)
         if beta is None:
-            diag = self._diag(fan_level, t)
+            diag = self._diag(fan_level, np.asarray(tec_activation, dtype=float))
             c = self.model.nodes.capacities
             beta = np.exp(-dt_s * diag / c)
             beta.setflags(write=False)
-            self._beta_cache.insert(key, beta, exact=t)
+            self._beta_cache.insert(key, beta)
         return beta
 
     def step(
@@ -150,11 +149,11 @@ class ExactTransient:
         """Cached dense ``G(fan, tec)`` (read-only) — densify once, not
         per step."""
         key = self._keyer.key(fan_level, tec)
-        g = self._dense_cache.lookup(key, exact=tec)
+        g = self._dense_cache.lookup(key)
         if g is None:
             g = self.model.matrix(fan_level, tec).toarray()
             g.setflags(write=False)
-            self._dense_cache.insert(key, g, exact=tec)
+            self._dense_cache.insert(key, g)
         return g
 
     def step(
@@ -175,14 +174,14 @@ class ExactTransient:
         with obs.span("thermal.exact_step"):
             t = np.asarray(tec_activation, dtype=float)
             key = (dt_s, *self._keyer.key(fan_level, t))
-            phi = self._phi_cache.lookup(key, exact=t)
+            phi = self._phi_cache.lookup(key)
             if phi is None:
                 g = self._dense_g(fan_level, t)
                 c_inv = 1.0 / self.model.nodes.capacities
                 a = -c_inv[:, None] * g
                 phi = scipy.linalg.expm(a * dt_s)
                 phi.setflags(write=False)
-                self._phi_cache.insert(key, phi, exact=t)
+                self._phi_cache.insert(key, phi)
             return t_steady_k + phi @ (t_prev_k - t_steady_k)
 
     def time_constants_s(

@@ -35,6 +35,21 @@ def test_fleet_rejects_bad_scale(capsys, scale):
     assert "scale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "hours, message", [("0", "duration must be >= 1 s"), ("nan", "--hours")]
+)
+def test_fleet_rejects_a_zero_or_non_finite_horizon(capsys, hours, message):
+    """``--hours 0`` is a zero horizon, not "unset": refused, exit 2."""
+    assert main(["fleet", "--nodes", "2", "--hours", hours]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_fleet_hours_sets_the_horizon(capsys):
+    assert main(["fleet", "--nodes", "2", "--hours", "0.5"]) == 0
+    out = capsys.readouterr().out
+    assert "sim_time_s: 1800.0" in out
+
+
 def test_fleet_has_no_shard_or_pool_flags(capsys):
     with pytest.raises(SystemExit):
         main(["fleet", "--help"])

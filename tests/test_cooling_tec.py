@@ -1,5 +1,7 @@
 """TEC array: placement, footprint weights, Peltier accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,60 @@ def test_cold_side_temperature_weighted(tec, chip):
     p = tec.placements[0]
     expected = float(np.dot(p.weights, t_comp[p.component_idx]))
     assert cold[0] == pytest.approx(expected)
+
+
+def _cold_side_loop(arr, t_comp):
+    """Plain per-device sums over the COO entries, in entry order."""
+    out = [0.0] * arr.n_devices
+    for d, c, w in zip(
+        arr.coo_device.tolist(), arr.coo_component.tolist(), arr.coo_weight.tolist()
+    ):
+        out[d] += w * float(t_comp[c])
+    return np.array(out)
+
+
+def _shuffled(arr, seed):
+    perm = np.random.default_rng(seed).permutation(arr.coo_device.size)
+    return dataclasses.replace(
+        arr,
+        coo_device=arr.coo_device[perm],
+        coo_component=arr.coo_component[perm],
+        coo_weight=arr.coo_weight[perm],
+    )
+
+
+@pytest.mark.parametrize("shuffle", [None, 0, 1])
+def test_cold_side_matches_a_per_device_loop_bit_for_bit(tec, chip, shuffle):
+    """Scalar and batched cold sides equal a plain loop in COO entry
+    order, also when the COO arrays are not grouped by device."""
+    arr = tec if shuffle is None else _shuffled(tec, shuffle)
+    if shuffle is not None:
+        assert np.any(np.diff(arr.coo_device) < 0)
+    rows = 290.0 + 80.0 * np.random.default_rng(7).random((5, chip.n_components))
+    batched = arr.cold_side_temperature_many(rows)
+    assert batched.shape == (5, arr.n_devices)
+    for b, t_comp in enumerate(rows):
+        ref = _cold_side_loop(arr, t_comp)
+        assert arr.cold_side_temperature_k(t_comp).tobytes() == ref.tobytes()
+        assert batched[b].tobytes() == ref.tobytes()
+
+
+def test_electrical_power_many_with_an_activation_matrix_matches_per_row(tec, chip):
+    """A ``(rows, n_devices)`` activation matrix: each row bit-identical
+    to the per-row Eq. (9) call on its own loop-computed cold side."""
+    rng = np.random.default_rng(3)
+    states = rng.random((4, tec.n_devices))
+    states[0] = 0.0
+    states[1] = 1.0
+    t_comp = 300.0 + 60.0 * rng.random((4, chip.n_components))
+    t_hot = 320.0 + 10.0 * rng.random((4, tec.n_devices))
+    t_cold = tec.cold_side_temperature_many(t_comp)
+    batched = tec.electrical_power_many(states, t_cold, t_hot)
+    for b in range(4):
+        ref = tec.electrical_power_w(
+            states[b], _cold_side_loop(tec, t_comp[b]), t_hot[b]
+        )
+        assert batched[b].tobytes() == ref.tobytes()
 
 
 def test_grid_must_fit_tile(chip):

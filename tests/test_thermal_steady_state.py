@@ -111,12 +111,13 @@ def test_fractional_activation_between_on_and_off(system2, solver):
 
 
 def test_colliding_quantized_keys_never_share_a_factorization(system2, solver):
-    # 0.499 and 0.5 round to the same 1/256 cache key but are different
+    # 0.499 and 0.5 round to the same 1/256 bin but are different
     # conductance matrices: the second solve must not reuse the first LU.
+    # The cache keys are exact, so the two keys differ.
     p = np.ones(system2.nodes.n_components)
     near, tec = zeros_tec(system2), zeros_tec(system2)
     near[0], tec[0] = 0.499, 0.5
-    assert solver._keyer.key(2, near) == solver._keyer.key(2, tec)
+    assert solver._keyer.key(2, near) != solver._keyer.key(2, tec)
     solver.solve(p, 2, near)
     warm = solver.solve(p, 2, tec)
     cold = SteadyStateSolver(system2.cond).solve(p, 2, tec)
