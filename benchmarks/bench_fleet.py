@@ -21,7 +21,7 @@ Two measurements:
    cost of one one-row fleet step, loop included.
 2. **The same at 63 nodes** — one node fewer, so the quanta no longer
    divide evenly: groups split and merge, and the class kernel solves
-   many distinct rows in more than one actuation class per step.
+   many group rows in more than one actuation class per step.
    Digest-asserted and reported, not gated.
 
 Run directly (no pytest-benchmark dependency)::
@@ -34,8 +34,8 @@ tracked perf baseline; refresh it whenever the fleet stepper changes.
 ``--smoke`` is the CI configuration: the same lockstep (64 nodes) and
 diverging (63 nodes) fleets over 60 s, digest equivalence asserted on
 both, printed speedups, no timing gate and no baseline rewrite. In both
-modes the diverging fleet must solve a class of more than one distinct
-row and step more than one actuation class per interval on average.
+modes the diverging fleet must solve a class of more than one row and
+step more than one actuation class per interval on average.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def main(argv=None) -> int:
             f"{key}: {st['n_nodes']} nodes x {st['sim_time_s']} s, sequential "
             f"{st['sequential_s']:.2f} s, batched {st['batched_s']:.2f} s "
             f"-> {st['speedup']:.2f}x ({st['node_sim_s_per_s']:.0f} node-sim-s/s), "
-            f"{st['solved_rows'] / st['batched_steps']:.2f} distinct rows "
+            f"{st['solved_rows'] / st['batched_steps']:.2f} rows "
             f"in {st['class_groups'] / st['batched_steps']:.2f} classes per step"
         )
     st = report["steppers"]

@@ -674,6 +674,8 @@ def main(argv: list[str] | None = None) -> int:
         help="append completed levels to this crash-recovery journal; "
         "re-running with the same path redoes only missing levels",
     )
+    from repro.fleet import ROUTER_POLICIES, TRACE_KINDS
+
     fleetp = sub.add_parser(
         "fleet",
         parents=[common, status_parent],
@@ -699,14 +701,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     fleetp.add_argument(
         "--trace",
-        choices=("diurnal", "wikipedia"),
+        choices=TRACE_KINDS,
         default="diurnal",
         help="arrival stream: vectorized synthetic diurnal or the "
         "paper's 7-day Wikipedia trace (cached per process)",
     )
     fleetp.add_argument(
         "--router",
-        choices=("identity", "round-robin", "least-loaded", "thermal"),
+        choices=ROUTER_POLICIES,
         default="round-robin",
         help="request routing policy",
     )

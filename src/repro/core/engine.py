@@ -10,7 +10,9 @@ interval's per-component power and per-core IPS.
 Loop structure (Sec. III-D):
 
 * every ``dt_lower_s`` (default 2 ms): plant advances one interval under
-  the current actuator setting; the controller then picks next
+  the current actuator setting (one row through
+  :meth:`~repro.core.system.CMPSystem.advance`, the plant kernel the
+  fleet steps its node rows with); the controller then picks next
   interval's TEC states and DVFS levels;
 * every ``fan_period_s`` (default 1 s), if ``dynamic_fan``: the
   controller picks the fan level from the period's average component
@@ -612,23 +614,19 @@ class SimulationEngine:
                 t_done = run.time_to_completion_s(freqs)
                 if t_done < dt:
                     dt = max(t_done, 1e-6)
-                activity = run.activity_vector()
-                p_dyn = system.power.component_power.dynamic_power_w(
-                    activity, eff_dvfs, profile
-                )
                 tec_pump = self._effective_tec(eff_tec, loop.prev_tec, dt)
 
-                # ---- plant: thermal step ----------------------------------
-                comp = system.nodes.component_slice
-                t_steady, _ = system.plant_thermal.solve(
-                    p_dyn, eff_fan, tec_pump, t_guess_k=loop.t_nodes[comp]
+                # ---- plant: one kernel step of this chip's row ------------
+                step, _ = system.advance(
+                    run.activity_vector()[None], eff_dvfs[None], (eff_fan,),
+                    tec_pump[None], loop.t_nodes[None], dt, profile,
                 )
-                loop.t_nodes = t_nodes = system.transient.step(
-                    loop.t_nodes, t_steady, dt, eff_fan, tec_pump
-                )
+                p_dyn = step.p_dyn_w[0]
+                loop.t_nodes = t_nodes = step.t_nodes_k[0]
                 t_comp_c = system.component_temps_c(t_nodes)
+                # Leakage is billed at the post-step temperatures.
                 p_leak = system.power.plant_leakage.per_component_w(
-                    t_nodes[comp]
+                    t_nodes[system.nodes.component_slice]
                 )
 
                 # ---- plant: performance and energy accounting -------------
@@ -636,7 +634,7 @@ class SimulationEngine:
                 ips_cores = inst / dt
                 loop.total_instructions += float(inst.sum())
                 p_cores = float(p_dyn.sum() + p_leak.sum())
-                p_tec = system.tec_power_w(tec_pump, t_nodes)
+                p_tec = float(step.p_tec_w[0])
                 p_fan = system.fan.power_w(eff_fan)
                 p_chip = p_cores + p_tec + p_fan
                 if trace is not None:

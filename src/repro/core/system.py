@@ -6,6 +6,9 @@ steady-state solver. Both the simulation plant and the controllers'
 estimators operate on the same bundle (they differ in *which* leakage
 model and power source they use, mirroring the paper's split between the
 HotSpot/Wattch simulation and the on-line Eq. (6)/(7) estimation).
+
+:meth:`CMPSystem.advance` is the plant's one interval step, for the
+engine's chip and the fleet's node rows alike.
 """
 
 from __future__ import annotations
@@ -21,12 +24,25 @@ from repro.floorplan.chip import ChipFloorplan, build_chip
 from repro.floorplan.validate import validate_floorplan
 from repro.power.calibration import CalibratedPowerModels, build_power_models
 from repro.power.dvfs import DVFSTable, SCC_DVFS
+from repro.obs import telemetry as obs
 from repro.thermal.conductance import ConductanceModel
+from repro.thermal.keys import exact_actuator_key
 from repro.thermal.leakage_loop import LeakageCoupledSolver
 from repro.thermal.package import PackageStack
 from repro.thermal.steady_state import SteadyStateSolver
 from repro.thermal.transient import PaperTransient
 from repro import units
+
+
+@dataclass
+class StepResult:
+    """Per-row plant outputs of one control interval."""
+
+    t_nodes_k: np.ndarray  # (rows, n_thermal_nodes)
+    p_dyn_w: np.ndarray  # (rows, n_components)
+    p_leak_w: np.ndarray  # (rows, n_components)
+    p_tec_w: np.ndarray  # (rows,)
+    t_steady_k: np.ndarray  # (rows, n_thermal_nodes)
 
 
 @dataclass
@@ -123,6 +139,60 @@ class CMPSystem:
         # The contiguous copy keeps each row's pairwise-summation order
         # identical to the scalar call's 1-D ``.sum()``.
         return np.ascontiguousarray(p).sum(axis=1)
+
+    def advance(
+        self,
+        activity: np.ndarray,
+        dvfs_levels: np.ndarray,
+        fan_levels: np.ndarray,
+        tec: np.ndarray,
+        t_nodes_k: np.ndarray,
+        dt_s: float,
+        component_profile: np.ndarray | None = None,
+    ) -> tuple[StepResult, int]:
+        """Advance chip rows one interval: ``(StepResult, class count)``.
+
+        One row per chip in every argument but ``dt_s`` and
+        ``component_profile``. Dynamic power, then the leakage fixed
+        point (Sec. IV-B) of every actuation class in one lockstep
+        :meth:`~repro.thermal.leakage_loop.LeakageCoupledSolver.solve_many`,
+        the Eq. (5) blend and the Eq. (9) TEC power. Row ``b`` is
+        bit-identical to the scalar chain ``dynamic_power_w`` ->
+        ``plant_thermal.solve`` -> ``transient.step`` -> :meth:`tec_power_w`.
+        """
+        plant = self.plant_thermal
+        p_dyn = self.power.component_power.dynamic_power_many(
+            activity, dvfs_levels, component_profile
+        )
+        groups: dict[tuple, list[int]] = {}
+        for i in range(t_nodes_k.shape[0]):
+            key = exact_actuator_key(int(fan_levels[i]), tec[i])
+            groups.setdefault(key, []).append(i)
+
+        # Each class's LU and Eq. (5) beta row, resolved once per step.
+        classes = []
+        betas = []
+        for (fan, _), members in groups.items():
+            tec_row = tec[members[0]]
+            classes.append(
+                (np.asarray(members), plant.solver.factorization(fan, tec_row))
+            )
+            betas.append(self.transient.betas(dt_s, fan, tec_row))
+        t_steady, p_leak = plant.solve_many(
+            p_dyn, classes, t_nodes_k[:, self.nodes.component_slice]
+        )
+        with obs.span("thermal.step"):
+            if len(classes) == 1:
+                # Broadcast: the Eq. (9) activation terms are computed once.
+                beta, state = betas[0], tec_row
+            else:
+                beta = np.empty_like(t_nodes_k)
+                for (idx, _), b in zip(classes, betas):
+                    beta[idx] = b
+                state = tec
+            t_new = (1.0 - beta) * t_steady + beta * t_nodes_k
+        p_tec = self.tec_power_many(state, t_new)
+        return StepResult(t_new, p_dyn, p_leak, p_tec, t_steady), len(groups)
 
 
 def build_system(

@@ -15,8 +15,9 @@ Three operations keep the partition exact:
   (group, share bytes), so every member of a group sees the same input.
 * :meth:`NodeGroups.merge`, after the step: groups whose full state rows
   are byte-equal join again. A hash proposes and a compare verifies
-  (:func:`~repro.fleet.stepper.distinct_rows`), so a collision costs a
-  missed merge, never a wrong one.
+  (:func:`distinct_rows`), so a collision costs a missed merge, never a
+  wrong one. Groups apart only in backlog stay apart and step as rows
+  of their own.
 * :meth:`NodeGroups.expand`: a per-group array in node order, for the
   router's view, the float sums across nodes and the outputs.
 
@@ -29,9 +30,57 @@ loop is the engine-per-node loop the equivalence tests and
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from repro.fleet.stepper import distinct_rows
+
+@lru_cache(maxsize=None)
+def _hash_weights(width: int) -> np.ndarray:
+    """Fixed odd 64-bit multipliers of the row hash, one per word."""
+    rng = np.random.default_rng(width)
+    w = rng.integers(0, np.iinfo(np.uint64).max, size=width, dtype=np.uint64)
+    w |= np.uint64(1)
+    w.setflags(write=False)  # shared by every call of this width
+    return w
+
+
+def distinct_rows(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Byte-exact distinct rows across row-aligned ``arrays``.
+
+    Returns ``(reps, inverse)``: ``reps`` holds ascending indices of one
+    representative per distinct row, and row ``i`` equals row
+    ``reps[inverse[i]]`` of every array byte for byte. A multiplicative
+    hash over each row's ``uint64`` words proposes the groups and one
+    vectorized compare verifies every row against its representative,
+    so a hash collision costs a missed merge, never a wrong one. Equal
+    rows hash equal, so when every hash is distinct so is every row,
+    and the compare is skipped.
+    """
+    n = len(arrays[0])
+    raw = np.concatenate(
+        [np.ascontiguousarray(a).reshape(n, -1).view(np.uint8) for a in arrays],
+        axis=1,
+    )
+    pad = -raw.shape[1] % 8
+    if pad:
+        raw = np.concatenate([raw, np.zeros((n, pad), np.uint8)], axis=1)
+    words = raw.view(np.uint64)
+    # Fold each word's high half into its low half first: a round float
+    # (1.0, 0.5, ...) has all-zero low bits, and a product modulo 2**64
+    # keeps only the low bits of its factors.
+    h = (words ^ (words >> np.uint64(32))) @ _hash_weights(words.shape[1])
+    first: dict[int, int] = {}
+    # Each row's first row with the same hash.
+    rep = [first.setdefault(x, j) for j, x in enumerate(h.tolist())]
+    if len(first) == n:
+        return np.arange(n), np.arange(n)
+    rep = np.array(rep)
+    same = (words == words[rep]).all(axis=1)
+    if not same.all():  # a collision: unverified rows stand alone
+        rep = np.where(same, rep, np.arange(n))
+    reps = np.flatnonzero(rep == np.arange(n))
+    return reps, np.searchsorted(reps, rep)
 
 
 class NodeGroups:

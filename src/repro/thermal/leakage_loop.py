@@ -184,9 +184,10 @@ class LeakageCoupledSolver:
             peak = t_comp.max(axis=1)
             residual = np.abs(peak - prev_peak)
             done = residual < self.tolerance_k
-            if done.all() and live is None and order is None:
+            n_done = np.count_nonzero(done)
+            if n_done == done.size and live is None and order is None:
                 return t_nodes, p_leak
-            if done.any():
+            if n_done:
                 if t_out is None:
                     t_out = np.empty((b, t_nodes.shape[1]))
                     p_leak_out = np.empty((b, p_leak.shape[1]))
@@ -194,7 +195,7 @@ class LeakageCoupledSolver:
                 rows = pos if order is None else order[pos]
                 t_out[rows] = t_nodes[done]
                 p_leak_out[rows] = p_leak[done]
-                if done.all():
+                if n_done == done.size:
                     return t_out, p_leak_out
                 keep = ~done
                 live = np.flatnonzero(keep) if live is None else live[keep]

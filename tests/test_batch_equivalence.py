@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import units
 from repro.core import engine as engine_module
@@ -114,6 +116,54 @@ def test_tec_power_many_per_row_activations_bitwise(system):
     batched = system.tec_power_many(tec, t)
     for b in range(n):
         assert batched[b] == system.tec_power_w(tec[b], t[b]), b
+
+
+@pytest.fixture(scope="module")
+def kernel_system():
+    return build_system(rows=2, cols=2)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_one_row_advance_matches_scalar_chain_bitwise(kernel_system, seed):
+    """The engine's plant step: one row through ``CMPSystem.advance``,
+    with a workload profile and fractional (engagement-scaled) TEC
+    activations, equals the scalar chain ``dynamic_power_w`` ->
+    ``plant_thermal.solve`` -> ``transient.step`` -> ``tec_power_w``."""
+    system = kernel_system
+    rng = np.random.default_rng(seed)
+    n_tiles, n_dev = system.n_cores, system.n_tec_devices
+    activity = rng.uniform(0.0, 1.0, n_tiles)
+    dvfs = rng.integers(0, system.dvfs.n_levels, n_tiles)
+    fan = int(rng.integers(1, system.fan.n_levels + 1))
+    dt = 2e-3
+    # A device switched on this interval pumps for dt - 20 us (0.99).
+    engaged = 1.0 - system.tec.device.engage_delay_s / dt
+    tec = rng.choice([0.0, 1.0, engaged], size=n_dev)
+    fractional = rng.random(n_dev) < 0.3
+    tec[fractional] = rng.uniform(0.0, 1.0, int(fractional.sum()))
+    profile = rng.uniform(0.5, 1.5, system.nodes.n_components)
+    t_prev = rng.uniform(305.0, 345.0, system.nodes.n_nodes)
+
+    res, n_classes = system.advance(
+        activity[None], dvfs[None], (fan,), tec[None], t_prev[None], dt, profile
+    )
+
+    p_dyn = system.power.component_power.dynamic_power_w(activity, dvfs, profile)
+    t_steady, p_leak = system.plant_thermal.solve(
+        p_dyn, fan, tec, t_guess_k=t_prev[system.nodes.component_slice]
+    )
+    t_new = system.transient.step(t_prev, t_steady, dt, fan, tec)
+    assert n_classes == 1
+    for got, want in (
+        (res.p_dyn_w, p_dyn),
+        (res.p_leak_w, p_leak),
+        (res.t_steady_k, t_steady),
+        (res.t_nodes_k, t_new),
+    ):
+        assert got.shape == (1, want.size) and np.array_equal(got[0], want)
+    assert res.p_tec_w.shape == (1,)
+    assert res.p_tec_w[0] == system.tec_power_w(tec, t_new)
 
 
 def test_solve_many_rejects_vector_input(system):

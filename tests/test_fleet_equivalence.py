@@ -5,8 +5,9 @@ decisions agree exactly. In practice the batched kernel is bit-identical
 — `solve_many` rows match `solve`, the masked leakage fixed point
 freezes converged rows with the same iteration outputs, and
 `dynamic_power_many` returns C-ordered rows so `sum(axis=1)` reduces in
-the same order as the per-node loop. The batched stepper advances each
-distinct node row once; the row pools below make duplicates common.
+the same order as the per-node loop. The batched stepper advances every
+row it is given, duplicates included; the row pools below make
+duplicates common.
 """
 
 from dataclasses import fields
@@ -16,14 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.fleet.groups as groups_mod
 from repro.fleet import FleetConfig, run_fleet
 from repro.fleet.control import FleetPolicy
-from repro.fleet.stepper import (
-    BatchedStepper,
-    SequentialStepper,
-    StepResult,
-    distinct_rows,
-)
+from repro.fleet.groups import NodeGroups, distinct_rows
+from repro.fleet.stepper import BatchedStepper, SequentialStepper, StepResult
 from repro.server.platform import build_server_system
 from repro.thermal.keys import exact_actuator_key
 
@@ -42,9 +40,8 @@ def _random_fleet_state(system, rng, n_nodes, n_classes, n_states):
     ``n_classes`` and a physical state (activity, DVFS, temperatures)
     from a pool of ``n_states``, independently. Pooled classes force
     shared classes (the multi-RHS path) next to singletons; pooled
-    states make whole rows repeat within a class (merged by the
-    distinct-row step) and across classes (equal physics under another
-    actuator setting, which must not merge).
+    states make whole rows repeat within a class and across classes
+    (equal physics under another actuator setting).
     """
     n_tiles = system.chip.n_tiles
     n_tec = system.tec.n_devices
@@ -74,13 +71,6 @@ def _n_classes(state) -> int:
     })
 
 
-def _n_distinct_rows(state) -> int:
-    return len({
-        b"".join(np.ascontiguousarray(state[k][i]).tobytes() for k in state)
-        for i in range(len(state["t_nodes_k"]))
-    })
-
-
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n_nodes=st.integers(min_value=1, max_value=10),
@@ -99,7 +89,7 @@ def test_steppers_agree_on_random_mixes(
     stepper = BatchedStepper(system)
     bat = stepper.advance(dt_s=1.0, **state)
     assert stepper.class_groups == _n_classes(state)
-    assert stepper.solved_rows == _n_distinct_rows(state)
+    assert stepper.solved_rows == n_nodes
 
     assert np.max(np.abs(bat.t_nodes_k - seq.t_nodes_k)) <= TEMP_TOL_K
     assert np.max(np.abs(bat.t_steady_k - seq.t_steady_k)) <= TEMP_TOL_K
@@ -146,7 +136,7 @@ def test_identical_rows_give_the_one_row_result_tiled(platform):
     single = BatchedStepper(system).advance(dt_s=1.0, **one)
     stepper = BatchedStepper(system)
     tiled = stepper.advance(dt_s=1.0, **fleet)
-    assert stepper.solved_rows == 1
+    assert stepper.solved_rows == 64
     assert stepper.class_groups == 1
     expect = StepResult(
         *(np.repeat(getattr(single, f.name), 64, axis=0) for f in fields(StepResult))
@@ -171,10 +161,8 @@ def test_hash_collisions_never_merge_different_rows(platform, monkeypatch):
     # A constant hash puts every row in one bucket: only the compare
     # against the bucket's first row may merge, everything else stands
     # alone, and the step still matches the per-node loop.
-    import repro.fleet.stepper as stepper_mod
-
     monkeypatch.setattr(
-        stepper_mod, "_hash_weights", lambda width: np.zeros(width, np.uint64)
+        groups_mod, "_hash_weights", lambda width: np.zeros(width, np.uint64)
     )
     system = platform.system
     state = _random_fleet_state(system, np.random.default_rng(3), 8, 2, 2)
@@ -183,6 +171,18 @@ def test_hash_collisions_never_merge_different_rows(platform, monkeypatch):
         for arr in state.values():
             assert np.ascontiguousarray(arr[i]).tobytes() == (
                 np.ascontiguousarray(arr[r]).tobytes()
+            )
+    # Merging groups on those rows joins only the verified equal ones.
+    groups = NodeGroups(8)
+    groups.split(np.arange(8.0))
+    keep = groups.merge(*state.values())
+    kept = reps if keep is None else keep
+    assert groups.n_groups == kept.size
+    for i in range(8):
+        g = kept[groups.group_of[i]]
+        for arr in state.values():
+            assert np.ascontiguousarray(arr[i]).tobytes() == (
+                np.ascontiguousarray(arr[g]).tobytes()
             )
     bat = BatchedStepper(system).advance(dt_s=1.0, **state)
     _assert_same_step(bat, SequentialStepper(system).advance(dt_s=1.0, **state))

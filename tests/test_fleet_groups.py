@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.fleet.groups as groups_mod
 import repro.fleet.sim as sim_mod
-import repro.fleet.stepper as stepper_mod
 from repro.fleet import FleetConfig
 from repro.fleet.groups import NodeGroups
 from repro.fleet.sim import FleetSim
@@ -93,7 +93,7 @@ def test_constant_hash_never_merges_different_groups(monkeypatch):
     # A constant hash puts every group in one bucket: only the compare
     # against the bucket's first row may merge.
     monkeypatch.setattr(
-        stepper_mod, "_hash_weights", lambda width: np.zeros(width, np.uint64)
+        groups_mod, "_hash_weights", lambda width: np.zeros(width, np.uint64)
     )
     keep = groups.merge(*state)
     per_node = [groups.expand(a[keep]) for a in state]
@@ -147,26 +147,25 @@ def _run(platform, cfg):
 
 
 @pytest.mark.parametrize(
-    "fleet, backlog_apart",
+    "fleet",
     [
         # 63 nodes share 64 quanta: one node a step gets two, so a group
         # splits on every step; cohorts meet again once a demand
         # block's quanta have evened out their backlogs.
         pytest.param(
-            dict(n_nodes=63, duration_s=60, scale=1.3), False, id="split-merge"
+            dict(n_nodes=63, duration_s=60, scale=1.3), id="split-merge"
         ),
         # At x2 demand, saturated cohorts run at activity 1 and equal
         # temperatures while their backlogs differ: groups apart in
-        # backlog alone share a stepper row but must not merge.
+        # backlog alone step equal rows but must not merge.
         pytest.param(
             dict(n_nodes=15, duration_s=120, scale=2.0, seed=7),
-            True,
             id="backlog-apart",
         ),
     ],
 )
 def test_split_and_merge_fleet_is_bit_equal_to_per_node(
-    platform, monkeypatch, per_node_fleet, fleet, backlog_apart
+    platform, monkeypatch, per_node_fleet, fleet
 ):
     cfg = FleetConfig(trace="wikipedia", **fleet)
     tally = {"splits": 0, "merges": 0, "group_rows": 0}
@@ -186,8 +185,8 @@ def test_split_and_merge_fleet_is_bit_equal_to_per_node(
     monkeypatch.setattr(sim_mod, "NodeGroups", Counted)
     grouped = _run(platform, cfg)
     assert tally["splits"] > 0 and tally["merges"] > 0
-    if backlog_apart:
-        assert grouped.solved_rows < tally["group_rows"]
+    # The stepper advances one row per group, equal rows included.
+    assert grouped.solved_rows == tally["group_rows"]
 
     per_node_fleet()
     reference = _run(platform, cfg)

@@ -79,7 +79,10 @@ def test_solver_histogram_and_interval_events(profiled):
     tel, result = profiled
     snap = tel.snapshot()
     hist = snap["histograms"]["thermal.solver_ms"]
-    assert hist["count"] == snap["spans"]["thermal.solve"]["count"]
+    spans = snap["spans"]
+    assert hist["count"] == (
+        spans["thermal.solve"]["count"] + spans["thermal.solve_many"]["count"]
+    )
     assert hist["mean"] > 0.0
     assert snap["histograms"]["engine.peak_temp_c"]["count"] == len(result.trace)
 
