@@ -674,7 +674,7 @@ def main(argv: list[str] | None = None) -> int:
         help="append completed levels to this crash-recovery journal; "
         "re-running with the same path redoes only missing levels",
     )
-    from repro.fleet import ROUTER_POLICIES, TRACE_KINDS
+    from repro.fleet_names import ROUTER_POLICIES, TRACE_KINDS
 
     fleetp = sub.add_parser(
         "fleet",

@@ -27,10 +27,13 @@ is checked against the threshold and whose hot/cold-side temperatures
 give the TEC power (Eq. 9). ``G_k^-1`` is cached once per system for
 each of the ``K = 2^(N*gangs) * F`` (TEC banks, fan) variants. While
 the clip cannot bind, the objective (EPI numerator or cooling power) is
-affine in the dynamic-power vector, so one small GEMM gives it for all
-``K * M^N`` configurations; they are then walked in objective order
-and only the first few are run through the two-pass formula to check
-the thermal limit. Exactness rests on two facts:
+affine in the dynamic-power vector. Eq. (7) scales each core's tile by
+that core's own level ratio, so the objective's dynamic-power term is a
+sum of per-core terms: one ``K x (N+1)*M`` product gives every
+(variant, core, level) term and broadcast adds over the Cartesian DVFS
+grid give it for all ``K * M^N`` configurations. They are then walked
+in objective order and only the first few are run through the two-pass
+formula to check the thermal limit. Exactness rests on two facts:
 
 * G is an M-matrix, so ``G_k^-1 >= 0`` (checked per variant) and
   temperatures are nondecreasing in power. One bound row per variant,
@@ -60,10 +63,12 @@ from repro.core.problem import EnergyProblem
 from repro.core.state import ActuatorState
 from repro.exceptions import ConfigurationError, ControlError
 from repro.obs import telemetry as obs
+from repro.power.component_power import core_dvfs_domain_mask
 
 #: Relative objective window scored exactly around the first feasible
-#: candidate; far above the affine form's rounding error (at most 2.5e-15
-#: against the two-pass formula over the server platform's whole space).
+#: candidate; far above the affine form's rounding error (at most 2.8e-15
+#: against the two-pass formula over the server platform's whole space,
+#: both objectives, six random primings).
 _TIE_RTOL = 1e-9
 #: Rounding slack [K] for the monotone temperature bounds.
 _BOUND_SLACK_K = 1e-6
@@ -80,14 +85,18 @@ class _SearchSpace:
     term; pass 2 of the two-pass formula rewrites its component
     entries). While the leakage clip cannot bind, the objective at
     dynamic power ``p`` and measured leakage ``leak0`` is
-    ``weight[k] @ p + offset[k] + leak_gain[k] @ leak0``.
+    ``weight[k] @ p + offset[k] + leak_gain[k] @ leak0``. Component
+    ``i`` of ``p`` scales with the level of the core whose tile holds it
+    (``tile_mask[c, i] = 1``) or with none (``tile_mask[N, i] = 1``).
     """
 
     system: object
     fan: np.ndarray  # (K,) fan level
     fan_w: np.ndarray  # (K,) fan power
     tec: np.ndarray  # (K, L) 0/1 device activations
-    dvfs: np.ndarray  # (D, N)
+    dvfs: np.ndarray  # (D, N) Cartesian product of per-core levels
+    level_rows: np.ndarray  # (M,) rows of dvfs with every core at one level
+    tile_mask: np.ndarray  # (N + 1, n_comp) core tiles, then the rest
     inv: np.ndarray  # (K, n, n)
     rhs1: np.ndarray  # (K, n)
     cold_w: np.ndarray  # (L, n_comp) cold-side footprint weights
@@ -216,16 +225,26 @@ class ExhaustiveSearcher(Controller):
             * (lk.p_tdp_leak_w + lk.alpha_w_per_k * (t1c - lk.t_tdp_k))
         ).sum(axis=1) + a + fan_w
 
-        m = system.dvfs.n_levels
-        if self.dvfs_exhaustive:
-            dvfs = np.array(
-                list(itertools.product(range(m), repeat=system.n_cores)),
-                dtype=int,
-            )
-        else:
-            dvfs = np.full((1, system.n_cores), system.dvfs.max_level, dtype=int)
+        levels = (
+            range(system.dvfs.n_levels) if self.dvfs_exhaustive
+            else (system.dvfs.max_level,)
+        )
+        dvfs = np.array(
+            list(itertools.product(levels, repeat=system.n_cores)), dtype=int
+        )
+        # The same tiles the estimator's Eq. (7) tracker rescales by.
+        owner = np.where(
+            core_dvfs_domain_mask(system.chip),
+            system.chip.tile_of(),
+            system.n_cores,
+        )
+        tile_mask = (
+            owner[None, :] == np.arange(system.n_cores + 1)[:, None]
+        ).astype(float)
         self._space = _SearchSpace(
             system=system, fan=fan, fan_w=fan_w, tec=tec, dvfs=dvfs,
+            level_rows=np.flatnonzero((dvfs == dvfs[:, :1]).all(axis=1)),
+            tile_mask=tile_mask,
             inv=inv, rhs1=rhs1, cold_w=cold_w,
             nonneg=block.min(axis=(1, 2)) >= 0.0,
             weight=s + leak_gain, offset=offset, leak_gain=leak_gain,
@@ -289,12 +308,14 @@ class ExhaustiveSearcher(Controller):
         return peak, obj
 
     def _affine_objective(self, sp, p_dyn, ips, leak0) -> np.ndarray:
-        """(K, D) objective of every configuration, one small GEMM; equal
-        to :meth:`_score`'s up to rounding where the clip cannot bind."""
-        num = sp.weight @ p_dyn.T + (sp.offset + sp.leak_gain @ leak0)[:, None]
-        if self.objective == "cooling":
-            return num
-        return np.where(ips > 0, num / np.maximum(ips, 1e-9), np.inf)
+        """(K, D) objective of every configuration from per-core sums;
+        equal to :meth:`_score`'s up to rounding where the clip cannot
+        bind."""
+        num = _weighted_power(sp, p_dyn, sp.offset + sp.leak_gain @ leak0)
+        if self.objective == "epi":
+            num /= np.maximum(ips, 1e-9)
+            num[:, ~(ips > 0)] = np.inf
+        return num
 
     def _search(self, sp, p_dyn, ips, leak0, allowed, th_k) -> int:
         """Flat index of the best feasible configuration, else of the
@@ -411,6 +432,35 @@ class ExhaustiveSearcher(Controller):
     ) -> int:
         """The exhaustive search already chose the fan jointly."""
         return self._chosen_fan
+
+
+def _weighted_power(sp: _SearchSpace, p_dyn: np.ndarray,
+                    base: np.ndarray) -> np.ndarray:
+    """``base[:, None] + sp.weight @ p_dyn.T`` (K, D) without the dense
+    product.
+
+    Row ``d`` of ``p_dyn`` holds core ``c``'s tile at that core's level
+    ``d_c``, bit for bit as in the row with every core at ``d_c``, so
+    ``weight[k] @ p_dyn[d] = sum_c T[k, c, d_c]`` plus a level-free term.
+    One product builds T from the ``M`` one-level rows; broadcast adds
+    then sum it over the grid in :func:`itertools.product` order (first
+    core slowest): about ``1.2 K D`` adds instead of ``K D n_comp``
+    multiply-adds. On the server platform the product is 96 x 72 x 30,
+    below the size at which OpenBLAS starts a second thread, which would
+    spin between searches. The grid of cores ``1..N-1`` is built first
+    so that the last, full-size add runs ``M^(N-1)``-long inner loops.
+    """
+    n_var = len(sp.weight)
+    n_cores, n_levels = sp.dvfs.shape[1], len(sp.level_rows)
+    x = sp.tile_mask[:, None, :] * p_dyn[sp.level_rows][None, :, :]
+    t = (sp.weight @ x.reshape(-1, x.shape[-1]).T).reshape(
+        n_var, n_cores + 1, n_levels
+    )
+    tail = np.zeros((n_var, 1))
+    for c in range(n_cores - 1, 0, -1):
+        tail = (t[:, c, :, None] + tail[:, None, :]).reshape(n_var, -1)
+    head = t[:, 0, :] + (base + t[:, n_cores, 0])[:, None]
+    return (head[:, :, None] + tail[:, None, :]).reshape(n_var, -1)
 
 
 def _ascending(keys: np.ndarray, first: int):

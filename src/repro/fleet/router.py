@@ -20,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-
-#: Registered router policy names (CLI ``--router`` choices).
-ROUTER_POLICIES = ("identity", "round-robin", "least-loaded", "thermal")
+from repro.fleet_names import ROUTER_POLICIES
 
 
 @dataclass

@@ -4,9 +4,9 @@ The same demand series is asked for from several places: every fleet
 run builds its stream, the server experiment rebuilds the Wikipedia
 protocol workload per run, and a pooled policy suite repeats that once
 per worker process. The Wikipedia synthesizer in particular runs two
-sequential-Python AR(1) loops over ``days * 86400`` samples — several
-seconds for the 7-day trace — so re-synthesizing per run would dominate
-small fleets.
+AR(1) recursions over ``days * 86400`` samples — about 0.15 s for the
+7-day trace on a 2-vCPU Xeon host — so re-synthesizing per run would
+still weigh on small fleets.
 
 This module memoizes trace construction behind a process-local cache
 keyed by the full parameter tuple. Pool workers are persistent and
@@ -21,7 +21,7 @@ Two stream kinds are provided:
   generate_trace`), optionally tiled to cover longer horizons.
 * ``diurnal`` — a fully vectorized synthetic day/night shape with a
   weekly modulation and a deterministic block-noise term. Unlike the
-  Wikipedia AR(1) loops it costs microseconds for a 24 h series, and
+  Wikipedia AR(1) recursions it costs microseconds for a 24 h series, and
   demand is constant within ``block_s``-long blocks, which is what lets
   the fleet fast-forward across quiescent stretches.
 """
@@ -31,11 +31,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import WorkloadError
+from repro.fleet_names import TRACE_KINDS
 from repro.obs import telemetry as obs
 from repro.server.wikipedia import WikipediaTrace, generate_trace
-
-#: Stream kinds accepted by :func:`fleet_demand`.
-TRACE_KINDS = ("diurnal", "wikipedia")
 
 #: Default block length of the synthetic diurnal stream [s]. Demand is
 #: piecewise-constant at this resolution.

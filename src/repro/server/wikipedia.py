@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csc_array
+from scipy.sparse.linalg import spsolve_triangular
 
 from repro.exceptions import WorkloadError
 
@@ -112,13 +114,7 @@ def generate_trace(
     diurnal = diurnal_amplitude * np.sin(2 * np.pi * (t / day - 0.35))
     weekly = weekly_amplitude * np.cos(2 * np.pi * t / (7 * day))
     def ar1(sigma: float, rho: float) -> np.ndarray:
-        out = np.empty(n)
-        acc = 0.0
-        innov = rng.normal(0.0, sigma * np.sqrt(1 - rho**2), n)
-        for i in range(n):  # AR(1) recursion (sequential by definition)
-            acc = rho * acc + innov[i]
-            out[i] = acc
-        return out
+        return _ar1(rng.normal(0.0, sigma * np.sqrt(1 - rho**2), n), rho)
 
     shape = (
         1.0
@@ -135,3 +131,35 @@ def generate_trace(
     unscaled = shape * (mean_utilization / UTILIZATION_SCALE) / window.mean()
     utilization = np.clip(unscaled * UTILIZATION_SCALE, 0.0, 1.0)
     return WikipediaTrace(utilization=utilization, seed=seed)
+
+
+#: Samples per triangular solve in :func:`_ar1`. One 7-day solve would
+#: hold ~30 MiB of sparse-matrix and solver buffers at once.
+_AR1_BLOCK = 1 << 16
+
+
+def _ar1(innov: np.ndarray, rho: float) -> np.ndarray:
+    """The AR(1) recursion ``x[i] = rho * x[i-1] + innov[i]``, ``x[-1] = 0``.
+
+    Each block of samples is the lower-bidiagonal system with 1 on the
+    diagonal and ``-rho`` below it, its first innovation carrying the
+    previous block's last value. Forward substitution computes each step
+    as ``innov[i] - (-rho) * x[i-1]``: the sequential loop's own multiply
+    and add, so the result is bit-identical to it (unless the compiled
+    solver fuses them into an FMA, which the tests would catch).
+    ``innov`` is overwritten with the result.
+    """
+    for start in range(0, len(innov), _AR1_BLOCK):
+        block = innov[start : start + _AR1_BLOCK]
+        if start:
+            block[0] += rho * innov[start - 1]
+        m = len(block)
+        data = np.ones(2 * m - 1)
+        data[1::2] = -rho
+        rows = np.repeat(np.arange(m, dtype=np.intc), 2)[1:]
+        indptr = np.append(np.arange(0, 2 * m, 2), 2 * m - 1).astype(np.intc)
+        innov[start : start + m] = spsolve_triangular(
+            csc_array((data, rows, indptr), shape=(m, m)), block,
+            lower=True, unit_diagonal=True, overwrite_A=True,
+        )
+    return innov

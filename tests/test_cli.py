@@ -1,5 +1,10 @@
 """CLI entry points (fast subcommands only)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -57,3 +62,40 @@ def test_fleet_has_no_shard_or_pool_flags(capsys):
     for flag in ("--shards", "--journal", "--jobs"):
         assert flag not in out
 
+
+@pytest.mark.parametrize("flag, bad, valid", [
+    ("--router", "nearest", ("round-robin", "least-loaded", "thermal")),
+    ("--trace", "poisson", ("diurnal", "wikipedia")),
+])
+def test_fleet_rejects_unknown_names_listing_the_valid_ones(
+    capsys, flag, bad, valid
+):
+    with pytest.raises(SystemExit) as exc:
+        main(["fleet", flag, bad])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert bad in err
+    for name in valid:
+        assert name in err
+
+
+def test_help_imports_no_numpy():
+    """Building the parser (every subcommand's choices included) loads
+    neither numpy nor scipy, so ``tecfan watch --help`` starts fast."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "for argv in (['watch', '--help'], ['--help']):\n"
+        "    try:\n"
+        "        main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+        "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout
+    assert out.splitlines()[-1] == "[]"

@@ -75,3 +75,41 @@ def test_scale_factor_documented():
 def test_invalid_days():
     with pytest.raises(WorkloadError):
         generate_trace(days=0)
+
+
+def reference_utilization(seed, days):
+    """The synthesizer with its AR(1) terms as plain sequential loops."""
+    n = days * 24 * 3600
+    t = np.arange(n, dtype=float)
+    rng = np.random.default_rng(seed)
+    day = 86400.0
+    diurnal = 0.33 * np.sin(2 * np.pi * (t / day - 0.35))
+    weekly = 0.10 * np.cos(2 * np.pi * t / (7 * day))
+
+    def ar1(sigma, rho):
+        innov = rng.normal(0.0, sigma * np.sqrt(1 - rho**2), n)
+        out = np.empty(n)
+        acc = 0.0
+        for i in range(n):
+            acc = rho * acc + innov[i]
+            out[i] = acc
+        return out
+
+    shape = 1.0 + diurnal + weekly + ar1(0.10, 0.999) + ar1(0.10, 0.985)
+    shape = np.clip(shape, 0.05, None)
+    window = shape[: CUT_MINUTES * 60]
+    unscaled = (
+        shape * (TARGET_MEAN_UTILIZATION / UTILIZATION_SCALE) / window.mean()
+    )
+    return np.clip(unscaled * UTILIZATION_SCALE, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "seed, days", [(2009, 1), (7, 1), (1, 1), (42, 1), (2009, 7)]
+)
+def test_trace_equals_sequential_recursion_bitwise(seed, days):
+    """The compiled AR(1) solve is the sequential recursion bit for bit;
+    a solver that fuses its multiply-add into an FMA fails here."""
+    got = generate_trace(seed=seed, days=days).utilization
+    want = reference_utilization(seed, days)
+    assert np.array_equal(got, want)
