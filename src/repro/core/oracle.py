@@ -24,16 +24,22 @@ is judged by one two-pass formula: the DVFS power vector plus the
 leakage at the measured temperatures gives ``T1 = G_k^-1 P``, the
 leakage at ``T1`` (clipped at zero) gives ``T2``, whose component peak
 is checked against the threshold and whose hot/cold-side temperatures
-give the TEC power (Eq. 9). ``G_k^-1`` is cached once per system for
-each of the ``K = 2^(N*gangs) * F`` (TEC banks, fan) variants. While
-the clip cannot bind, the objective (EPI numerator or cooling power) is
-affine in the dynamic-power vector. Eq. (7) scales each core's tile by
-that core's own level ratio, so the objective's dynamic-power term is a
-sum of per-core terms: one ``K x (N+1)*M`` product gives every
-(variant, core, level) term and broadcast adds over the Cartesian DVFS
-grid give it for all ``K * M^N`` configurations. They are then walked
-in objective order and only the first few are run through the two-pass
-formula to check the thermal limit. Exactness rests on two facts:
+give the TEC power (Eq. 9). ``G_k^-1`` is inverted once per system for
+each of the ``K = 2^(N*gangs) * F`` (TEC banks, fan) variants and kept
+in one variant table that OFTEC, Oracle and Oracle-P on that system
+share. While the clip cannot bind, the objective (EPI numerator or
+cooling power) is affine in the dynamic-power vector. Eq. (7) scales
+each core's tile by that core's own level ratio, so the objective's
+dynamic-power term is a sum of per-core terms: one ``K x (N+1)*M``
+product gives every (variant, core, level) term and broadcast adds over
+the Cartesian DVFS grid give it for all ``K * M^N`` configurations. The
+same per-core structure gives any configuration's power vector by a
+gather from the ``M`` one-level rows, so power rows are built only for
+the configurations that are scored. The configurations are walked in
+objective order, batch by doubling batch drawn from the variants with
+the smallest minima, and only the first few are run through the
+two-pass formula to check the thermal limit. Exactness rests on two
+facts:
 
 * G is an M-matrix, so ``G_k^-1 >= 0`` (checked per variant) and
   temperatures are nondecreasing in power. One bound row per variant,
@@ -52,6 +58,7 @@ over the whole space, scored in full) is taken.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +68,7 @@ from repro.core.controller import Controller
 from repro.core.estimator import NextIntervalEstimator
 from repro.core.problem import EnergyProblem
 from repro.core.state import ActuatorState
-from repro.exceptions import ConfigurationError, ControlError
+from repro.exceptions import ConfigurationError
 from repro.obs import telemetry as obs
 from repro.power.component_power import core_dvfs_domain_mask
 
@@ -74,36 +81,144 @@ _TIE_RTOL = 1e-9
 _BOUND_SLACK_K = 1e-6
 #: Candidates in the first walk batch; each further batch doubles.
 _FIRST_BATCH = 8
+#: Most rows one exact-scoring call takes, unless one variant's DVFS grid
+#: has more: whole variants only, so a wide walk batch or the
+#: all-infeasible fallback keeps its working arrays at a few MB.
+_SCORE_ROWS = 1024
 
 
 @dataclass
-class _SearchSpace:
-    """One system's exhaustive space, built once by ``_prepare``.
+class _VariantTable:
+    """The (TEC bank pattern, fan level) variants of one system and gang
+    count, built once and shared by every searcher on that system.
 
-    Variant ``k`` is one (TEC bank pattern, fan level) with dense inverse
-    ``inv[k]`` and actuator RHS ``rhs1[k]`` (TEC Joule heat and ambient
-    term; pass 2 of the two-pass formula rewrites its component
-    entries). While the leakage clip cannot bind, the objective at
-    dynamic power ``p`` and measured leakage ``leak0`` is
-    ``weight[k] @ p + offset[k] + leak_gain[k] @ leak0``. Component
-    ``i`` of ``p`` scales with the level of the core whose tile holds it
-    (``tile_mask[c, i] = 1``) or with none (``tile_mask[N, i] = 1``).
+    Variant ``k`` has dense inverse ``inv[k]`` and actuator RHS
+    ``rhs1[k]`` (TEC Joule heat and ambient term; pass 2 of the two-pass
+    formula rewrites its component entries). Eq. (9) is affine in the
+    pass-2 component input ``u = p_dyn + leak1``:
+    ``p_tec = a[k] + g[k, comp] @ u``. ``t1c[k]`` is the component
+    temperature of ``rhs1[k]`` alone.
     """
 
-    system: object
     fan: np.ndarray  # (K,) fan level
     fan_w: np.ndarray  # (K,) fan power
     tec: np.ndarray  # (K, L) 0/1 device activations
-    dvfs: np.ndarray  # (D, N) Cartesian product of per-core levels
-    level_rows: np.ndarray  # (M,) rows of dvfs with every core at one level
-    tile_mask: np.ndarray  # (N + 1, n_comp) core tiles, then the rest
     inv: np.ndarray  # (K, n, n)
     rhs1: np.ndarray  # (K, n)
     cold_w: np.ndarray  # (L, n_comp) cold-side footprint weights
     nonneg: np.ndarray  # (K,) G^-1 >= 0 on the component block
+    g: np.ndarray  # (K, n)
+    a: np.ndarray  # (K,)
+    t1c: np.ndarray  # (K, n_comp)
+
+
+@dataclass
+class _SearchSpace(_VariantTable):
+    """One searcher's exhaustive space on one system, built by
+    ``_prepare``: the system's variant table (its arrays, not copies)
+    plus what depends on the objective and the searched DVFS levels.
+
+    While the leakage clip cannot bind, the objective at dynamic power
+    ``p`` and measured leakage ``leak0`` is
+    ``weight[k] @ p + offset[k] + leak_gain[k] @ leak0``. Component ``i``
+    of ``p`` scales with the level of core ``tile_of[i]`` (Eq. 7) or, where
+    ``tile_mask[N, i] = 1``, with none; ``tile_mask[c, i] = 1`` marks core
+    ``c``'s scaled components.
+    """
+
+    system: object
+    dvfs: np.ndarray  # (D, N) Cartesian product of ``levels``
+    levels: np.ndarray  # DVFS levels each core ranges over (M, or 1: OFTEC)
+    one_level: np.ndarray  # (system levels, N) row m: every core at m
+    tile_of: np.ndarray  # (n_comp,) tile of each component
+    tile_mask: np.ndarray  # (N + 1, n_comp) core tiles, then the rest
     weight: np.ndarray  # (K, n_comp)
     offset: np.ndarray  # (K,)
     leak_gain: np.ndarray  # (K, n_comp)
+
+
+def _gang_devices(system, per_core: int) -> list[np.ndarray]:
+    """Device index sets per (core, gang)."""
+    gangs: list[np.ndarray] = []
+    for core in range(system.n_cores):
+        devs = system.tec.tile_devices(core)
+        for part in np.array_split(devs, per_core):
+            gangs.append(part)
+    return gangs
+
+
+def _build_table(system, per_core: int) -> _VariantTable:
+    n_gangs = system.n_cores * per_core
+    if n_gangs > 16:
+        raise ConfigurationError(
+            f"{n_gangs} TEC gangs -> 2^{n_gangs} variants: exhaustive "
+            "search is intractable (that is the paper's point; use a "
+            "smaller platform or fewer gangs)"
+        )
+    nodes = system.nodes
+    comp = nodes.component_slice
+    n_comp = nodes.n_components
+    gangs = _gang_devices(system, per_core)
+    invs, rhs1, v_fan, v_tec = [], [], [], []
+    for bits in itertools.product((0.0, 1.0), repeat=n_gangs):
+        tec = np.zeros(system.n_tec_devices)
+        for g, on in enumerate(bits):
+            if on:
+                tec[gangs[g]] = 1.0
+        for fan in range(1, system.fan.n_levels + 1):
+            g_dense = system.cond.matrix(fan, tec).toarray()
+            invs.append(np.linalg.inv(g_dense))
+            rhs1.append(system.cond.rhs(np.zeros(n_comp), fan, tec))
+            v_fan.append(fan)
+            v_tec.append(tec)
+    inv = np.stack(invs)
+    rhs1 = np.stack(rhs1)
+    rhs2 = rhs1.copy()  # pass 2 overwrites the component entries
+    rhs2[:, comp] = 0.0
+    fan = np.asarray(v_fan, dtype=int)
+    tec = np.stack(v_tec)
+
+    dev = system.tec
+    cold_w = np.zeros((dev.n_devices, n_comp))
+    cold_w[dev.coo_device, dev.coo_component] = dev.coo_weight
+    # Eq. (9) is linear in T2: p_tec = joule_w * sum(tec) + h_k @ T2,
+    # and T2 = G_k^-1 (rhs2 + [u, 0]) with u = p_dyn + leak1, so
+    # p_tec = a_k + g_k[comp] @ u where g_k = h_k G_k^-1.
+    per_dev = np.zeros((dev.n_devices, nodes.n_nodes))
+    per_dev[np.arange(dev.n_devices), n_comp + dev.device_tile] = 1.0
+    per_dev[:, comp] -= cold_w
+    h = dev.alpha_i * (tec @ per_dev)
+    g = np.einsum("kji,kj->ki", inv, h)
+    return _VariantTable(
+        fan=fan, fan_w=system.fan.power_table()[fan - 1], tec=tec,
+        inv=inv, rhs1=rhs1, cold_w=cold_w,
+        nonneg=inv[:, comp, comp].min(axis=(1, 2)) >= 0.0,
+        g=g,
+        a=dev.joule_w * tec.sum(axis=1) + np.einsum("ki,ki->k", g, rhs2),
+        t1c=np.einsum("kij,kj->ki", inv[:, comp, :], rhs1),
+    )
+
+
+#: Variant tables by (``id(system)``, gangs per core). Each entry holds a
+#: weak reference to its system, so the table keeps no system alive, is
+#: dropped when the system is freed and is never served to a later
+#: object that reuses the id. A system must not be modified after its
+#: first search. The tables live here, not on the system, so a pickled
+#: system carries none.
+_TABLES: dict[tuple[int, int], tuple[weakref.ref, _VariantTable]] = {}
+
+
+def _variant_table(system, per_core: int) -> _VariantTable:
+    key = (id(system), per_core)
+    entry = _TABLES.get(key)
+    if entry is None or entry[0]() is not system:
+        def drop(ref, key=key):
+            if _TABLES.get(key, (None,))[0] is ref:
+                del _TABLES[key]
+
+        entry = (weakref.ref(system, drop), _build_table(system, per_core))
+        _TABLES[key] = entry
+    return entry[1]
 
 
 @dataclass
@@ -149,6 +264,11 @@ class ExhaustiveSearcher(Controller):
         if self.tec_gangs_per_core < 1:
             raise ConfigurationError("need at least one TEC gang per core")
 
+    def __getstate__(self) -> dict:
+        # The space shares its system's variant table (megabytes of dense
+        # inverses); an unpickled searcher rebuilds it on first use.
+        return {**self.__dict__, "_space": None}
+
     def reset(self) -> None:
         self._decision_index = 0
         self._held = None
@@ -156,97 +276,46 @@ class ExhaustiveSearcher(Controller):
     # ------------------------------------------------------------------
     # Space construction (lazy; bound to the system it was built for)
     # ------------------------------------------------------------------
-    def _gang_devices(self, system) -> list[np.ndarray]:
-        """Device index sets per (core, gang)."""
-        gangs: list[np.ndarray] = []
-        for core in range(system.n_cores):
-            devs = system.tec.tile_devices(core)
-            for part in np.array_split(devs, self.tec_gangs_per_core):
-                gangs.append(part)
-        return gangs
-
     def _prepare(self, system) -> _SearchSpace:
         if self._space is not None and self._space.system is system:
             return self._space
-        n_gangs = system.n_cores * self.tec_gangs_per_core
-        if n_gangs > 16:
-            raise ConfigurationError(
-                f"{n_gangs} TEC gangs -> 2^{n_gangs} variants: exhaustive "
-                "search is intractable (that is the paper's point; use a "
-                "smaller platform or fewer gangs)"
-            )
-        nodes = system.nodes
-        comp = nodes.component_slice
-        n_comp = nodes.n_components
-        gangs = self._gang_devices(system)
-        invs, rhs1, v_fan, v_tec = [], [], [], []
-        for bits in itertools.product((0.0, 1.0), repeat=n_gangs):
-            tec = np.zeros(system.n_tec_devices)
-            for g, on in enumerate(bits):
-                if on:
-                    tec[gangs[g]] = 1.0
-            for fan in range(1, system.fan.n_levels + 1):
-                g_dense = system.cond.matrix(fan, tec).toarray()
-                invs.append(np.linalg.inv(g_dense))
-                rhs1.append(system.cond.rhs(np.zeros(n_comp), fan, tec))
-                v_fan.append(fan)
-                v_tec.append(tec)
-        inv = np.stack(invs)
-        rhs1 = np.stack(rhs1)
-        rhs2 = rhs1.copy()  # pass 2 overwrites the component entries
-        rhs2[:, comp] = 0.0
-        fan = np.asarray(v_fan, dtype=int)
-        fan_w = system.fan.power_table()[fan - 1]
-        tec = np.stack(v_tec)
-
-        dev = system.tec
-        cold_w = np.zeros((dev.n_devices, n_comp))
-        cold_w[dev.coo_device, dev.coo_component] = dev.coo_weight
-        # Eq. (9) is linear in T2: p_tec = joule_w * sum(tec) + h_k @ T2,
-        # and T2 = G_k^-1 (rhs2 + [u, 0]) with u = p_dyn + leak1, so
-        # p_tec = a_k + g_k[comp] @ u where g_k = h_k G_k^-1.
-        per_dev = np.zeros((dev.n_devices, nodes.n_nodes))
-        per_dev[np.arange(dev.n_devices), n_comp + dev.device_tile] = 1.0
-        per_dev[:, comp] -= cold_w
-        h = dev.alpha_i * (tec @ per_dev)
-        g = np.einsum("kji,kj->ki", inv, h)
-        a = dev.joule_w * tec.sum(axis=1) + np.einsum("ki,ki->k", g, rhs2)
+        table = _variant_table(system, self.tec_gangs_per_core)
+        comp = system.nodes.component_slice
         # Objective = s_k @ u + a_k + fan_w (EPI numerator adds sum(u)).
-        s = g[:, comp] + (1.0 if self.objective == "epi" else 0.0)
+        s = table.g[:, comp] + (1.0 if self.objective == "epi" else 0.0)
         # Unclipped leak1 = frac * (p_tdp + alpha (T1c - t_tdp)) with
         # T1c = t1c_k + A_k (p_dyn + leak0), A_k = G_k^-1[comp, comp].
         lk = system.power.controller_leakage
         frac = lk.areas_mm2 / lk.chip_area_mm2
-        block = inv[:, comp, comp]
-        t1c = np.einsum("kij,kj->ki", inv[:, comp, :], rhs1)
+        block = table.inv[:, comp, comp]
         leak_gain = lk.alpha_w_per_k * np.einsum("kji,kj->ki", block, frac * s)
         offset = (
             (frac * s)
-            * (lk.p_tdp_leak_w + lk.alpha_w_per_k * (t1c - lk.t_tdp_k))
-        ).sum(axis=1) + a + fan_w
+            * (lk.p_tdp_leak_w + lk.alpha_w_per_k * (table.t1c - lk.t_tdp_k))
+        ).sum(axis=1) + table.a + table.fan_w
 
+        n_levels = system.dvfs.n_levels
         levels = (
-            range(system.dvfs.n_levels) if self.dvfs_exhaustive
-            else (system.dvfs.max_level,)
+            np.arange(n_levels) if self.dvfs_exhaustive
+            else np.array([system.dvfs.max_level])
         )
         dvfs = np.array(
             list(itertools.product(levels, repeat=system.n_cores)), dtype=int
         )
         # The same tiles the estimator's Eq. (7) tracker rescales by.
+        tile_of = system.chip.tile_of()
         owner = np.where(
-            core_dvfs_domain_mask(system.chip),
-            system.chip.tile_of(),
-            system.n_cores,
+            core_dvfs_domain_mask(system.chip), tile_of, system.n_cores
         )
         tile_mask = (
             owner[None, :] == np.arange(system.n_cores + 1)[:, None]
         ).astype(float)
         self._space = _SearchSpace(
-            system=system, fan=fan, fan_w=fan_w, tec=tec, dvfs=dvfs,
-            level_rows=np.flatnonzero((dvfs == dvfs[:, :1]).all(axis=1)),
-            tile_mask=tile_mask,
-            inv=inv, rhs1=rhs1, cold_w=cold_w,
-            nonneg=block.min(axis=(1, 2)) >= 0.0,
+            **vars(table), system=system, dvfs=dvfs, levels=levels,
+            one_level=np.repeat(
+                np.arange(n_levels)[:, None], system.n_cores, axis=1
+            ),
+            tile_of=tile_of, tile_mask=tile_mask,
             weight=s + leak_gain, offset=offset, leak_gain=leak_gain,
         )
         return self._space
@@ -254,19 +323,25 @@ class ExhaustiveSearcher(Controller):
     # ------------------------------------------------------------------
     # Exact scoring: the two-pass temperature-leakage formula
     # ------------------------------------------------------------------
-    def _score(self, sp, k, p_dyn, ips, leak0):
-        """Component peak [K] and objective of variant ``k`` at the
-        dynamic-power rows ``p_dyn`` (b, n_comp)."""
+    def _score(self, sp, ks, p_dyn, ips, leak0):
+        """Component peak [K] and objective of variant ``ks[j]`` at the
+        dynamic-power row ``p_dyn[j]`` (b, n_comp), ``ks`` sorted.
+
+        Each dense product runs once per variant, on that variant's rows,
+        so every row rounds as in a call on that variant alone.
+        """
         system = sp.system
         nodes = system.nodes
         comp = nodes.component_slice
         lk = system.power.controller_leakage
         dev = system.tec
-        inv_t = sp.inv[k].T
+        bounds = [0, *(np.flatnonzero(ks[1:] != ks[:-1]) + 1).tolist(), len(ks)]
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        inv_t = [sp.inv[ks[lo]].T for lo, _ in spans]
         rhs = np.zeros((len(p_dyn), nodes.n_nodes))
         rhs[:, comp] = p_dyn + leak0[None, :]
-        rhs += sp.rhs1[k][None, :]
-        t1 = rhs @ inv_t
+        rhs += sp.rhs1[ks]
+        t1 = _matmul_spans(rhs, spans, inv_t)
         frac = lk.areas_mm2 / lk.chip_area_mm2
         leak1 = (
             np.clip(
@@ -277,49 +352,66 @@ class ExhaustiveSearcher(Controller):
             * frac[None, :]
         )
         rhs[:, comp] = p_dyn + leak1
-        t2 = rhs @ inv_t
+        t2 = _matmul_spans(rhs, spans, inv_t)
         t_comp = t2[:, comp]
-        t_cold = t_comp @ sp.cold_w.T
+        t_cold = _matmul_spans(t_comp, spans, [sp.cold_w.T] * len(spans))
         t_hot = t2[:, nodes.n_components + dev.device_tile]
         p_tec = (
-            sp.tec[k][None, :]
-            * (dev.joule_w + dev.alpha_i * (t_hot - t_cold))
+            sp.tec[ks] * (dev.joule_w + dev.alpha_i * (t_hot - t_cold))
         ).sum(axis=1)
         if self.objective == "cooling":
-            obj = p_tec + sp.fan_w[k]
+            obj = p_tec + sp.fan_w[ks]
         else:
-            p_chip = p_dyn.sum(axis=1) + leak1.sum(axis=1) + p_tec + sp.fan_w[k]
+            p_chip = p_dyn.sum(axis=1) + leak1.sum(axis=1) + p_tec + sp.fan_w[ks]
             with np.errstate(divide="ignore"):
                 obj = np.where(
                     ips > 0, p_chip / np.maximum(ips, 1e-9), np.inf
                 )
         return t_comp.max(axis=1), obj
 
-    def _score_flat(self, sp, flat, p_dyn, ips, leak0):
-        """:meth:`_score` for flat candidate indices ``k * D + d``."""
-        ks, ds = np.divmod(flat, len(sp.dvfs))
+    def _score_flat(self, sp, flat, p_lvl, ips, leak0):
+        """:meth:`_score` for flat candidate indices ``k * D + d``, their
+        power rows gathered from the one-level rows ``p_lvl``."""
+        d_count = len(sp.dvfs)
+        cap = max(_SCORE_ROWS, d_count)
+        order = np.argsort(flat // d_count, kind="stable")
+        ks, ds = np.divmod(flat[order], d_count)
+        ends = np.append(np.flatnonzero(ks[1:] != ks[:-1]) + 1, len(ks))
         peak = np.empty(len(flat))
         obj = np.empty(len(flat))
-        for k in np.unique(ks):
-            rows = ks == k
-            d = ds[rows]
-            peak[rows], obj[rows] = self._score(sp, k, p_dyn[d], ips[d], leak0)
+        lo = 0
+        while lo < len(ks):
+            hi = ends[np.searchsorted(ends, lo + cap, side="right") - 1]
+            at, d = order[lo:hi], ds[lo:hi]
+            peak[at], obj[at] = self._score(
+                sp, ks[lo:hi], _dyn_rows(sp, p_lvl, d), ips[d], leak0
+            )
+            lo = hi
         obs.incr("oracle.candidates_scored", len(flat))
         return peak, obj
 
-    def _affine_objective(self, sp, p_dyn, ips, leak0) -> np.ndarray:
+    def _affine_objective(self, sp, p_lvl, ips, leak0) -> np.ndarray:
         """(K, D) objective of every configuration from per-core sums;
         equal to :meth:`_score`'s up to rounding where the clip cannot
         bind."""
-        num = _weighted_power(sp, p_dyn, sp.offset + sp.leak_gain @ leak0)
+        num = _weighted_power(sp, p_lvl, sp.offset + sp.leak_gain @ leak0)
         if self.objective == "epi":
             num /= np.maximum(ips, 1e-9)
             num[:, ~(ips > 0)] = np.inf
         return num
 
-    def _search(self, sp, p_dyn, ips, leak0, allowed, th_k) -> int:
-        """Flat index of the best feasible configuration, else of the
-        least-peak one."""
+    def _search(self, sp, p_lvl, ips, leak0, allowed, th_k) -> int:
+        """Flat index ``k * D + d`` of the best feasible configuration
+        among the allowed DVFS rows, else of the least-peak one.
+
+        The (K, D) key array is never compacted into a candidate list.
+        Candidates are walked in (key, flat index) order, batch after
+        doubling batch: the ``s`` smallest keys lie in the ``s`` variants
+        with the smallest minima (over the allowed DVFS rows), so each
+        batch is drawn from those rows only. Eligibility (viable variant,
+        allowed DVFS row) stays an index set of its own: an infinite key
+        (IPS <= 0) is a real key, not a marker.
+        """
         system = sp.system
         comp = system.nodes.component_slice
         lk = system.power.controller_leakage
@@ -329,7 +421,9 @@ class ExhaustiveSearcher(Controller):
 
         # One bound row per variant at the elementwise-minimum power:
         # with G_k^-1 >= 0 every configuration is at least this hot.
-        p_min = p_dyn.min(axis=0)
+        # Each core ranges over every level in ``levels``, so the minimum
+        # over the grid is the minimum over the one-level rows.
+        p_min = p_lvl[sp.levels].min(axis=0)
         rhs = sp.rhs1.copy()
         rhs[:, comp] += p_min + leak0
         t1 = (comp_rows @ rhs[:, :, None])[..., 0]
@@ -342,34 +436,46 @@ class ExhaustiveSearcher(Controller):
         t2 = (comp_rows @ rhs[:, :, None])[..., 0]
         viable = ~sp.nonneg | (t2.max(axis=1) - _BOUND_SLACK_K <= th_k)
 
-        obj = self._affine_objective(sp, p_dyn, ips, leak0)
+        obj = self._affine_objective(sp, p_lvl, ips, leak0)
         for k in np.flatnonzero(viable & ~certified):
             # The clip may bind here: score the whole variant exactly.
             obj[k] = self._score_flat(
-                sp, k * d_count + np.arange(d_count), p_dyn, ips, leak0
+                sp, k * d_count + np.arange(d_count), p_lvl, ips, leak0
             )[1]
 
-        # Walk candidates in nondecreasing objective order; the first
-        # feasible one bounds the optimum to within rounding.
-        cand = np.flatnonzero((viable[:, None] & allowed[None, :]).ravel())
-        keys = obj.ravel()[cand]
-        for batch in _ascending(keys, _FIRST_BATCH):
-            peak, _ = self._score_flat(sp, cand[batch], p_dyn, ips, leak0)
+        # Walk the eligible candidates in nondecreasing objective order;
+        # the first feasible one bounds the optimum to within rounding.
+        rows = np.flatnonzero(viable)
+        cols = np.flatnonzero(allowed)
+        row_min = (obj if cols.size == d_count else obj[:, cols]).min(axis=1)
+        order = rows[np.argsort(row_min[rows], kind="stable")]
+        n_eligible = rows.size * cols.size
+        taken, size = 0, _FIRST_BATCH
+        while taken < n_eligible:
+            upto = min(taken + size, n_eligible)
+            batch = _smallest(obj, order[:upto], cols, upto)[taken:]
+            peak, _ = self._score_flat(sp, batch, p_lvl, ips, leak0)
             hit = np.flatnonzero(peak <= th_k)
             if hit.size:
-                o = keys[batch[hit[0]]]
+                o = obj.flat[batch[hit[0]]]
                 break
+            taken, size = upto, 2 * size
         else:
             # Nothing feasible: the thermally safest configuration,
             # ties to the lowest flat index.
             peak, _ = self._score_flat(
-                sp, np.arange(n_var * d_count), p_dyn, ips, leak0
+                sp, np.arange(n_var * d_count), p_lvl, ips, leak0
             )
             return int(np.argmin(peak))
         # Every key below o is infeasible. Score the near-ties exactly and
-        # take the exact minimum, ties to the lowest flat index.
-        window = cand[(keys >= o) & (keys <= o + _TIE_RTOL * abs(o))]
-        peak, exact = self._score_flat(sp, window, p_dyn, ips, leak0)
+        # take the exact minimum, ties to the lowest flat index. Only
+        # variants whose minimum is inside the window can hold one.
+        top = o + _TIE_RTOL * abs(o)
+        near = rows[row_min[rows] <= top]
+        keys = np.take(obj[near], cols, axis=1)
+        r, c = np.nonzero((keys >= o) & (keys <= top))
+        window = near[r] * d_count + cols[c]
+        peak, exact = self._score_flat(sp, window, p_lvl, ips, leak0)
         ok = peak <= th_k
         window, exact = window[ok], exact[ok]
         return int(window[np.lexsort((window, exact))[0]])
@@ -390,12 +496,12 @@ class ExhaustiveSearcher(Controller):
         sp = self._prepare(system)
 
         # Batched dynamic power: Eq. (7) ratios from the last measured
-        # interval (same information TECfan gets).
+        # interval (same information TECfan gets), one row per level.
         tracker = estimator.dyn_tracker
         if not tracker.ready:
             return state
         obs.incr("oracle.searches")
-        p_dyn = tracker.predict_many(sp.dvfs)  # (D, ncomp)
+        p_lvl = tracker.predict_many(sp.one_level)  # (n_levels, ncomp)
 
         t_meas_k = units.c_to_k(np.asarray(sensor_temps_c, dtype=float))
         leak0 = system.power.controller_leakage.per_component_w(t_meas_k)
@@ -412,7 +518,7 @@ class ExhaustiveSearcher(Controller):
 
         self.n_configurations += len(sp.fan) * len(sp.dvfs)
         th_k = units.c_to_k(problem.t_threshold_c)
-        k, d = divmod(self._search(sp, p_dyn, ips, leak0, allowed, th_k),
+        k, d = divmod(self._search(sp, p_lvl, ips, leak0, allowed, th_k),
                       len(sp.dvfs))
         self._chosen_fan = int(sp.fan[k])
         self._held = ActuatorState(
@@ -434,25 +540,38 @@ class ExhaustiveSearcher(Controller):
         return self._chosen_fan
 
 
-def _weighted_power(sp: _SearchSpace, p_dyn: np.ndarray,
+def _dyn_rows(sp: _SearchSpace, p_lvl: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Dynamic-power rows of the DVFS rows ``d`` gathered from the
+    one-level rows ``p_lvl``.
+
+    Eq. (7) scales component ``i`` by the level ratio of core
+    ``tile_of[i]`` alone (or not at all), so row ``d`` holds, bit for bit,
+    the one-level row at that core's level: the same rows
+    ``predict_many(sp.dvfs[d])`` gives (tested).
+    """
+    return p_lvl[sp.dvfs[d][:, sp.tile_of], np.arange(len(sp.tile_of))]
+
+
+def _weighted_power(sp: _SearchSpace, p_lvl: np.ndarray,
                     base: np.ndarray) -> np.ndarray:
     """``base[:, None] + sp.weight @ p_dyn.T`` (K, D) without the dense
-    product.
+    product or the (D, n_comp) power rows.
 
     Row ``d`` of ``p_dyn`` holds core ``c``'s tile at that core's level
-    ``d_c``, bit for bit as in the row with every core at ``d_c``, so
-    ``weight[k] @ p_dyn[d] = sum_c T[k, c, d_c]`` plus a level-free term.
-    One product builds T from the ``M`` one-level rows; broadcast adds
-    then sum it over the grid in :func:`itertools.product` order (first
-    core slowest): about ``1.2 K D`` adds instead of ``K D n_comp``
-    multiply-adds. On the server platform the product is 96 x 72 x 30,
-    below the size at which OpenBLAS starts a second thread, which would
-    spin between searches. The grid of cores ``1..N-1`` is built first
-    so that the last, full-size add runs ``M^(N-1)``-long inner loops.
+    ``d_c``, bit for bit as in the one-level row ``p_lvl[d_c]``
+    (:func:`_dyn_rows`), so ``weight[k] @ p_dyn[d] = sum_c T[k, c, d_c]``
+    plus a level-free term. One product builds T from the space's one-level
+    rows; broadcast adds then sum it over the grid in
+    :func:`itertools.product` order (first core slowest): about
+    ``1.2 K D`` adds instead of ``K D n_comp`` multiply-adds. On the
+    server platform the product is 96 x 72 x 30, below the size at which
+    OpenBLAS starts a second thread, which would spin between searches.
+    The grid of cores ``1..N-1`` is built first so that the last,
+    full-size add runs ``M^(N-1)``-long inner loops.
     """
     n_var = len(sp.weight)
-    n_cores, n_levels = sp.dvfs.shape[1], len(sp.level_rows)
-    x = sp.tile_mask[:, None, :] * p_dyn[sp.level_rows][None, :, :]
+    n_cores, n_levels = sp.dvfs.shape[1], len(sp.levels)
+    x = sp.tile_mask[:, None, :] * p_lvl[sp.levels][None, :, :]
     t = (sp.weight @ x.reshape(-1, x.shape[-1]).T).reshape(
         n_var, n_cores + 1, n_levels
     )
@@ -463,19 +582,34 @@ def _weighted_power(sp: _SearchSpace, p_dyn: np.ndarray,
     return (head[:, :, None] + tail[:, None, :]).reshape(n_var, -1)
 
 
-def _ascending(keys: np.ndarray, first: int):
-    """Yield index batches of ``keys`` in nondecreasing key order: the
-    ``first`` smallest, then doubling, each sorted (no full sort)."""
-    rest = np.arange(len(keys))
-    size = first
-    while rest.size:
-        if size < rest.size:
-            part = np.argpartition(keys[rest], size - 1)
-            head, rest = rest[part[:size]], rest[part[size:]]
-        else:
-            head, rest = rest, rest[:0]
-        yield head[np.argsort(keys[head])]
-        size *= 2
+def _smallest(keys: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+              n: int) -> np.ndarray:
+    """Flat indices of the ``n`` smallest entries of ``keys[rows][:, cols]``
+    in (key, flat index) order, without sorting the block.
+
+    The order is total, so the ``n`` smallest of a larger block begin
+    with the ``m < n`` smallest of a smaller one: a walk that widens its
+    block scores every candidate once.
+    """
+    rows = np.sort(rows)
+    vals = np.take(keys[rows], cols, axis=1).ravel()  # flat-index order
+    pos = np.arange(vals.size)
+    if n < vals.size:
+        v = np.partition(vals, n - 1)[n - 1]
+        below = np.flatnonzero(vals < v)
+        ties = np.flatnonzero(vals == v)[: n - below.size]
+        pos = np.concatenate((below, ties))
+    pos = pos[np.argsort(vals[pos], kind="stable")]
+    r, c = np.divmod(pos, cols.size)
+    return rows[r] * keys.shape[1] + cols[c]
+
+
+def _matmul_spans(x: np.ndarray, spans: list, mats: list) -> np.ndarray:
+    """``x[lo:hi] @ m`` for each row span ``(lo, hi)`` and its matrix."""
+    out = np.empty((len(x), mats[0].shape[1]))
+    for (lo, hi), m in zip(spans, mats):
+        np.matmul(x[lo:hi], m, out=out[lo:hi])
+    return out
 
 
 def make_oracle(perf_floor: np.ndarray | None = None) -> ExhaustiveSearcher:

@@ -1,6 +1,9 @@
 """Exhaustive optimizers: Oracle / Oracle-P / OFTEC."""
 
+import gc
 import itertools
+import pickle
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -9,9 +12,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import units
+from repro.analysis.server_experiment import run_server_comparison
 from repro.core.estimator import NextIntervalEstimator
 from repro.core.oracle import (
+    _FIRST_BATCH,
+    _TABLES,
     ExhaustiveSearcher,
+    _dyn_rows,
+    _gang_devices,
     _weighted_power,
     make_oftec,
     make_oracle,
@@ -159,7 +167,7 @@ class ReferenceSearcher(ExhaustiveSearcher):
 
     def _reference_space(self, system):
         if self._ref is None or self._ref[0] is not system:
-            gangs = self._gang_devices(system)
+            gangs = _gang_devices(system, self.tec_gangs_per_core)
             invs, v_fan, v_tec = [], [], []
             n_gangs = system.n_cores * self.tec_gangs_per_core
             for bits in itertools.product((0.0, 1.0), repeat=n_gangs):
@@ -247,7 +255,8 @@ class ReferenceSearcher(ExhaustiveSearcher):
                     obj = np.where(ips > 0, p_chip / np.maximum(ips, 1e-9),
                                    np.inf)
             if np.any(feasible):
-                d_best = int(np.argmin(np.where(feasible, obj, np.inf)))
+                ok = np.flatnonzero(feasible)
+                d_best = int(ok[np.argmin(obj[ok])])
                 cand = (float(obj[d_best]), k, d_best)
                 if best is None or cand[0] < best[0]:
                     best = cand
@@ -384,14 +393,16 @@ def test_affine_objective_matches_two_pass(systems, name, space, objective):
     searcher = ExhaustiveSearcher(objective=objective, **SPACES[space])
     sp = searcher._prepare(system)
     est, _, temps = primed_on(system, seed=11)
+    p_lvl = est.dyn_tracker.predict_many(sp.one_level)
     p_dyn = est.dyn_tracker.predict_many(sp.dvfs)
     ips = est.ips_predictor.predict_many(sp.dvfs).sum(axis=1)
     leak0 = system.power.controller_leakage.per_component_w(
         units.c_to_k(temps)
     )
-    affine = searcher._affine_objective(sp, p_dyn, ips, leak0)
+    affine = searcher._affine_objective(sp, p_lvl, ips, leak0)
     for k in range(len(sp.fan)):
-        _, exact = searcher._score(sp, k, p_dyn, ips, leak0)
+        _, exact = searcher._score(sp, np.full(len(p_dyn), k), p_dyn, ips,
+                                   leak0)
         np.testing.assert_allclose(affine[k], exact, rtol=1e-12)
 
 
@@ -406,8 +417,9 @@ def test_per_core_sums_equal_the_dense_product(systems, name, space):
     sp = ExhaustiveSearcher(**SPACES[space])._prepare(system)
     for seed in range(4):
         est, _, _ = primed_on(system, seed=seed)
+        p_lvl = est.dyn_tracker.predict_many(sp.one_level)
         p_dyn = est.dyn_tracker.predict_many(sp.dvfs)
-        got = _weighted_power(sp, p_dyn, np.zeros(len(sp.fan)))
+        got = _weighted_power(sp, p_lvl, np.zeros(len(sp.fan)))
         np.testing.assert_allclose(got, sp.weight @ p_dyn.T, rtol=1e-13)
 
 
@@ -474,10 +486,75 @@ def test_search_scores_few_candidates(systems):
     assert 0 < scored < 3 * 1000
 
 
+@pytest.mark.parametrize("seed", [0, 4])
+def test_later_batch_decides(systems, seed):
+    """A threshold below what the cheapest configurations reach: the first
+    walk batch holds nothing feasible, so a later, wider batch decides."""
+    tel = Telemetry()
+    with telemetry_session(tel):
+        assert_same_decision(systems["server"], "Oracle", seed, temp_c=70.0,
+                             power_w=0.3, th_c=60.0)
+    # The first two batches at least, then the tie window.
+    scored = tel.metrics.counter("oracle.candidates_scored").value
+    assert scored > 3 * _FIRST_BATCH
+
+
+@pytest.mark.parametrize("name, seed, power_w, floor_frac, th_c", [
+    ("system2", 1, 0.15, 0.95, 85.0),
+    ("system2", 2, 0.15, 0.95, 85.0),
+    ("server", 2, 0.15, 0.98, 80.0),  # the first batch decides
+    ("server", 1, 0.2, 0.98, 60.0),  # the fifth batch decides
+    ("server", 2, 0.1, 0.98, 60.0),  # the sixth batch decides
+])
+def test_floor_leaves_few_dvfs_rows(systems, name, seed, power_w, floor_frac,
+                                    th_c):
+    """An Oracle-P floor just below the top IPS allows only a few DVFS
+    rows; the walk draws its batches from those columns alone."""
+    system = systems[name]
+    sp = ExhaustiveSearcher()._prepare(system)
+    est, _, _ = primed_on(system, seed)
+    ips = est.ips_predictor.predict_many(sp.dvfs).sum(axis=1)
+    allowed = ips >= floor_frac * ips.max() * (1.0 - 1e-9)
+    assert 1 < allowed.sum() <= 5
+    got = assert_same_decision(system, "Oracle-P", seed, temp_c=70.0,
+                               power_w=power_w, th_c=th_c,
+                               floor_frac=floor_frac)
+    d = np.flatnonzero((sp.dvfs == got.dvfs).all(axis=1))[0]
+    assert allowed[d]
+
+
+@pytest.mark.parametrize("name", ["system2", "server"])
+@pytest.mark.parametrize("policy", ["Oracle", "Oracle-P"])
+def test_zero_ips_keys_are_all_infinite(systems, name, policy):
+    """IPS = 0 on every DVFS row makes every EPI key +inf. The tie window
+    is then every eligible candidate, and the exact objective (+inf too)
+    leaves the pick to the lowest feasible flat index, as in the brute
+    force. The floor is capped at the best achievable IPS, 0, so
+    Oracle-P allows every row."""
+    system = systems[name]
+    est, state, temps = primed_on(system, seed=6, temp_c=60.0)
+    n = system.nodes.n_components
+    est.begin_interval(temps, np.full(n, 0.2), np.zeros(system.n_cores),
+                       state, 1.0)
+    kw = dict(POLICIES[policy], decision_period=1)
+    if policy == "Oracle-P":
+        kw["perf_floor"] = np.array([1.0e9])
+    problem = EnergyProblem(t_threshold_c=85.0)
+    new, ref = ExhaustiveSearcher(**kw), ReferenceSearcher(**kw)
+    sp = new._prepare(system)
+    assert not est.ips_predictor.predict_many(sp.dvfs).any()
+    got = new.decide(state, temps, est, problem)
+    want = ref.decide(state, temps, est, problem)
+    assert np.array_equal(got.tec, want.tec)
+    assert np.array_equal(got.dvfs, want.dvfs)
+    assert got.fan_level == want.fan_level
+
+
 @pytest.mark.parametrize("make", [make_oracle, make_oftec])
 @pytest.mark.parametrize("first, second", [
     ("system2", "system4"),  # shape changes
     ("system4", "server"),  # same shape, different G
+    ("system2", "clipped"),  # same conductances, different leakage
 ])
 def test_reused_searcher_rebinds_to_new_system(systems, make, first, second):
     """A searcher reused on another system must decide as a fresh one."""
@@ -495,3 +572,70 @@ def test_reused_searcher_rebinds_to_new_system(systems, make, first, second):
     assert np.array_equal(got.tec, want.tec)
     assert np.array_equal(got.dvfs, want.dvfs)
     assert got.fan_level == want.fan_level
+
+
+@pytest.mark.parametrize("name, space", [
+    ("system2", "full"), ("clipped", "full"), ("server", "full"),
+    ("server", "one-row"), ("system2", "two-gangs"),
+])
+def test_power_rows_gather_from_one_level_rows(systems, name, space):
+    """Every configuration's Eq. (7) power row is, bit for bit, a gather
+    from the one-level rows, and the grid's elementwise minimum is theirs."""
+    system = systems[name]
+    sp = ExhaustiveSearcher(**SPACES[space])._prepare(system)
+    for seed in range(3):
+        est, _, _ = primed_on(system, seed=seed)
+        p_lvl = est.dyn_tracker.predict_many(sp.one_level)
+        p_dyn = est.dyn_tracker.predict_many(sp.dvfs)
+        d = np.arange(len(sp.dvfs))
+        assert np.array_equal(_dyn_rows(sp, p_lvl, d), p_dyn)
+        assert np.array_equal(p_lvl[sp.levels].min(axis=0), p_dyn.min(axis=0))
+
+
+def test_searchers_on_one_system_share_its_inverses(monkeypatch):
+    """OFTEC, Oracle and Oracle-P on one system invert its K = 96 variant
+    matrices once between them."""
+    calls = []
+    inv = np.linalg.inv
+
+    def counting_inv(a):
+        calls.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    run_server_comparison(minutes=1)
+    assert len(calls) == 2**4 * 6
+
+
+def test_pickles_carry_no_inverses(primed, base_state2):
+    """A searched system pickles to the same size as before the search,
+    and a searcher drops its space (the shared inverses) when pickled."""
+    system = primed.system
+    searcher = make_oracle()
+    before = len(pickle.dumps(system))
+    blank = len(pickle.dumps(searcher))
+    first = decide(searcher, primed, base_state2, threshold=85.0)
+    assert len(pickle.dumps(system)) == before
+    state = pickle.dumps(searcher)
+    assert len(state) < blank + 4096
+    clone = pickle.loads(state)
+    clone.reset()
+    again = decide(clone, primed, base_state2, threshold=85.0)
+    assert np.array_equal(again.tec, first.tec)
+    assert np.array_equal(again.dvfs, first.dvfs)
+    assert again.fan_level == first.fan_level
+
+
+def test_variant_table_keeps_no_system_alive(system2):
+    """The shared table outlives no system: once a searched system is
+    freed, its table goes too."""
+    system = replace(system2)  # a new system object on system2's parts
+    searcher = ExhaustiveSearcher()
+    searcher._prepare(system)
+    key = (id(system), searcher.tec_gangs_per_core)
+    assert _TABLES[key][0]() is system
+    alive = weakref.ref(system)
+    del system, searcher
+    gc.collect()
+    assert alive() is None
+    assert key not in _TABLES
