@@ -24,14 +24,12 @@ Usage (installed as the ``tecfan`` entry point)::
     tecfan trace anomalies run.jsonl    # thermal/oscillation/EPI scan
 
 Every experiment subcommand accepts ``--telemetry PATH``: the command
-then runs under an installed :class:`repro.obs.Telemetry` session and,
-on exit, writes the JSONL stream (run manifest first, then span/metric
-aggregates and per-interval events) to ``PATH``. ``--telemetry-stream
-PATH`` records the same stream *incrementally* instead — interval
-events flush to disk as they happen (bounded memory, optional
-``--telemetry-rotate-mb`` rotation), so long runs never hit the
-in-memory event cap. See ``docs/OBSERVABILITY.md`` for the stream
-format and naming conventions.
+then runs under an installed :class:`repro.obs.Telemetry` session whose
+per-interval events stream to ``PATH`` as they happen (bounded memory,
+so long runs never hit the in-memory event cap). On exit — also when the
+command raises — the run manifest and the span/metric aggregates are
+appended, completing the file. See ``docs/OBSERVABILITY.md`` for the
+stream format and naming conventions.
 """
 
 from __future__ import annotations
@@ -392,11 +390,12 @@ def _cmd_profile(args) -> int:
         from repro.exceptions import ObservabilityError
 
         try:
-            print(profile_summary(read_jsonl(args.load)))
+            parsed = read_jsonl(args.load)
         except (OSError, ObservabilityError) as exc:
             print(f"tecfan profile: cannot load {args.load}: {exc}",
                   file=sys.stderr)
             return 2
+        print(profile_summary(parsed))
         return 0
 
     from repro.core.engine import EngineConfig, SimulationEngine
@@ -505,22 +504,8 @@ def main(argv: list[str] | None = None) -> int:
         "--telemetry",
         metavar="PATH",
         default=None,
-        help="record a telemetry session and write its JSONL stream here",
-    )
-    common.add_argument(
-        "--telemetry-stream",
-        metavar="PATH",
-        default=None,
-        help="stream telemetry events to PATH incrementally (bounded "
-        "memory; manifest and aggregates are appended on exit)",
-    )
-    common.add_argument(
-        "--telemetry-rotate-mb",
-        type=float,
-        metavar="MB",
-        default=None,
-        help="with --telemetry-stream, rotate to a new .partNNN file "
-        "once the current part exceeds MB megabytes",
+        help="record a telemetry session, streaming its JSONL events to "
+        "PATH (manifest and aggregates are appended on exit)",
     )
     common.add_argument(
         "--metrics-port",
@@ -875,34 +860,21 @@ def main(argv: list[str] | None = None) -> int:
     handler = dispatch[args.command]
 
     telemetry_path = getattr(args, "telemetry", None)
-    stream_path = getattr(args, "telemetry_stream", None)
     metrics_port = getattr(args, "metrics_port", None)
     needs_session = (
         telemetry_path is not None
-        or stream_path is not None
         or metrics_port is not None
         or (args.command == "profile" and args.load is None)
     )
     if not needs_session:
         return handler(args)
 
-    from repro.core.export import telemetry_to_jsonl
-    from repro.obs import telemetry_session
-
-    exporter = None
-    if stream_path is not None:
-        from repro.obs import StreamingExporter
-
-        rotate_mb = getattr(args, "telemetry_rotate_mb", None)
-        exporter = StreamingExporter(
-            stream_path,
-            rotate_bytes=(
-                int(rotate_mb * 2**20) if rotate_mb is not None else None
-            ),
-        )
+    from repro.obs import StreamingExporter, telemetry_session
 
     with telemetry_session() as tel:
-        if exporter is not None:
+        exporter = None
+        if telemetry_path is not None:
+            exporter = StreamingExporter(telemetry_path)
             exporter.attach(tel)
         tel.annotate(
             "command", list(argv) if argv is not None else sys.argv[1:]
@@ -926,16 +898,12 @@ def main(argv: list[str] | None = None) -> int:
             if server is not None:
                 server.close()
             if exporter is not None:
-                parts = exporter.close(tel)
+                exporter.close()
                 print(
-                    f"telemetry: streamed {exporter.events_written} "
-                    f"event(s) across {len(parts)} part(s) to "
-                    f"{stream_path}",
+                    f"telemetry: wrote {tel.events_streamed} event(s) to "
+                    f"{telemetry_path}",
                     file=sys.stderr,
                 )
-    if telemetry_path is not None:
-        telemetry_to_jsonl(tel, telemetry_path)
-        print(f"telemetry: wrote {telemetry_path}", file=sys.stderr)
     return rc
 
 

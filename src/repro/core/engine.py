@@ -76,7 +76,6 @@ class EngineConfig:
     fan_period_s: float = 1.0
     dynamic_fan: bool = False
     max_time_s: float = 10.0
-    warm_start: bool = True
     #: Silent intervals simulated on a throwaway copy of the workload
     #: before the recorded run, so the recorded run starts from the
     #: policy's own converged thermal/actuator state — the equivalent of
@@ -358,7 +357,7 @@ class SimulationEngine:
             # plus a short silent priming pass is the converged
             # equivalent.
             t_nodes = self._initial_field(
-                run, state, run.workload.component_profile, cfg.warm_start
+                run, state, run.workload.component_profile
             )
             loop = LoopState.start(system, state, t_nodes, state.tec.copy())
             if cfg.priming_intervals > 0:
@@ -807,11 +806,9 @@ class SimulationEngine:
 
     # ------------------------------------------------------------------
     def _initial_field(
-        self, run: WorkloadRun, state: ActuatorState, profile, warm: bool
+        self, run: WorkloadRun, state: ActuatorState, profile
     ) -> np.ndarray:
         system = self.system
-        if not warm:
-            return system.uniform_initial_temps_k()
         p_dyn = system.power.component_power.dynamic_power_w(
             run.activity_vector(), state.dvfs, profile
         )

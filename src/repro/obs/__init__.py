@@ -16,7 +16,8 @@ The ``repro.obs`` package is the reproduction's telemetry substrate
 - :mod:`~repro.obs.merge` — picklable worker-session capture for the
   parallel fan-out (aggregates merge back via :meth:`Telemetry.merge`);
 - :mod:`~repro.obs.streaming` — :class:`StreamingExporter`, incremental
-  JSONL export with bounded memory and optional rotation;
+  JSONL export to one file with bounded memory (``--telemetry PATH``),
+  and the tolerant crashed-file reader :func:`read_stream`;
 - :mod:`~repro.obs.live` — the in-flight plane: atomic status-snapshot
   sidecars (``tecfan watch`` / ``tecfan top``) and the Prometheus
   scrape endpoint (``--metrics-port``).
@@ -62,7 +63,7 @@ from repro.obs.live import (
     status_anomalies,
     write_status,
 )
-from repro.obs.streaming import StreamingExporter, read_stream_parts
+from repro.obs.streaming import StreamingExporter, read_stream
 from repro.obs.metrics import (
     DEFAULT_MS_BUCKETS,
     Counter,
@@ -107,7 +108,7 @@ __all__ = [
     "status_anomalies",
     "write_status",
     "StreamingExporter",
-    "read_stream_parts",
+    "read_stream",
     "DEFAULT_MS_BUCKETS",
     "Counter",
     "Gauge",

@@ -33,7 +33,6 @@ __all__ = [
     "PersistentWorkerSession",
     "WorkerTelemetry",
     "capture_worker_telemetry",
-    "run_captured",
 ]
 
 
@@ -90,32 +89,15 @@ def capture_worker_telemetry(tel: Telemetry) -> WorkerTelemetry:
     )
 
 
-def run_captured(fn: Callable, payload) -> tuple:
-    """Run ``fn(payload)`` under a fresh session; return both halves.
-
-    The worker-side half of the aggregation: installs a fresh
-    :class:`Telemetry` whose events go to a counting no-op sink (so the
-    task's instrumentation behaves exactly as under the parent's session
-    while retaining nothing), and returns
-    ``(result, WorkerTelemetry)``. Exceptions propagate to the caller's
-    usual handling — a failed attempt's telemetry is discarded with it.
-    """
-    tel = Telemetry(event_sink=_discard_event)
-    with telemetry_session(tel):
-        result = fn(payload)
-    return result, capture_worker_telemetry(tel)
-
-
 class PersistentWorkerSession:
     """One reusable worker-side session for a pool worker's lifetime.
 
     A persistent :class:`~repro.parallel.WorkerPool` worker runs many
-    tasks back to back; allocating a fresh :class:`Telemetry` per task
-    (as :func:`run_captured` does) is wasted churn there. This keeps a
-    single session object — events to the counting no-op sink, exactly
-    like :func:`run_captured` — and :meth:`Telemetry.reset`\\ s it
-    between tasks, so each capture still covers exactly one task and the
-    parent's task-index-order merge semantics are unchanged.
+    tasks back to back under this one :class:`Telemetry` object. Its
+    events go to a no-op sink, which retains nothing but still counts
+    them, and :meth:`Telemetry.reset`\\ s it between tasks, so each
+    capture covers exactly one task and the parent's task-index-order
+    merge semantics hold.
     """
 
     def __init__(self) -> None:

@@ -5,25 +5,23 @@ needs every event resident, which is exactly wrong for production-scale
 runs (hours of 2 ms intervals blow straight past ``MAX_EVENTS``). The
 :class:`StreamingExporter` inverts that: it plugs into a
 :class:`~repro.obs.telemetry.Telemetry` as the ``event_sink``, flushes
-interval events to disk in small batches as they are emitted, and
-appends the manifest plus all span/metric aggregates when the session
-closes. Memory stays O(``flush_every``) regardless of run length, and a
-crashed run still leaves every flushed event on disk behind a
-``stream_header`` record identifying the schema.
+interval events to one file in batches of :data:`FLUSH_EVERY` as they
+are emitted, and appends the manifest plus all span/metric aggregates
+when it closes. Memory stays O(``FLUSH_EVERY``) regardless of run
+length, and a crashed run still leaves every flushed event on disk
+behind a ``stream_header`` record identifying the schema. The CLI's
+``--telemetry PATH`` writes through it, closing it in a ``finally`` so
+a command that raises still leaves a complete file.
 
-Optional size-based rotation splits the stream into numbered part
-files (``run.jsonl``, ``run.part001.jsonl``, ...): each part re-opens
-with its own header, and the final part carries the manifest and
-aggregates. :func:`repro.obs.read_jsonl` accepts any part (records are
-typed, not positional); :func:`read_stream_parts` re-groups the whole
-set.
+:func:`repro.obs.read_jsonl` reads the finished file (records are typed,
+not positional); :func:`read_stream` reads a crashed one tolerantly.
 
 Usage::
 
     from repro.obs import Telemetry, telemetry_session
     from repro.obs.streaming import StreamingExporter
 
-    with StreamingExporter("run.jsonl", rotate_bytes=64 << 20) as exp:
+    with StreamingExporter("run.jsonl") as exp:
         tel = exp.attach(Telemetry())
         with telemetry_session(tel):
             engine.run(run, controller)   # events stream to disk
@@ -38,76 +36,52 @@ import time
 from pathlib import Path
 
 from repro.exceptions import ObservabilityError
-from repro.obs.manifest import MANIFEST_SCHEMA, build_manifest
+from repro.obs.exporters import read_jsonl, telemetry_records
+from repro.obs.manifest import MANIFEST_SCHEMA
 from repro.obs.telemetry import Telemetry
 
-__all__ = ["StreamingExporter", "read_stream_parts"]
+__all__ = ["StreamingExporter", "read_stream"]
+
+#: Events buffered between writes. Small enough that a crash loses at
+#: most a batch, large enough to amortize the encode+write.
+FLUSH_EVERY: int = 256
 
 
 class StreamingExporter:
-    """Flush telemetry events to a JSONL stream as they happen.
+    """Flush telemetry events to a JSONL file as they happen.
 
     Parameters
     ----------
     path:
-        The stream path (first part; rotation derives sibling names).
-    flush_every:
-        Events buffered between writes. Small enough that a crash loses
-        at most a batch, large enough to amortize the encode+write.
-    rotate_bytes:
-        Rotate to a new part once the current file passes this size
-        (``None`` disables rotation). Checked at flush granularity, so
-        parts overshoot by at most one batch.
-    atomic_parts:
-        Write each part at ``<name>.tmp`` and rename it into place only
-        when it is *complete* (rotation or close) — so readers polling
-        the directory never observe a half-written part, and a crash
-        leaves the in-progress part clearly marked as ``.tmp``.
-        :func:`read_stream_parts` falls back to the ``.tmp`` sibling
-        when the final name is missing, so crashed streams stay
-        readable. Off by default: the plain mode lets a live part be
-        tailed at its final path.
+        The stream file (truncated on open).
     fsync:
         Durability policy: ``"never"`` (default — the OS flushes),
-        ``"rotate"`` (fsync each part as it completes) or ``"always"``
+        ``"close"`` (fsync once, when the stream closes) or ``"always"``
         (fsync after every batch write; the crash-durable but slowest
         option).
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        flush_every: int = 256,
-        rotate_bytes: int | None = None,
-        atomic_parts: bool = False,
-        fsync: str = "never",
-    ):
-        if flush_every < 1:
-            raise ObservabilityError("flush_every must be >= 1")
-        if rotate_bytes is not None and rotate_bytes < 1:
-            raise ObservabilityError("rotate_bytes must be >= 1 (or None)")
-        if fsync not in ("never", "rotate", "always"):
+    def __init__(self, path: str | Path, *, fsync: str = "never"):
+        if fsync not in ("never", "close", "always"):
             raise ObservabilityError(
-                f"fsync policy must be 'never', 'rotate' or 'always', "
+                f"fsync policy must be 'never', 'close' or 'always', "
                 f"got {fsync!r}"
             )
         self.path = Path(path)
-        self.flush_every = int(flush_every)
-        self.rotate_bytes = rotate_bytes
-        self.atomic_parts = bool(atomic_parts)
         self.fsync = fsync
-        self._active_tmp: Path | None = None
-        #: Every part written, in order (``paths[0]`` is ``path``).
-        self.paths: list[Path] = []
-        self.events_written = 0
-        self.bytes_written = 0
         self._pending: list[str] = []
-        self._part_bytes = 0
-        self._fh = None
         self._tel: Telemetry | None = None
         self._closed = False
-        self._open_part()
+        self._fh = open(self.path, "w")
+        header = json.dumps(
+            {
+                "type": "stream_header",
+                "schema": MANIFEST_SCHEMA,
+                "created_unix": time.time(),
+            },
+            sort_keys=True,
+        )
+        self._write_lines([header])
 
     # ------------------------------------------------------------------
     def attach(self, tel: Telemetry) -> Telemetry:
@@ -117,7 +91,7 @@ class StreamingExporter:
         return tel
 
     def write_event(self, record: dict) -> None:
-        """Buffer one event record; flushes every ``flush_every`` events."""
+        """Buffer one event record; flushes every ``FLUSH_EVERY`` events."""
         if self._closed:
             raise ObservabilityError(
                 f"telemetry stream {self.path} is closed"
@@ -125,59 +99,38 @@ class StreamingExporter:
         self._pending.append(
             json.dumps({"type": "event", **record}, sort_keys=True)
         )
-        self.events_written += 1
-        if len(self._pending) >= self.flush_every:
+        if len(self._pending) >= FLUSH_EVERY:
             self.flush()
 
     def flush(self) -> None:
-        """Write buffered events out; rotate first if the part is full."""
-        if not self._pending:
-            return
-        if (
-            self.rotate_bytes is not None
-            and self._part_bytes >= self.rotate_bytes
-        ):
-            self._next_part()
-        self._write_lines(self._pending)
-        self._pending = []
+        """Write buffered events out."""
+        if self._pending:
+            self._write_lines(self._pending)
+            self._pending = []
 
-    def close(self, tel: Telemetry | None = None, extra: dict | None = None):
+    def close(self) -> None:
         """Flush, append the manifest + aggregates, and close the file.
 
-        ``tel`` defaults to the :meth:`attach`-ed session; with no
-        session at all only the buffered events are flushed. ``extra``
-        merges into the manifest (e.g. the CLI command line). Returns
-        the list of part paths. Idempotent.
+        The manifest and aggregates come from the :meth:`attach`-ed
+        session; with no session only the buffered events are flushed.
+        Idempotent.
         """
         if self._closed:
-            return self.paths
+            return
         self.flush()
-        tel = tel if tel is not None else self._tel
+        tel = self._tel
         if tel is not None:
-            stream_extra = {
-                "events_streamed": self.events_written,
-                "stream_parts": [str(p) for p in self.paths],
-            }
-            if extra:
-                stream_extra.update(extra)
-            manifest = build_manifest(tel, extra=stream_extra)
-            # Local import: exporters imports nothing from here, but
-            # keeping the record layout in one place matters more than
-            # the top-level import aesthetics.
-            from repro.obs.exporters import telemetry_records
-
-            records = telemetry_records(
-                tel, manifest=manifest, include_events=False
-            )
+            records = telemetry_records(tel, include_events=False)
             self._write_lines(
                 json.dumps(rec, sort_keys=True) for rec in records
             )
             if getattr(tel.event_sink, "__self__", None) is self:
                 tel.event_sink = None
-        self._finalize_part()
-        self._fh = None
+        self._fh.flush()
+        if self.fsync in ("close", "always"):
+            os.fsync(self._fh.fileno())
+        self._fh.close()
         self._closed = True
-        return self.paths
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "StreamingExporter":
@@ -188,136 +141,40 @@ class StreamingExporter:
         return False
 
     # ------------------------------------------------------------------
-    def _open_part(self) -> None:
-        if self.paths:
-            n = len(self.paths)
-            part = self.path.with_name(
-                f"{self.path.stem}.part{n:03d}{self.path.suffix}"
-            )
-        else:
-            part = self.path
-        self.paths.append(part)
-        if self.atomic_parts:
-            self._active_tmp = part.with_name(part.name + ".tmp")
-            self._fh = open(self._active_tmp, "w")
-        else:
-            self._fh = open(part, "w")
-        self._part_bytes = 0
-        header = json.dumps(
-            {
-                "type": "stream_header",
-                "schema": MANIFEST_SCHEMA,
-                "part": len(self.paths) - 1,
-                "created_unix": time.time(),
-            },
-            sort_keys=True,
-        )
-        self._write_lines([header])
-
-    def _next_part(self) -> None:
-        self._finalize_part()
-        self._open_part()
-
-    def _finalize_part(self) -> None:
-        """Complete the active part: flush, fsync per policy, close —
-        and, under ``atomic_parts``, rename the ``.tmp`` into place so
-        the final name only ever holds a complete part."""
-        self._fh.flush()
-        if self.fsync in ("rotate", "always"):
-            os.fsync(self._fh.fileno())
-        self._fh.close()
-        if self._active_tmp is not None:
-            os.replace(self._active_tmp, self.paths[-1])
-            self._active_tmp = None
-
     def _write_lines(self, lines) -> None:
-        text = "\n".join(lines) + "\n"
-        self._fh.write(text)
+        self._fh.write("\n".join(lines) + "\n")
         self._fh.flush()
         if self.fsync == "always":
             os.fsync(self._fh.fileno())
-        self._part_bytes += len(text)
-        self.bytes_written += len(text)
 
 
-def _empty_group() -> dict:
-    return {
-        "manifest": None,
-        "stream_header": None,
-        "spans": {},
-        "span_edges": [],
-        "counters": {},
-        "gauges": {},
-        "histograms": {},
-        "events": [],
-    }
+def read_stream(path: str | Path) -> dict:
+    """Read one stream file tolerantly, as a crashed run left it.
 
-
-def _read_part(path) -> tuple[dict, dict | None]:
-    """Parse one part tolerantly: ``(group, truncation_report | None)``.
-
-    Crash model: a SIGKILL mid-write can leave (a) an ``atomic_parts``
-    stream's in-progress part only at its ``.tmp`` name — resolved by
-    falling back to the sibling — and (b) a torn *final* line. The torn
-    tail is dropped and reported rather than raised; corruption
-    anywhere but the tail is outside the crash model and still raises
-    ``ObservabilityError`` via :func:`repro.obs.read_jsonl`.
+    Crash model: a SIGKILL mid-write can leave a torn *final* line. It
+    is dropped and *reported* in the returned ``"truncations"`` list
+    (path, line, bytes dropped, snippet) instead of raising; the list is
+    empty for an intact file. Otherwise this returns what
+    :func:`repro.obs.read_jsonl` returns — which still raises
+    ``ObservabilityError`` on the same torn file, and on corruption
+    anywhere but the tail, which is outside the crash model.
     """
-    from repro.obs.exporters import read_jsonl
-
     path = Path(path)
-    actual = path
-    if not path.exists():
-        tmp = path.with_name(path.name + ".tmp")
-        if tmp.exists():
-            actual = tmp
-    text = actual.read_text()
-    lines = text.splitlines()
-    truncation = None
+    lines = path.read_text().splitlines()
+    truncations = []
     if lines:
         try:
             json.loads(lines[-1])
         except json.JSONDecodeError:
             torn = lines.pop()
-            truncation = {
-                "path": str(actual),
-                "line": len(lines) + 1,
-                "bytes_dropped": len(torn),
-                "snippet": torn[:120],
-            }
-    if not lines:
-        return _empty_group(), truncation
-    return read_jsonl("\n".join(lines) + "\n"), truncation
-
-
-def read_stream_parts(paths) -> dict:
-    """Group a rotated part set back into one aggregate view.
-
-    ``paths`` is an iterable of part paths (any order; sorted by the
-    header's part index). Events concatenate in stream order; the
-    manifest and aggregates come from whichever part carries them (the
-    final one, for a cleanly closed stream).
-
-    Tolerates a crashed stream: a part whose final record was torn
-    mid-write is read up to the tear, and the tear is *reported* in the
-    returned ``"truncations"`` list (path, line, bytes dropped) instead
-    of raising; a missing part with a ``.tmp`` sibling (an
-    ``atomic_parts`` stream killed before rename) is read from the
-    sibling. ``"truncations"`` is empty for a cleanly closed stream.
-    """
-    reads = [_read_part(p) for p in paths]
-    reads.sort(
-        key=lambda r: (r[0].get("stream_header") or {}).get("part", 0)
-    )
-    out: dict = _empty_group()
-    out["truncations"] = [t for _, t in reads if t is not None]
-    for group, _ in reads:
-        out["events"].extend(group["events"])
-        if out["stream_header"] is None:
-            out["stream_header"] = group.get("stream_header")
-        if group["manifest"] is not None:
-            out["manifest"] = group["manifest"]
-            for key in ("spans", "counters", "gauges", "histograms"):
-                out[key] = group[key]
-            out["span_edges"] = group["span_edges"]
+            truncations.append(
+                {
+                    "path": str(path),
+                    "line": len(lines) + 1,
+                    "bytes_dropped": len(torn),
+                    "snippet": torn[:120],
+                }
+            )
+    out = read_jsonl("\n".join(lines) + "\n")
+    out["truncations"] = truncations
     return out

@@ -136,8 +136,8 @@ class Telemetry:
                     f"telemetry event retention cap MAX_EVENTS="
                     f"{MAX_EVENTS} hit: further events will be DROPPED "
                     "(aggregates stay complete, the event stream is "
-                    "truncated) — use the streaming exporter "
-                    "(--telemetry-stream) for long runs",
+                    "truncated) — stream long runs to a file "
+                    "(--telemetry PATH)",
                     RuntimeWarning,
                     stacklevel=3,
                 )

@@ -107,7 +107,7 @@ def test_concurrent_reads_never_torn(tmp_path):
     and a payload whose checksum field must match its body; the reader
     polls as fast as it can. Every successful read must parse, carry a
     self-consistent payload, and have a seq no older than the last one
-    observed (the tolerant-reader analogue of ``read_stream_parts``).
+    observed (the tolerant-reader analogue of ``read_stream``).
     """
     path = tmp_path / "s.json"
     n_writes = 300

@@ -102,8 +102,11 @@ def test_max_events_drop_warns_once_and_counts(monkeypatch):
     with telemetry_session(tel):
         for i in range(3):
             event("interval", i=i)
-        # the cap is hit: exactly one loud warning at drop onset ...
-        with pytest.warns(RuntimeWarning, match="MAX_EVENTS=3 hit"):
+        # the cap is hit: exactly one loud warning at drop onset, which
+        # names the CLI's streaming writer ...
+        with pytest.warns(
+            RuntimeWarning, match=r"MAX_EVENTS=3 hit.*\(--telemetry PATH\)"
+        ):
             event("interval", i=3)
         # ... and further drops stay silent but keep counting
         import warnings

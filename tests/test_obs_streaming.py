@@ -1,4 +1,4 @@
-"""StreamingExporter: incremental flush, rotation, schema validation."""
+"""StreamingExporter: incremental flush, crash tolerance, schema validation."""
 
 from __future__ import annotations
 
@@ -12,9 +12,11 @@ from repro.obs import (
     StreamingExporter,
     Telemetry,
     read_jsonl,
-    read_stream_parts,
+    read_stream,
     telemetry_session,
+    write_jsonl,
 )
+from repro.obs import streaming
 from repro.obs import telemetry as obs
 
 
@@ -24,9 +26,10 @@ def _stream_events(tel: Telemetry, n: int) -> None:
             obs.event("interval", i=i, peak_temp_c=80.0 + i)
 
 
-def test_events_flush_incrementally(tmp_path):
+def test_events_flush_incrementally(tmp_path, monkeypatch):
+    monkeypatch.setattr(streaming, "FLUSH_EVERY", 4)
     path = tmp_path / "run.jsonl"
-    exp = StreamingExporter(path, flush_every=4)
+    exp = StreamingExporter(path)
     tel = exp.attach(Telemetry())
     _stream_events(tel, 10)
     # Two full batches (8 events) are on disk before close.
@@ -37,7 +40,7 @@ def test_events_flush_incrementally(tmp_path):
     assert on_disk[0]["type"] == "stream_header"
     assert len(tel.events) == 0  # nothing retained in memory
     assert tel.events_streamed == 10
-    exp.close(tel)
+    exp.close()
     parsed = read_jsonl(path)
     assert len(parsed["events"]) == 10
     assert parsed["manifest"]["events_streamed"] == 10
@@ -47,43 +50,26 @@ def test_streaming_bypasses_event_cap(tmp_path, monkeypatch):
     # A small cap keeps the test fast; the stream is sized from it.
     monkeypatch.setattr("repro.obs.telemetry.MAX_EVENTS", 1000)
     n = obs.MAX_EVENTS + 50
+    monkeypatch.setattr(streaming, "FLUSH_EVERY", 1024)
     path = tmp_path / "run.jsonl"
-    exp = StreamingExporter(path, flush_every=1024)
+    exp = StreamingExporter(path)
     tel = exp.attach(Telemetry())
     _stream_events(tel, n)
-    exp.close(tel)
+    exp.close()
     parsed = read_jsonl(path)
     assert len(parsed["events"]) == n
     assert parsed["manifest"]["events_dropped"] == 0
 
 
-def test_rotation_splits_parts_and_regroups(tmp_path):
-    path = tmp_path / "run.jsonl"
-    exp = StreamingExporter(path, flush_every=2, rotate_bytes=300)
-    tel = exp.attach(Telemetry())
-    tel.metrics.counter("c").inc(7)
-    _stream_events(tel, 20)
-    paths = exp.close(tel)
-    assert len(paths) > 1
-    assert paths[0] == path
-    assert paths[1].name == "run.part001.jsonl"
-    # Each part is independently loadable and carries a typed header.
-    for i, part in enumerate(paths):
-        group = read_jsonl(part)
-        assert group["stream_header"]["part"] == i
-        assert group["stream_header"]["schema"] == MANIFEST_SCHEMA
-    merged = read_stream_parts(paths)
-    assert [e["i"] for e in merged["events"]] == list(range(20))
-    assert merged["counters"]["c"] == 7
-    assert merged["manifest"]["stream_parts"] == [str(p) for p in paths]
-
-
 def test_close_is_idempotent_and_detaches(tmp_path):
-    exp = StreamingExporter(tmp_path / "run.jsonl")
+    path = tmp_path / "run.jsonl"
+    exp = StreamingExporter(path)
     tel = exp.attach(Telemetry())
     _stream_events(tel, 3)
-    first = exp.close(tel)
-    assert exp.close(tel) == first
+    exp.close()
+    first = path.read_text()
+    exp.close()
+    assert path.read_text() == first
     assert tel.event_sink is None
     with pytest.raises(ObservabilityError, match="closed"):
         exp.write_event({"kind": "late"})
@@ -97,10 +83,11 @@ def test_context_manager_without_session_writes_header_only(tmp_path):
     assert [r["type"] for r in records] == ["stream_header"]
 
 
-def test_crashed_stream_keeps_flushed_events(tmp_path):
+def test_crashed_stream_keeps_flushed_events(tmp_path, monkeypatch):
     # No close(): whatever was flushed must still parse (no manifest).
+    monkeypatch.setattr(streaming, "FLUSH_EVERY", 1)
     path = tmp_path / "run.jsonl"
-    exp = StreamingExporter(path, flush_every=1)
+    exp = StreamingExporter(path)
     tel = exp.attach(Telemetry())
     _stream_events(tel, 5)
     parsed = read_jsonl(path)
@@ -110,68 +97,24 @@ def test_crashed_stream_keeps_flushed_events(tmp_path):
 
 
 def test_invalid_parameters_rejected(tmp_path):
-    with pytest.raises(ObservabilityError):
-        StreamingExporter(tmp_path / "x.jsonl", flush_every=0)
-    with pytest.raises(ObservabilityError):
-        StreamingExporter(tmp_path / "x.jsonl", rotate_bytes=0)
     with pytest.raises(ObservabilityError, match="fsync policy"):
         StreamingExporter(tmp_path / "x.jsonl", fsync="sometimes")
 
 
 # ----------------------------------------------------------------------
-# crash hardening: atomic parts, torn tails, .tmp fallback
+# crash hardening: torn tails, fsync policies
 # ----------------------------------------------------------------------
-def test_atomic_parts_rename_only_complete_parts(tmp_path):
+def test_torn_tail_is_dropped_and_reported(tmp_path, monkeypatch):
+    monkeypatch.setattr(streaming, "FLUSH_EVERY", 1)
     path = tmp_path / "run.jsonl"
-    exp = StreamingExporter(
-        path, flush_every=2, rotate_bytes=300, atomic_parts=True,
-        fsync="rotate",
-    )
-    tel = exp.attach(Telemetry())
-    _stream_events(tel, 20)
-    # Mid-stream: every part but the live one is at its final name;
-    # the live part exists only as .tmp.
-    assert len(exp.paths) > 1
-    live = exp.paths[-1]
-    assert not live.exists()
-    assert live.with_name(live.name + ".tmp").exists()
-    for done in exp.paths[:-1]:
-        assert done.exists()
-    paths = exp.close(tel)
-    # After close everything is final and the set regroups cleanly.
-    assert all(p.exists() for p in paths)
-    assert not any(
-        p.with_name(p.name + ".tmp").exists() for p in paths
-    )
-    merged = read_stream_parts(paths)
-    assert [e["i"] for e in merged["events"]] == list(range(20))
-    assert merged["truncations"] == []
-
-
-def test_crashed_atomic_stream_reads_tmp_sibling(tmp_path):
-    # SIGKILL model: no close(), the in-progress part never renamed.
-    path = tmp_path / "run.jsonl"
-    exp = StreamingExporter(
-        path, flush_every=1, rotate_bytes=250, atomic_parts=True
-    )
-    tel = exp.attach(Telemetry())
-    _stream_events(tel, 12)
-    merged = read_stream_parts(exp.paths)
-    assert [e["i"] for e in merged["events"]] == list(range(12))
-    assert merged["manifest"] is None  # never closed
-    assert merged["truncations"] == []
-
-
-def test_torn_tail_is_dropped_and_reported(tmp_path):
-    path = tmp_path / "run.jsonl"
-    exp = StreamingExporter(path, flush_every=1)
+    exp = StreamingExporter(path)
     tel = exp.attach(Telemetry())
     _stream_events(tel, 6)
     exp._fh.close()  # crash: buffered writer gone mid-record
     torn = '{"type": "event", "i": 99, "trunca'
     with open(path, "a") as fh:
         fh.write(torn)
-    merged = read_stream_parts([path])
+    merged = read_stream(path)
     # Intact prefix survives; the tear is reported, not raised.
     assert [e["i"] for e in merged["events"]] == list(range(6))
     assert len(merged["truncations"]) == 1
@@ -180,18 +123,20 @@ def test_torn_tail_is_dropped_and_reported(tmp_path):
     assert report["bytes_dropped"] == len(torn)
     assert report["snippet"].startswith('{"type": "event", "i": 99')
     # The strict reader still refuses the same file: tolerance is an
-    # explicit opt-in via read_stream_parts, never silent.
+    # explicit opt-in via read_stream, never silent.
     with pytest.raises(ObservabilityError):
         read_jsonl(path)
 
 
-def test_fsync_always_policy_streams_and_regroups(tmp_path):
+@pytest.mark.parametrize("policy", ["always", "close"])
+def test_fsync_policy_streams_and_reads_back(tmp_path, monkeypatch, policy):
+    monkeypatch.setattr(streaming, "FLUSH_EVERY", 2)
     path = tmp_path / "run.jsonl"
-    exp = StreamingExporter(path, flush_every=2, fsync="always")
+    exp = StreamingExporter(path, fsync=policy)
     tel = exp.attach(Telemetry())
     _stream_events(tel, 5)
-    exp.close(tel)
-    merged = read_stream_parts([path])
+    exp.close()
+    merged = read_stream(path)
     assert len(merged["events"]) == 5
     assert merged["truncations"] == []
 
@@ -228,8 +173,59 @@ def test_cli_streams_telemetry(tmp_path, capsys):
     from repro.cli import main
 
     path = tmp_path / "hw.jsonl"
-    assert main(["hwcost", "--telemetry-stream", str(path)]) == 0
+    assert main(["hwcost", "--telemetry", str(path)]) == 0
     capsys.readouterr()
+    first = json.loads(path.read_text().splitlines()[0])
+    assert first["type"] == "stream_header"
     parsed = read_jsonl(path)
     assert parsed["manifest"]["schema"] == MANIFEST_SCHEMA
     assert parsed["manifest"]["context"]["command"][0] == "hwcost"
+
+
+def test_cli_telemetry_file_survives_a_raising_handler(
+    tmp_path, monkeypatch, capsys
+):
+    from repro import cli
+
+    def emit_then_raise(args):
+        for i in range(3):
+            obs.event("interval", i=i)
+        obs.incr("test.before_raise")
+        raise RuntimeError("handler failed")
+
+    monkeypatch.setattr(cli, "_cmd_hwcost", emit_then_raise)
+    path = tmp_path / "crash.jsonl"
+    with pytest.raises(RuntimeError, match="handler failed"):
+        cli.main(["hwcost", "--telemetry", str(path)])
+    capsys.readouterr()
+    parsed = read_jsonl(path)
+    assert [e["i"] for e in parsed["events"]] == [0, 1, 2]
+    assert parsed["counters"]["test.before_raise"] == 1
+    assert parsed["manifest"]["events_streamed"] == 3
+    assert parsed["manifest"]["context"]["command"][0] == "hwcost"
+
+
+def test_profile_load_does_not_blame_the_file_for_a_closed_stdout(
+    tmp_path, monkeypatch, capsys
+):
+    # `tecfan profile --load x.jsonl | head -4`: the reader closed the
+    # pipe, the file loaded fine, so no "cannot load" and no exit 2.
+    from repro.cli import main
+
+    path = tmp_path / "run.jsonl"
+    tel = Telemetry()
+    _stream_events(tel, 2)
+    path.write_text(write_jsonl(tel))
+
+    class _ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    with monkeypatch.context() as m:
+        m.setattr("sys.stdout", _ClosedPipe())
+        with pytest.raises(BrokenPipeError):
+            main(["profile", "--load", str(path)])
+    assert "cannot load" not in capsys.readouterr().err
